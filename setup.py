@@ -1,8 +1,7 @@
-"""Legacy setuptools entry point.
+"""Setuptools packaging for the ``repro`` library; the project metadata lives here.
 
-The project metadata lives in ``pyproject.toml``; this shim only exists so
-that ``pip install -e .`` works in offline environments whose setuptools
-lacks PEP 660 editable-wheel support.
+``scipy>=1.15`` is the floor because ``repro.lp.backends`` calls the HiGHS
+binding those releases bundle as ``scipy.optimize._highspy._core``.
 """
 
 from setuptools import find_packages, setup
@@ -13,5 +12,5 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    install_requires=["numpy>=1.24", "scipy>=1.10", "networkx>=3.0"],
+    install_requires=["numpy>=1.24", "scipy>=1.15", "networkx>=3.0"],
 )

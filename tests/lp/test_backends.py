@@ -41,12 +41,10 @@ class TestDispatch:
     @pytest.mark.parametrize("status", [1, 4, 99])
     def test_unknown_scipy_status_raises_with_context(self, monkeypatch, status):
         """Unexpected scipy statuses raise instead of returning a silent ERROR."""
-        from scipy.optimize import OptimizeResult
-
         from repro.lp import backends
 
-        fake = OptimizeResult(status=status, message="synthetic failure", x=None)
-        monkeypatch.setattr(backends, "linprog", lambda *args, **kwargs: fake)
+        fake = backends.HiGHSResult(status, None, None, "synthetic failure")
+        monkeypatch.setattr(backends, "_run_highs", lambda lp: fake)
         lp = LinearProgram(c=[1.0, 2.0], A_ub=[[1.0, 1.0]], b_ub=[1.0])
         with pytest.raises(SolverError) as excinfo:
             solve_lp(lp, backend="scipy")
@@ -55,3 +53,4 @@ class TestDispatch:
         assert f"status {status}" in message
         assert "2 variables" in message
         assert "1 inequality" in message
+        assert "synthetic failure" in message

@@ -1,0 +1,195 @@
+"""Parity: ``call_highs`` against ``scipy.optimize.linprog(method="highs")``.
+
+``call_highs`` drives scipy's bundled HiGHS binding directly instead of
+going through ``linprog``.  It must build the same model with the same
+options and apply the same post-solve status check, so on every LP the
+status, the solution vector and the objective are *bit*-identical to
+``linprog``'s.  This file is the only place ``linprog`` is still used: as
+the oracle.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+from scipy.optimize import linprog
+
+from repro import SolverError
+from repro.hypergraph.communication import communication_hypergraph
+from repro.lp import LinearProgram, maxmin_to_lp, solve_lp
+from repro.lp import backends
+from repro.lp.backends import call_highs
+from repro.lp.batch import stack_block_diagonal
+from repro.scenarios.registry import build_instance, list_families
+from repro.scenarios.spec import ScenarioSpec
+
+#: One small scenario per registered family.
+FAMILY_PARAMS = {
+    "cycle": {"n": 16},
+    "path": {"n": 12},
+    "grid": {"shape": (4, 4)},
+    "torus": {"shape": (4, 4)},
+    "unit_disk": {"n": 16, "radius": 0.3},
+    "random_bounded_degree": {"n_agents": 14},
+    "random_regular_bipartite": {"n_side": 6},
+    "sidon_bipartite": {"degree": 3},
+    "isp": {"n_customers": 5, "n_routers": 3},
+    "sensor": {"n_sensors": 10, "n_relays": 4, "n_areas": 3},
+}
+
+
+def assert_matches_linprog(lp: LinearProgram) -> None:
+    expected = linprog(
+        c=lp.c,
+        A_ub=lp.A_ub,
+        b_ub=lp.b_ub,
+        A_eq=lp.A_eq,
+        b_eq=lp.b_eq,
+        bounds=lp.bounds,
+        method="highs",
+    )
+    got = call_highs(lp)
+    assert got.status == expected.status
+    if expected.x is None:
+        assert got.x is None and got.fun is None
+    else:
+        assert np.array_equal(got.x, expected.x)
+        assert got.fun == expected.fun
+
+
+def _problem(family: str, R: int):
+    spec = ScenarioSpec(
+        family=family, params=FAMILY_PARAMS[family], seed=11, radii=(R,)
+    )
+    return build_instance(spec)
+
+
+def _local_lps(problem, R: int):
+    """The distinct local LPs of a problem's radius-``R`` views."""
+    H = communication_hypergraph(problem)
+    seen = {}
+    for u in problem.agents:
+        sub = problem.local_subproblem(H.ball(u, R))
+        if sub.n_beneficiaries and sub.n_agents:
+            seen.setdefault(sub, maxmin_to_lp(sub))
+    return list(seen.values())
+
+
+def test_every_registry_family_is_covered():
+    assert set(FAMILY_PARAMS) == set(list_families())
+
+
+@pytest.mark.parametrize("R", [1, 2])
+@pytest.mark.parametrize("family", sorted(FAMILY_PARAMS))
+def test_local_lps_match_linprog(family, R):
+    lps = _local_lps(_problem(family, R), R)
+    assert lps
+    for lp in lps:
+        assert_matches_linprog(lp)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_PARAMS))
+def test_full_reduction_matches_linprog(family):
+    assert_matches_linprog(maxmin_to_lp(_problem(family, 1)))
+
+
+def test_stacked_chunk_matches_linprog():
+    stacked, _ = stack_block_diagonal(_local_lps(_problem("torus", 1), 1))
+    assert stacked.is_sparse
+    assert_matches_linprog(stacked)
+
+
+EDGE_LPS = {
+    "infeasible": LinearProgram(c=[1.0], A_ub=[[1.0], [-1.0]], b_ub=[1.0, -2.0]),
+    "unbounded": LinearProgram(c=[-1.0, 0.0], A_ub=[[0.0, 1.0]], b_ub=[1.0]),
+    "no_constraints": LinearProgram(c=[1.0, 2.0, 0.5]),
+    "eq_only": LinearProgram(
+        c=[1.0, 2.0, 3.0], A_eq=[[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]], b_eq=[3.0, 0.5]
+    ),
+    "mixed": LinearProgram(
+        c=[-1.0, -2.0, 0.5],
+        A_ub=sp.csr_matrix([[1.0, 1.0, 0.0], [0.0, 1.0, 2.0]]),
+        b_ub=[4.0, 3.0],
+        A_eq=sp.csr_matrix([[1.0, 0.0, -1.0]]),
+        b_eq=[0.5],
+    ),
+    "dense": LinearProgram(
+        c=[-3.0, -1.0, -2.0],
+        A_ub=np.array([[1.0, 1.0, 3.0], [2.0, 2.0, 5.0], [4.0, 1.0, 2.0]]),
+        b_ub=[30.0, 24.0, 36.0],
+    ),
+    "finite_upper_bounds": LinearProgram(
+        c=[-1.0, -1.0], A_ub=[[1.0, 2.0]], b_ub=[10.0], bounds=[(0, 3.0), (1.0, 2.5)]
+    ),
+    "free_variables": LinearProgram(
+        c=[1.0, -1.0],
+        A_ub=[[-1.0, 0.0], [0.0, 1.0]],
+        b_ub=[5.0, 4.0],
+        bounds=[(None, None), (None, 7.0)],
+    ),
+    "unsorted_duplicate_csr": LinearProgram(
+        c=[-1.0, -1.0],
+        A_ub=sp.csr_matrix(
+            (np.array([0.5, 1.0, 0.5, 2.0]), np.array([1, 0, 1, 0]), np.array([0, 3, 4])),
+            shape=(2, 2),
+        ),
+        b_ub=[2.0, 3.0],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_LPS))
+def test_edge_lp_matches_linprog(name):
+    assert_matches_linprog(EDGE_LPS[name])
+
+
+def test_badly_scaled_lps_match_linprog_statuses():
+    """Badly scaled LPs reach HiGHS's rarer statuses; each must map alike."""
+    rng = np.random.default_rng(0)
+    statuses = set()
+    for _ in range(200):
+        n, m = rng.integers(2, 6), rng.integers(1, 5)
+        A = rng.standard_normal((m, n)) * 10.0 ** rng.integers(-8, 12, size=(m, n))
+        b = np.abs(rng.standard_normal(m)) * 10.0 ** rng.integers(-6, 12, size=m)
+        c = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 8, size=n)
+        lp = LinearProgram(c=c, A_ub=A, b_ub=b, bounds=[(0, 1e8)] * n)
+        assert_matches_linprog(lp)
+        statuses.add(call_highs(lp).status)
+    assert {0, 4} <= statuses
+
+
+def test_dense_and_sparse_storage_are_bit_identical():
+    lp = EDGE_LPS["dense"]
+    sparse = LinearProgram(
+        c=lp.c, A_ub=sp.csr_matrix(lp.A_ub), b_ub=lp.b_ub, bounds=lp.bounds
+    )
+    dense_result, sparse_result = call_highs(lp), call_highs(sparse)
+    assert np.array_equal(dense_result.x, sparse_result.x)
+    assert dense_result.fun == sparse_result.fun
+
+
+def test_solution_outside_tolerance_is_demoted_to_status_4(monkeypatch):
+    """``linprog``'s post-solve check: an out-of-tolerance optimum is status 4."""
+    monkeypatch.setattr(backends, "_CHECK_TOL", -1.0)
+    lp = EDGE_LPS["dense"]
+    result = call_highs(lp)
+    assert result.status == 4
+    assert result.x is not None
+    with pytest.raises(SolverError, match="status 4"):
+        solve_lp(lp)
+
+
+@pytest.mark.parametrize(
+    "lp",
+    [
+        LinearProgram(c=[np.nan, 1.0]),
+        LinearProgram(c=[1.0], A_ub=[[np.inf]], b_ub=[1.0]),
+        LinearProgram(c=[1.0], A_eq=[[1.0]], b_eq=[np.inf]),
+    ],
+)
+def test_non_finite_input_raises_like_linprog(lp):
+    with pytest.raises(ValueError):
+        linprog(c=lp.c, A_ub=lp.A_ub, b_ub=lp.b_ub, A_eq=lp.A_eq, b_eq=lp.b_eq)
+    with pytest.raises(ValueError):
+        call_highs(lp)
