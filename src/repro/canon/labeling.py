@@ -22,17 +22,21 @@ Weisfeiler–Leman) over the tripartite incidence graph
 
 * one node per agent, resource and beneficiary of the local LP,
 * an edge per non-zero coefficient ``a_iv`` / ``c_kv``, coloured by the
-  exact float value,
+  exact float value.
 
-followed by individualisation–refinement backtracking when refinement alone
-does not discretise the partition (symmetric views such as torus balls have
-non-trivial automorphism groups).  The backtracking explores the candidates
-of the first ambiguous cell, keeps the lexicographically smallest resulting
-form, and prunes candidates that an already-discovered automorphism maps to
-an explored one.  A branch budget bounds pathological inputs; on exhaustion
-the labeling degrades to a deterministic identifier-sorted fallback that is
-still *sound* (only literally identical structures share a key) but no
-longer merges every isomorphic pair.
+When refinement alone discretises the partition (every colour occurs once,
+the common case on randomly weighted families) the stable colouring already
+*is* the canonical labeling: colours are ranked canonically, so isomorphic
+views receive equal colourings and nothing is left to search.  Otherwise
+(symmetric views such as torus balls have non-trivial automorphism groups)
+refinement is followed by individualisation–refinement backtracking.  The
+backtracking explores the candidates of the first ambiguous cell, keeps the
+lexicographically smallest resulting form, and prunes candidates that an
+already-discovered automorphism maps to an explored one.  A branch budget
+bounds pathological inputs; on exhaustion the labeling degrades to a
+deterministic identifier-sorted fallback that is still *sound* (only
+literally identical structures share a key) but no longer merges every
+isomorphic pair.
 
 Determinism contract: the result depends only on the *set* of agents and
 coefficient entries handed in — not on their iteration order, not on the
@@ -546,6 +550,13 @@ def _build_canonicalizer(
     return canonicalizer, agent_list, resource_list, beneficiary_list
 
 
+def _exact_key(form_bytes: bytes) -> str:
+    """Content key of an exact canonical form: SHA-256 of its bytes."""
+    digest = sha256(b"exact:")
+    digest.update(form_bytes)
+    return digest.hexdigest()
+
+
 def _assemble_form(
     canonicalizer: _Canonicalizer,
     agent_list: Sequence[Agent],
@@ -597,16 +608,18 @@ def _assemble_form(
         )
     )
 
-    tag = b"exact:" if exact else b"literal:"
-    digest = sha256(tag)
-    digest.update(form_bytes)
-    if not exact:
+    if exact:
+        key = _exact_key(form_bytes)
+    else:
         # Literal keys must separate structures that merely *index*
         # identically: include the identifiers themselves.
+        digest = sha256(b"literal:")
+        digest.update(form_bytes)
         digest.update(repr((list(agent_list), list(resource_list),
                             list(beneficiary_list))).encode())
+        key = digest.hexdigest()
     return CanonicalForm(
-        key=digest.hexdigest(),
+        key=key,
         agent_order=tuple(agent_order),
         resource_order=tuple(resource_order),
         beneficiary_order=tuple(beneficiary_order),
@@ -640,8 +653,9 @@ def canonicalize_local_lp(
 
     The result is independent of the iteration order of all three inputs.
     When canonicalising many views of one instance, prefer
-    :class:`CanonicalIndex` — it full-searches one representative per
-    equivalence class and matches the rest, which is several times faster.
+    :class:`CanonicalIndex` — it labels discrete views from their colouring,
+    full-searches one representative per symmetric class and matches the
+    rest, which is several times faster.
     """
     canonicalizer, agent_list, resource_list, beneficiary_list = _build_canonicalizer(
         agents, consumption, benefit, branch_budget
@@ -660,7 +674,8 @@ def canonicalize_local_lp(
 
 
 # ----------------------------------------------------------------------
-# The canonical index: search once per class, match every other member
+# The canonical index: discrete views label themselves; symmetric views
+# search once per class and match every other member
 # ----------------------------------------------------------------------
 @dataclass
 class _RegisteredForm:
@@ -678,13 +693,17 @@ class _RegisteredForm:
 class CanonicalIndex:
     """Canonicalise many views, amortising the search across equal classes.
 
-    The full individualisation–refinement search runs once per distinct
-    canonical form; subsequent structurally equivalent views are *matched*
-    against the registered form (a colour-guided sub-isomorphism search
-    that certifies the bijection edge by edge).  The outcome for a view is
-    a pure function of the view's structure — the canonical form of a class
-    is unique, so it does not matter which member's search discovered it or
-    whether a match or a search produced the labeling.  The engine and the
+    A view whose stable refinement colouring is discrete is labelled by that
+    colouring directly: no search, no matching, and its class is never
+    registered — only the class content (a template form per key) is kept.
+    For the remaining, symmetric views the full individualisation–refinement
+    search runs once per distinct canonical form; subsequent structurally
+    equivalent views are *matched* against the registered form (a
+    colour-guided sub-isomorphism search that certifies the bijection edge
+    by edge).  The outcome for a view is a pure function of the view's
+    structure — the canonical form of a class is unique, so it does not
+    matter which member's search discovered it or whether a match or a
+    search produced the labeling.  The engine and the
     orbit planner therefore stay bit-for-bit interchangeable even though
     each keeps its own index.
 
@@ -706,6 +725,8 @@ class CanonicalIndex:
     ) -> None:
         self.branch_budget = branch_budget
         self.match_budget = match_budget
+        # Registered symmetric classes by invariant (discrete views never
+        # register: they need no matching).
         self._classes: Dict[Tuple, List[_RegisteredForm]] = {}
         # Literal-structure memo: views whose identifier-sorted coefficient
         # arrays coincide (common on translation-invariant families) share
@@ -714,7 +735,16 @@ class CanonicalIndex:
         # a fresh computation would.  Exact forms only — literal-fallback
         # keys embed identifiers and must stay per-view.
         self._structure_memo: Dict[Tuple, Tuple[np.ndarray, CanonicalForm]] = {}
-        self.stats = {"searched": 0, "matched": 0, "literal": 0, "memoized": 0}
+        # Class content of discrete-colouring views, by key (bounded like
+        # the structure memo; same pure-cache argument).
+        self._discrete_templates: Dict[str, CanonicalForm] = {}
+        self.stats = {
+            "searched": 0,
+            "matched": 0,
+            "literal": 0,
+            "memoized": 0,
+            "discrete": 0,
+        }
 
     # ------------------------------------------------------------------
     def canonical_form(
@@ -723,9 +753,10 @@ class CanonicalIndex:
         consumption: Iterable[Tuple[Resource, Agent, float]],
         benefit: Iterable[Tuple[Beneficiary, Agent, float]],
     ) -> CanonicalForm:
-        """Canonical form of one view (match fast path, search slow path).
+        """Canonical form of one view (discrete, match or search path).
 
-        The labeling of a view is a pure function of the view itself: it is
+        The labeling of a view is a pure function of the view itself.  A
+        discrete stable colouring is the labeling outright.  Otherwise it is
         produced by the deterministic matcher against the class's unique
         canonical form whenever the matcher succeeds — *including* for the
         member whose search discovered the form (it is re-matched against
@@ -836,6 +867,34 @@ class CanonicalIndex:
             )
         if stable is None:
             stable = canonicalizer.refine(canonicalizer.initial_colors())
+        if stable.size == 0 or int(stable.max()) + 1 == stable.size:
+            # Discrete stable colouring (refinement ranks colours 0..n-1,
+            # so the maximum reaches n - 1 exactly when every colour occurs
+            # once).  Refinement colours are canonical, so the colouring
+            # *is* the labeling: the search would stop at its root leaf
+            # with these colours, and every matcher pool would be a
+            # singleton handing them back.  Copied: the batch pipeline
+            # passes slices of one shared array, which the memo must not pin.
+            positions = np.array(stable, dtype=np.int64)
+            form_bytes = canonicalizer._form_bytes(positions)
+            key = _exact_key(form_bytes)
+            template = self._discrete_templates.get(key)
+            if template is None:
+                if len(self._discrete_templates) > self.MAX_STRUCTURE_MEMO:
+                    self._discrete_templates.clear()
+                template = _assemble_form(
+                    canonicalizer, agent_list, resource_list, beneficiary_list,
+                    form_bytes, positions, True,
+                )
+                self._discrete_templates[key] = template
+            self.stats["discrete"] += 1
+            self._structure_memo[memo_key] = (positions, template)
+            return (
+                self.templated_form(
+                    agent_list, resource_list, beneficiary_list, template, positions
+                ),
+                positions,
+            )
         invariant = self._invariant_key(canonicalizer, stable)
         for registered in self._classes.get(invariant, ()):
             positions = self._match(canonicalizer, stable, registered)

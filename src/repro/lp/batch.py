@@ -308,6 +308,12 @@ def _solve_grouped_one(
             B_inv = np.linalg.inv(B)
         except np.linalg.LinAlgError:
             B_inv = None
+        if B_inv is not None and not np.allclose(
+            B_inv @ B, np.eye(m), rtol=0.0, atol=1e-9
+        ):
+            # Numerically singular: inv() returned without raising, but the
+            # tableau would not be in canonical form for this basis.
+            B_inv = None
         if B_inv is not None:
             rhs = B_inv @ b
             if np.all(rhs >= -1e-9):

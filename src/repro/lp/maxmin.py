@@ -220,7 +220,11 @@ class CompiledMaxMin:
         return float((self.C @ x).min())
 
     def to_buffers(self) -> Tuple:
-        """Raw-array form for zero-copy process fan-out (see ``from_buffers``)."""
+        """Raw-array form for zero-copy process fan-out.
+
+        :func:`_stack_maxmin_buffers` builds the reduction straight from
+        these buffers, no sparse matrix is rebuilt on the far side.
+        """
         return (
             self.n_agents,
             self.A.data,
@@ -233,23 +237,6 @@ class CompiledMaxMin:
             int(self.C.shape[0]),
         )
 
-    @classmethod
-    def from_buffers(cls, buffers: Tuple) -> "CompiledMaxMin":
-        (
-            n_agents,
-            a_data,
-            a_indices,
-            a_indptr,
-            n_i,
-            c_data,
-            c_indices,
-            c_indptr,
-            n_k,
-        ) = buffers
-        A = sp.csr_matrix((a_data, a_indices, a_indptr), shape=(n_i, n_agents))
-        C = sp.csr_matrix((c_data, c_indices, c_indptr), shape=(n_k, n_agents))
-        return cls(n_agents=int(n_agents), A=A, C=C)
-
 
 def _stack_maxmin_buffers(buffers_list: Sequence[Tuple]) -> Tuple[LinearProgram, np.ndarray]:
     """Block-diagonally stack many reductions straight from raw buffers.
@@ -261,7 +248,9 @@ def _stack_maxmin_buffers(buffers_list: Sequence[Tuple]) -> Tuple[LinearProgram,
     engine's stacked fan-out cheap for chunks of hundreds of tiny local
     LPs.  Returns the stacked LP plus each block's variable offset
     (``offsets[i] : offsets[i+1]`` slices unit ``i``'s ``(x, ω)`` out of a
-    stacked solution).
+    stacked solution).  A one-unit list builds that unit's own reduction
+    (same rows, order and values as :meth:`CompiledMaxMin.lp`), which is
+    how the per-LP strategies and the stacked fallback get their LPs.
     """
     n_units = len(buffers_list)
     widths = np.empty(n_units, dtype=np.int64)
@@ -344,8 +333,9 @@ def solve_maxmin_buffer_batch(
     :meth:`CompiledMaxMin.to_buffers` output.  Under the stacked strategy
     the whole chunk becomes **one** HiGHS call assembled directly from the
     buffers (:func:`_stack_maxmin_buffers`); a non-optimal stack falls back
-    to exact per-unit solves.  Every other strategy reconstructs the
-    per-unit LPs and defers to :func:`repro.lp.batch.solve_lp_batch`.
+    to exact per-unit solves.  Every other strategy builds the per-unit
+    LPs from the buffers the same way and defers to
+    :func:`repro.lp.batch.solve_lp_batch`.
     Returns ``(status_name, x_vector)`` pairs -- exceptions and identifier
     work belong to the caller.  ``stats`` receives the same counters
     :func:`~repro.lp.batch.solve_lp_batch` reports, so the engine can
@@ -381,11 +371,11 @@ def solve_maxmin_buffer_batch(
         # Exact-status fallback: re-solve each block alone.
         stats.fallback_solves += len(buffers_list)
         results = [
-            solve_lp(CompiledMaxMin.from_buffers(buffers).lp(), backend=backend)
+            solve_lp(_stack_maxmin_buffers([buffers])[0], backend=backend)
             for buffers in buffers_list
         ]
     else:
-        lps = [CompiledMaxMin.from_buffers(buffers).lp() for buffers in buffers_list]
+        lps = [_stack_maxmin_buffers([buffers])[0] for buffers in buffers_list]
         results = solve_lp_batch(
             lps, backend=backend, strategy=strategy, stats=stats
         )

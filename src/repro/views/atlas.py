@@ -24,7 +24,7 @@ identifiers and rebuilds index arrays per agent inside the canonicaliser.
 4. views are grouped by the byte content of those arrays; each group's
    *representative* runs through
    :meth:`~repro.canon.labeling.CanonicalIndex.canonical_form_from_arrays`
-   (one refinement + match/search per distinct literal structure) and every
+   (one refinement + labeling per distinct literal structure) and every
    member reuses the representative's position map verbatim — which is
    precisely what the index's internal structure memo would have computed
    for the member, so the batch result is bit-identical to calling

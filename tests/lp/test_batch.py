@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro import cycle_instance, grid_instance, random_bounded_degree_instance
 from repro.exceptions import SolverError
 from repro.lp import (
     CompiledMaxMin,
@@ -23,7 +24,7 @@ from repro.lp import (
     stack_block_diagonal,
 )
 from repro.lp.batch import BatchSolveStats
-from repro.lp.maxmin import solve_maxmin_buffer_batch
+from repro.lp.maxmin import _stack_maxmin_buffers, solve_maxmin_buffer_batch
 
 
 def _optimal_lp(k: float = 1.0) -> LinearProgram:
@@ -219,6 +220,28 @@ class TestGroupedSimplex:
             assert a.objective == pytest.approx(b.objective, abs=1e-12)
             np.testing.assert_allclose(a.x, b.x, atol=1e-12)
 
+    def test_numerically_singular_warm_basis_is_rejected(self):
+        # The first LP's optimal basis is singular for the second one (its
+        # rows repeat), yet np.linalg.inv returns without raising.
+        first = np.array(
+            [[1.0, 1.0, 0.5, 0.5, 0.5], [0.5] * 5,
+             [0.5, 0.5, 1.0, 0.5, 0.5], [0.5, 0.5, 0.5, 1.0, 0.5]]
+        )
+        second = np.full((4, 5), 1.9)
+        second[2, 2] = 1.0
+        lps = [
+            LinearProgram(c=-np.ones(5), A_ub=A, b_ub=np.ones(4))
+            for A in (first, second)
+        ]
+        stats = BatchSolveStats()
+        grouped = solve_lp_batch(
+            lps, backend="simplex", strategy="grouped", stats=stats
+        )
+        assert stats.warm_rejected == 1
+        for lp, result in zip(lps, grouped):
+            reference = solve_lp(lp, backend="scipy")
+            assert result.objective == pytest.approx(reference.objective, abs=1e-9)
+
     def test_unsupported_shapes_fall_back(self):
         lps = [
             LinearProgram(  # equality constraint: not kernel-shaped
@@ -313,14 +336,27 @@ class TestCompiledMaxMin:
                 compiled.lp().A_ub.toarray(), reference.A_ub.toarray()
             )
 
-    def test_buffer_round_trip(self):
-        from repro import cycle_instance
-
-        compiled = CompiledMaxMin.from_problem(cycle_instance(6))
-        again = CompiledMaxMin.from_buffers(compiled.to_buffers())
-        assert again.n_agents == compiled.n_agents
-        np.testing.assert_array_equal(again.A.toarray(), compiled.A.toarray())
-        np.testing.assert_array_equal(again.C.toarray(), compiled.C.toarray())
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            cycle_instance(6),
+            grid_instance((3, 4)),
+            random_bounded_degree_instance(12, seed=3),
+        ],
+        ids=["cycle", "grid", "random_bounded_degree"],
+    )
+    def test_single_unit_stack_equals_lp(self, problem):
+        compiled = CompiledMaxMin.from_problem(problem)
+        expected = compiled.lp()
+        stacked, offsets = _stack_maxmin_buffers([compiled.to_buffers()])
+        assert offsets.tolist() == [0, compiled.n_agents + 1]
+        assert stacked.A_ub.shape == expected.A_ub.shape
+        np.testing.assert_array_equal(stacked.A_ub.indptr, expected.A_ub.indptr)
+        np.testing.assert_array_equal(stacked.A_ub.indices, expected.A_ub.indices)
+        np.testing.assert_array_equal(stacked.A_ub.data, expected.A_ub.data)
+        np.testing.assert_array_equal(stacked.b_ub, expected.b_ub)
+        np.testing.assert_array_equal(stacked.c, expected.c)
+        assert list(stacked.bounds) == list(expected.bounds)
 
     def test_objective(self):
         from repro import cycle_instance

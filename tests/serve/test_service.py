@@ -207,6 +207,14 @@ class TestObservability:
         assert second["scenarios"]["cache"]["hits"] == 1
         assert math.isfinite(second["uptime_seconds"])
 
+    def test_metrics_report_discrete_canonical_labelings(self, service):
+        spec = ScenarioSpec(family="path", params={"n": 8}, radii=(1,))
+        service.solve_scenario_json(spec.to_json())
+        canon = service.metrics()["canon"]
+        assert set(canon) >= {"searched", "matched", "memoized", "discrete"}
+        # Path end views refine to discrete colourings: labelled, not searched.
+        assert canon["discrete"] > 0
+
     def test_count_error_shows_up_in_requests(self, service):
         service.count_error()
         assert service.metrics()["requests"]["errors"] == 1
