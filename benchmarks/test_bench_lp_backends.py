@@ -1,15 +1,13 @@
-"""Experiment LP-BACKENDS -- substrate ablation: how the local LPs are solved.
+"""Experiment LP-BACKENDS -- timing the local LPs on the one solver, HiGHS.
 
 The Section 5 algorithm spends essentially all of its time solving one small
-LP per agent.  This benchmark compares the three ways the package can solve
-max-min LPs -- the HiGHS reduction (default), the from-scratch simplex and
-the multiplicative-weights approximate solver -- on exactly the kind of
-sub-instances the averaging algorithm generates (radius-R views of a grid
-and of a unit-disk deployment), reporting solution quality and timing each
-backend on the full batch of local LPs.
+LP per agent.  This benchmark times the HiGHS reduction on exactly the kind
+of sub-instances the averaging algorithm generates (radius-R views of a grid
+and of a unit-disk deployment), over the full batch of local LPs.
 
-This is an ablation of this reproduction's design choices (recorded in
-DESIGN.md), not a figure of the paper.
+This measures this reproduction's solver substrate, not a figure of the
+paper.  HiGHS's parity with ``scipy.optimize.linprog`` is checked in
+``tests/lp/test_highs_binding.py``.
 """
 
 from __future__ import annotations
@@ -17,8 +15,7 @@ from __future__ import annotations
 import pytest
 
 from repro import communication_hypergraph, grid_instance, unit_disk_instance
-from repro.analysis import render_rows
-from repro.lp import solve_max_min, solve_max_min_mwu
+from repro.lp import solve_max_min
 
 
 def harvest_local_subproblems(problem, R, limit=None):
@@ -43,10 +40,6 @@ def solve_batch_exact(subproblems, backend):
     return [solve_max_min(sub, backend=backend).objective for sub in subproblems]
 
 
-def solve_batch_mwu(subproblems):
-    return [solve_max_min_mwu(sub, epsilon=0.15).objective for sub in subproblems]
-
-
 @pytest.mark.benchmark(group="lp-backends")
 @pytest.mark.parametrize(
     "label,subproblems",
@@ -58,55 +51,3 @@ def test_scipy_backend_batch(benchmark, label, subproblems):
     objectives = benchmark(solve_batch_exact, subproblems, "scipy")
     assert len(objectives) == len(subproblems)
     assert all(value >= 0 for value in objectives)
-
-
-@pytest.mark.benchmark(group="lp-backends")
-@pytest.mark.parametrize(
-    "label,subproblems",
-    [("grid 6x6 locals", GRID_LOCALS), ("unit-disk locals", DISK_LOCALS)],
-    ids=["grid", "disk"],
-)
-def test_simplex_backend_batch(benchmark, report, label, subproblems):
-    """The from-scratch simplex on the same batch; optima must agree."""
-    objectives = benchmark.pedantic(
-        solve_batch_exact, args=(subproblems, "simplex"), rounds=1, iterations=1
-    )
-    reference = solve_batch_exact(subproblems, "scipy")
-    worst_gap = max(abs(a - b) for a, b in zip(objectives, reference))
-    report(
-        f"LP-BACKENDS: simplex vs HiGHS on {label}",
-        render_rows(
-            [
-                {
-                    "local_LPs": len(subproblems),
-                    "max_objective_gap": worst_gap,
-                    "mean_objective": sum(reference) / len(reference),
-                }
-            ]
-        ),
-    )
-    assert worst_gap <= 1e-6
-
-
-@pytest.mark.benchmark(group="lp-backends")
-def test_mwu_solver_quality(benchmark, report):
-    """The approximate MWU solver: feasible and near-optimal on local LPs."""
-    subproblems = GRID_LOCALS[:12]
-
-    objectives = benchmark.pedantic(
-        solve_batch_mwu, args=(subproblems,), rounds=1, iterations=1
-    )
-    reference = solve_batch_exact(subproblems, "scipy")
-    rows = []
-    for approx, exact in zip(objectives, reference):
-        rows.append(
-            {
-                "exact": exact,
-                "mwu": approx,
-                "fraction_of_optimum": 1.0 if exact == 0 else approx / exact,
-            }
-        )
-    report("LP-BACKENDS: multiplicative-weights solver vs exact optimum", render_rows(rows))
-    for row in rows:
-        assert row["fraction_of_optimum"] >= 0.6
-        assert row["mwu"] <= row["exact"] + 1e-6

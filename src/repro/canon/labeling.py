@@ -1079,7 +1079,7 @@ class CanonicalIndex:
         candidates: List[Tuple[int, ...]] = [
             registered.positions_by_color[c] for c in stable_list
         ]
-        # Per-node adjacency as plain lists (arrays are grouped by node).
+        # Per-node adjacency as plain lists (arrays are ordered by node).
         starts = canonicalizer.starts.tolist()
         edges_flat = list(
             zip(canonicalizer.nbr.tolist(), canonicalizer.wid.tolist())

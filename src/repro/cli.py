@@ -1765,7 +1765,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default="per-lp",
         help="how cache-miss LP batches reach the solver: 'per-lp' "
         "(default, bit-identical to the historical engine) or "
-        "'stacked'/'auto' (one block-diagonal HiGHS call per chunk — same "
+        "'stacked' (one block-diagonal HiGHS call per chunk — same "
         "optima, far fewer solver round-trips)",
     )
     sp_run.add_argument(

@@ -338,12 +338,12 @@ class BatchSolver:
         :mod:`repro.lp.batch`).  The default ``"per-lp"`` issues one HiGHS
         call per LP and is bit-identical to the historical engine --
         including across cache states, which is what keeps every
-        cross-path identity of the reproduction exact.  ``"stacked"`` /
-        ``"auto"`` solve each chunk block-diagonally in a single HiGHS
-        call: same statuses and optimal values, but degenerate LPs may
-        return a different equally-optimal vertex depending on batch
-        composition, so it is the opt-in throughput path (benchmarks, the
-        suite runner's ``--lp-strategy`` flag) rather than the default.
+        cross-path identity of the reproduction exact.  ``"stacked"``
+        solves each chunk block-diagonally in a single HiGHS call: same
+        statuses and optimal values, but degenerate LPs may return a
+        different equally-optimal vertex depending on batch composition,
+        so it is the opt-in throughput path (benchmarks, the suite
+        runner's ``--lp-strategy`` flag) rather than the default.
     lp_chunk_size:
         Pending units per batched submission.  Chunk boundaries are a pure
         function of the deduplicated submission order -- never of the
@@ -522,21 +522,7 @@ class BatchSolver:
     # ------------------------------------------------------------------
     # Batched solves
     # ------------------------------------------------------------------
-    def _strategy_for(self, backend: str) -> str:
-        """The batch strategy to use for ``backend`` requests.
-
-        A strategy tied to the *other* backend degrades to ``"auto"``
-        (which resolves to that backend's native batched path) instead of
-        erroring, so one engine can serve mixed-backend suites.
-        """
-        strategy = self.lp_strategy
-        if strategy == "stacked" and backend != "scipy":
-            return "auto"
-        if strategy == "grouped" and backend != "simplex":
-            return "auto"
-        return strategy
-
-    def _request_params(self, backend: str) -> Optional[Dict[str, str]]:
+    def _request_params(self) -> Optional[Dict[str, str]]:
         """Extra request-fingerprint params tying cached vectors to a strategy.
 
         Per-LP results are a pure function of (instance, algorithm,
@@ -548,10 +534,9 @@ class BatchSolver:
         (whose results are promised bit-identical to the historical path,
         including across cache states), and vice versa.
         """
-        strategy = self._strategy_for(backend)
-        if strategy == "per-lp":
+        if self.lp_strategy == "per-lp":
             return None
-        return {"lp_strategy": strategy}
+        return {"lp_strategy": self.lp_strategy}
 
     def _run_requests(
         self,
@@ -708,7 +693,7 @@ class BatchSolver:
                 solve_indices.append(idx)
 
         if solve_indices:
-            strategy = self._strategy_for(backend)
+            strategy = self.lp_strategy
             chunk = self.lp_chunk_size
             chunks = [
                 solve_indices[s: s + chunk]
@@ -876,7 +861,7 @@ class BatchSolver:
                 )
                 for form, outcome in zip(forms, canonical)
             ]
-        params = self._request_params(backend)
+        params = self._request_params()
         keys = [
             fingerprint_request(
                 problem, "local_lp", backend=backend, params=params
@@ -918,7 +903,7 @@ class BatchSolver:
         keys = fingerprint_canonical_requests(
             [form.key for form in forms],
             backend=backend,
-            params=self._request_params(backend),
+            params=self._request_params(),
         )
         payloads = self._run_requests(
             keys,
@@ -980,7 +965,7 @@ class BatchSolver:
             base_fingerprint,
             [sorted(map(repr, views[u])) for u in agents],
             backend=backend,
-            extra_params=self._request_params(backend),
+            extra_params=self._request_params(),
         )
         if atlas is not None:
             builders = [lambda u=u: atlas.subproblem(u) for u in agents]
@@ -1016,7 +1001,7 @@ class BatchSolver:
     ) -> List[MaxMinSolveResult]:
         """Exactly solve a batch of whole instances (sweep-style jobs)."""
         problems = list(problems)
-        params = self._request_params(backend)
+        params = self._request_params()
         keys = [
             fingerprint_request(
                 problem, "maxmin_exact", backend=backend, params=params

@@ -1,17 +1,15 @@
 """Linear-programming substrate.
 
-Provides the LP description (:class:`LinearProgram`), the solver backends
-(SciPy/HiGHS and a from-scratch two-phase simplex), the Section 1.3 max-min
-reduction, a bisection solver based on feasibility subproblems, a
-multiplicative-weights approximate solver and the batched solving layer
-(:mod:`repro.lp.batch`): block-diagonal stacks solved in one HiGHS call,
-structure-grouped warm-started simplex solves, and the per-LP reference
-strategy the batched paths are validated against.
+Provides the LP description (:class:`LinearProgram`), the one solver
+(HiGHS through SciPy's bundled binding), the Section 1.3 max-min
+reduction, a bisection solver based on feasibility subproblems and the
+batched solving layer (:mod:`repro.lp.batch`): block-diagonal stacks
+solved in one HiGHS call, and the per-LP reference strategy the stacked
+path is validated against.
 """
 
 from .backends import (
     DEFAULT_BACKEND,
-    available_backends,
     count_highs_calls,
     solve_lp,
 )
@@ -30,8 +28,6 @@ from .maxmin import (
     solve_max_min_batch,
     solve_max_min_bisection,
 )
-from .mwu import MWUResult, mwu_feasibility, solve_max_min_mwu
-from .simplex import solve_simplex
 from .standard import LinearProgram, LPResult, LPStatus
 from .verify import (
     DEFAULT_TOL,
@@ -47,8 +43,6 @@ __all__ = [
     "LPResult",
     "LPStatus",
     "solve_lp",
-    "solve_simplex",
-    "available_backends",
     "count_highs_calls",
     "DEFAULT_BACKEND",
     "BATCH_STRATEGIES",
@@ -62,9 +56,6 @@ __all__ = [
     "solve_max_min",
     "solve_max_min_batch",
     "solve_max_min_bisection",
-    "MWUResult",
-    "mwu_feasibility",
-    "solve_max_min_mwu",
     "DEFAULT_TOL",
     "SolutionCertificate",
     "verify_engine_payload",

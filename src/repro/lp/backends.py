@@ -1,25 +1,17 @@
-"""LP solver backends and the backend dispatch function.
+"""The LP solver: HiGHS through the binding SciPy bundles.
 
-Two backends are provided:
-
-``"scipy"``
-    The HiGHS solver through the binding SciPy bundles
-    (``scipy.optimize._highspy._core``) -- the default, used for the
-    reference optimum and the per-agent local LPs.
-``"simplex"``
-    The from-scratch dense simplex of :mod:`repro.lp.simplex`, used to
-    cross-validate the default backend and as a dependency-free fallback.
-
-Both accept the same :class:`repro.lp.standard.LinearProgram` description and
-return a :class:`repro.lp.standard.LPResult`.  Sparse constraint matrices
-pass straight through to HiGHS (which stores the model sparsely anyway);
-the simplex backend densifies at its entry point.
+HiGHS (``scipy.optimize._highspy._core``) is the only solver.  The
+backend name ``"scipy"`` (:data:`DEFAULT_BACKEND`) survives as data --
+scenario specs, request fingerprints and :class:`LPResult.backend` carry
+it -- and :func:`solve_lp` rejects any other name.  Sparse constraint
+matrices pass straight through to HiGHS, which stores the model sparsely
+anyway.
 
 Every call into HiGHS -- from :func:`solve_lp` here or from the batched
 block-diagonal path in :mod:`repro.lp.batch` -- goes through
-:func:`call_highs`, which feeds the :func:`count_highs_calls` shim.  The
-batch layer's "one HiGHS call per batch" contract is asserted against this
-counter in the test suite.
+:func:`call_highs`, which feeds the :func:`count_highs_calls` shim and the
+``lp.highs.calls`` registry counter.  The batch layer's "one HiGHS call
+per batch" contract is asserted against the shim in the test suite.
 
 :func:`call_highs` builds the same HiGHS model, with the same options, as
 ``scipy.optimize.linprog(method="highs")`` and applies the same post-solve
@@ -35,7 +27,7 @@ from __future__ import annotations
 import contextlib
 import threading
 import time
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional
+from typing import Iterator, List, NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -46,15 +38,14 @@ from ..faults import InjectedFault, RetryPolicy
 from ..faults import inject as _inject
 from ..obs.metrics import get_registry
 from ..obs.trace import span as _span
-from .simplex import solve_simplex
 from .standard import LinearProgram, LPResult, LPStatus
 
 __all__ = [
     "DEFAULT_BACKEND",
     "HIGHS_RETRY",
     "HiGHSResult",
-    "available_backends",
     "call_highs",
+    "check_backend",
     "count_highs_calls",
     "solve_lp",
 ]
@@ -85,13 +76,6 @@ class _HiGHSCallCounter:
 
 _counter_stack: threading.local = threading.local()
 
-#: Counters registered with ``count_highs_calls(all_threads=True)``: they
-#: see every HiGHS call of the whole process, whichever thread makes it.
-#: The serving layer's ``/metrics`` endpoint keeps one open for its whole
-#: lifetime; increments happen under the lock (an LP solve dwarfs it).
-_global_counters: List[_HiGHSCallCounter] = []
-_global_lock = threading.Lock()
-
 
 def _active_counters() -> List[_HiGHSCallCounter]:
     stack = getattr(_counter_stack, "stack", None)
@@ -102,7 +86,7 @@ def _active_counters() -> List[_HiGHSCallCounter]:
 
 
 @contextlib.contextmanager
-def count_highs_calls(*, all_threads: bool = False) -> Iterator[_HiGHSCallCounter]:
+def count_highs_calls() -> Iterator[_HiGHSCallCounter]:
     """Count HiGHS invocations made inside the block.
 
     The counting shim behind the batch layer's acceptance criterion: a
@@ -111,22 +95,11 @@ def count_highs_calls(*, all_threads: bool = False) -> Iterator[_HiGHSCallCounte
     many LPs it carries.  Counters nest; each sees only calls made while
     it is the innermost *or* an enclosing context on the same thread.
 
-    By default only the current thread's calls are counted — the right
-    scope for asserting what one code path did.  With ``all_threads=True``
-    the counter sees every call of the whole process for as long as the
-    context is open (thread-safe), which is what a long-lived server needs
-    to report solver traffic across its worker threads.
+    Only the current thread's calls are counted -- the right scope for
+    asserting what one code path did.  Process-wide traffic is the
+    ``lp.highs.calls`` counter of the metrics registry.
     """
     counter = _HiGHSCallCounter()
-    if all_threads:
-        with _global_lock:
-            _global_counters.append(counter)
-        try:
-            yield counter
-        finally:
-            with _global_lock:
-                _global_counters.remove(counter)
-        return
     stack = _active_counters()
     stack.append(counter)
     try:
@@ -304,10 +277,6 @@ def call_highs(lp: LinearProgram) -> HiGHSResult:
         _inject("lp.highs.call", variables=lp.n_variables)
         for counter in _active_counters():
             counter.calls += 1
-        if _global_counters:
-            with _global_lock:
-                for counter in _global_counters:
-                    counter.calls += 1
         registry.counter("lp.highs.calls", "HiGHS invocations").inc()
         start = time.perf_counter()
         with _span(
@@ -322,6 +291,14 @@ def call_highs(lp: LinearProgram) -> HiGHSResult:
         return result
 
     return HIGHS_RETRY.call(_attempt, metric="engine.retries")
+
+
+def check_backend(backend: str) -> None:
+    """Raise :class:`SolverError` unless ``backend`` names the HiGHS solver."""
+    if backend != DEFAULT_BACKEND:
+        raise SolverError(
+            f"unknown LP backend {backend!r}; available: [{DEFAULT_BACKEND!r}]"
+        )
 
 
 def _solve_scipy(lp: LinearProgram) -> LPResult:
@@ -348,31 +325,13 @@ def _solve_scipy(lp: LinearProgram) -> LPResult:
     )
 
 
-# solve_simplex densifies sparse input at its own entry point, so it can
-# be registered directly.
-_BACKENDS: Dict[str, Callable[[LinearProgram], LPResult]] = {
-    "scipy": _solve_scipy,
-    "simplex": solve_simplex,
-}
-
-
-def available_backends() -> tuple:
-    """Names of the registered LP backends."""
-    return tuple(_BACKENDS)
-
-
 def solve_lp(lp: LinearProgram, *, backend: str = DEFAULT_BACKEND) -> LPResult:
-    """Solve a :class:`LinearProgram` with the named backend.
+    """Solve a :class:`LinearProgram` with HiGHS.
 
     Raises
     ------
     SolverError
-        If the backend name is unknown.
+        If ``backend`` is not :data:`DEFAULT_BACKEND`.
     """
-    try:
-        solver = _BACKENDS[backend]
-    except KeyError:
-        raise SolverError(
-            f"unknown LP backend {backend!r}; available: {sorted(_BACKENDS)}"
-        ) from None
-    return solver(lp)
+    check_backend(backend)
+    return _solve_scipy(lp)

@@ -1,4 +1,4 @@
-"""Batched LP solving: block-diagonal stacks, structure groups, per-LP loops.
+"""Batched LP solving: block-diagonal stacks and per-LP loops.
 
 The reproduction's hot path is no longer one big LP but *many tiny ones*:
 every canonical-representative local LP of the Section 5 averaging
@@ -8,7 +8,7 @@ radius-``R`` local LPs each HiGHS call costs about 0.7 ms, of which model
 setup and the fresh solver instance are about 0.3 ms and the solve about
 0.4 ms (:func:`~repro.lp.backends.call_highs`; Intel Xeon, SciPy 1.17.1).
 This module amortises the per-call part by solving whole batches at once.
-Three strategies:
+Two strategies:
 
 ``"stacked"``
     Stack the batch into **one** block-diagonal sparse LP -- the variables
@@ -19,32 +19,24 @@ Three strategies:
     unbounded, which poisons the whole stack), every block of the chunk is
     re-solved individually so the per-LP statuses stay exact.
 
-``"grouped"``
-    Recognise sub-batches that share one sparsity pattern (the common case
-    after canonicalisation: orbit representatives with the same literal
-    structure but different weight tables) and solve them with a vectorized
-    dense simplex kernel that warm-starts each sibling from the optimal
-    basis of the group's representative; phase 1 is skipped entirely for
-    the packing-shaped LPs the reduction produces (``b >= 0``).
-
 ``"per-lp"``
     One :func:`~repro.lp.backends.solve_lp` call per LP -- bit-for-bit the
-    legacy behaviour, and the reference the other strategies are validated
+    legacy behaviour, and the reference the stacked strategy is validated
     against.
 
 Determinism and equality
 ------------------------
-Every strategy returns exact statuses and per-block *optimal* solutions
-whose objective values agree with the per-LP path to solver tolerance.
-The solution **vector**, however, is only unique up to the LP's optimal
-face: HiGHS picks different (equally optimal) vertices depending on what
-else shares the stack, so ``"stacked"`` results are a deterministic
-function of the *batch composition*, not of each LP alone.  Callers that
-require the per-LP vertices bit-for-bit (the default engine configuration
-does, to keep the reproduction's cross-path identities) use ``"per-lp"``;
-the batched strategies are the opt-in fast path for throughput-bound
-sweeps.  ``solve_lp_batch([lp])`` with one block builds the same model as
-a solo call and *is* bit-identical to it.
+Both strategies return exact statuses and per-block *optimal* solutions
+whose objective values agree to solver tolerance.  The solution
+**vector**, however, is only unique up to the LP's optimal face: HiGHS
+picks different (equally optimal) vertices depending on what else shares
+the stack, so ``"stacked"`` results are a deterministic function of the
+*batch composition*, not of each LP alone.  Callers that require the
+per-LP vertices bit-for-bit (the default engine configuration does, to
+keep the reproduction's cross-path identities) use ``"per-lp"``; the
+stacked strategy is the opt-in fast path for throughput-bound sweeps.
+``solve_lp_batch([lp])`` with one block builds the same model as a solo
+call and *is* bit-identical to it.
 """
 
 from __future__ import annotations
@@ -58,8 +50,7 @@ import scipy.sparse as sp
 from ..exceptions import SolverError
 from ..obs.statsutil import stats_as_dict
 from ..obs.trace import span
-from .backends import DEFAULT_BACKEND, call_highs, solve_lp
-from .simplex import _simplex_core
+from .backends import DEFAULT_BACKEND, call_highs, check_backend, solve_lp
 from .standard import LinearProgram, LPResult, LPStatus
 
 __all__ = [
@@ -71,8 +62,7 @@ __all__ = [
 ]
 
 #: Recognised values of the ``strategy`` parameter of :func:`solve_lp_batch`.
-#: ``"auto"`` resolves per backend: scipy -> stacked, simplex -> grouped.
-BATCH_STRATEGIES = ("auto", "stacked", "grouped", "per-lp")
+BATCH_STRATEGIES = ("stacked", "per-lp")
 
 
 @dataclass
@@ -90,21 +80,12 @@ class BatchSolveStats:
     fallback_solves:
         Per-LP solves forced by a non-optimal stacked status (exact-status
         fallback) -- zero for all-feasible batches.
-    groups:
-        Sparsity-pattern groups formed by the grouped strategy.
-    warm_started / warm_rejected:
-        Sibling solves started from the representative's optimal basis,
-        and siblings where that basis was not primal feasible (they run
-        cold instead).
     """
 
     batches: int = 0
     lps: int = 0
     stacked_calls: int = 0
     fallback_solves: int = 0
-    groups: int = 0
-    warm_started: int = 0
-    warm_rejected: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         return stats_as_dict(self)
@@ -247,151 +228,8 @@ def _solve_stacked_chunk(
 
 
 # ----------------------------------------------------------------------
-# Structure-grouped dense kernel with warm-started bases
-# ----------------------------------------------------------------------
-def _group_signature(lp: LinearProgram) -> Optional[Tuple]:
-    """Hashable sparsity-pattern key, or ``None`` if the LP is unsupported.
-
-    The grouped kernel handles the shape every reduction in this package
-    produces: inequality constraints only, all variables bounded
-    ``[0, inf)``.  Anything else falls back to a per-LP simplex solve.
-    """
-    if lp.A_eq is not None or lp.A_ub is None:
-        return None
-    for lo, hi in lp.bounds:
-        if lo != 0.0 or hi is not None:
-            return None
-    data, indices, indptr, n_rows = _csr_parts(lp.A_ub)
-    return (
-        lp.n_variables,
-        n_rows,
-        indices.tobytes(),
-        indptr.tobytes(),
-    )
-
-
-def _standard_form_arrays(
-    lp: LinearProgram,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``min c x  s.t.  [A | I] (x, s) = b, (x, s) >= 0`` for a supported LP."""
-    A = lp.A_ub.toarray() if sp.issparse(lp.A_ub) else np.asarray(lp.A_ub)
-    m, n = A.shape
-    A_std = np.hstack([A, np.eye(m)])
-    c_std = np.concatenate([lp.c, np.zeros(m)])
-    return A_std, np.asarray(lp.b_ub, dtype=np.float64).copy(), c_std
-
-
-def _solve_grouped_one(
-    lp: LinearProgram,
-    warm_basis: Optional[np.ndarray],
-    stats: BatchSolveStats,
-    max_iter: int,
-) -> Tuple[LPResult, Optional[np.ndarray]]:
-    """Solve one supported LP, optionally warm-starting from ``warm_basis``.
-
-    Returns the result plus the optimal basis (for warm-starting the next
-    sibling), or ``None`` when the solve did not finish optimal.
-    """
-    A_std, b, c_std = _standard_form_arrays(lp)
-    m, n_std = A_std.shape
-    n = lp.n_variables
-    if np.any(b < 0.0):
-        # x = 0 is not feasible; needs a phase 1 -- delegate to the
-        # two-phase solver rather than duplicating it here.
-        result = solve_lp(lp, backend="simplex")
-        return result, None
-
-    basis = None
-    if warm_basis is not None:
-        B = A_std[:, warm_basis]
-        try:
-            B_inv = np.linalg.inv(B)
-        except np.linalg.LinAlgError:
-            B_inv = None
-        if B_inv is not None and not np.allclose(
-            B_inv @ B, np.eye(m), rtol=0.0, atol=1e-9
-        ):
-            # Numerically singular: inv() returned without raising, but the
-            # tableau would not be in canonical form for this basis.
-            B_inv = None
-        if B_inv is not None:
-            rhs = B_inv @ b
-            if np.all(rhs >= -1e-9):
-                basis = warm_basis.copy()
-                T = B_inv @ A_std
-                rhs = np.clip(rhs, 0.0, None)
-                stats.warm_started += 1
-            else:
-                stats.warm_rejected += 1
-        else:
-            stats.warm_rejected += 1
-    if basis is None:
-        # Cold start from the all-slack basis (feasible because b >= 0).
-        basis = np.arange(n, n_std)
-        T = A_std
-        rhs = b
-    try:
-        status, x_std, final_basis = _simplex_core(T, rhs, c_std, basis, max_iter)
-    except RuntimeError:
-        return LPResult(LPStatus.ERROR, None, None, backend="simplex"), None
-    if status == "unbounded":
-        return LPResult(LPStatus.UNBOUNDED, None, None, backend="simplex"), None
-    x = x_std[:n]
-    return (
-        LPResult(LPStatus.OPTIMAL, x, float(lp.c @ x), backend="simplex"),
-        final_basis,
-    )
-
-
-def _solve_grouped_chunk(
-    lps: Sequence[LinearProgram],
-    stats: BatchSolveStats,
-    max_iter: int = 20000,
-) -> List[LPResult]:
-    """Group by sparsity pattern; warm-start siblings within each group."""
-    groups: Dict[Tuple, List[int]] = {}
-    unsupported: List[int] = []
-    for idx, lp in enumerate(lps):
-        signature = _group_signature(lp)
-        if signature is None:
-            unsupported.append(idx)
-        else:
-            groups.setdefault(signature, []).append(idx)
-    stats.groups += len(groups)
-
-    results: List[Optional[LPResult]] = [None] * len(lps)
-    for idx in unsupported:
-        results[idx] = solve_lp(lps[idx], backend="simplex")
-    for members in groups.values():
-        warm_basis: Optional[np.ndarray] = None
-        for idx in members:
-            result, basis = _solve_grouped_one(
-                lps[idx], warm_basis, stats, max_iter
-            )
-            results[idx] = result
-            if basis is not None:
-                warm_basis = basis
-    return results  # type: ignore[return-value]
-
-
-# ----------------------------------------------------------------------
 # The batch entry point
 # ----------------------------------------------------------------------
-def _resolve_strategy(strategy: str, backend: str) -> str:
-    if strategy not in BATCH_STRATEGIES:
-        raise SolverError(
-            f"unknown batch strategy {strategy!r}; expected one of "
-            f"{BATCH_STRATEGIES}"
-        )
-    if strategy != "auto":
-        return strategy
-    if backend == "scipy":
-        return "stacked"
-    if backend == "simplex":
-        return "grouped"
-    return "per-lp"
-
-
 def _chunks(count: int, chunk_size: Optional[int]) -> List[Tuple[int, int]]:
     if chunk_size is None or chunk_size >= count:
         return [(0, count)]
@@ -404,7 +242,7 @@ def solve_lp_batch(
     lps: Sequence[LinearProgram],
     *,
     backend: str = DEFAULT_BACKEND,
-    strategy: str = "auto",
+    strategy: str = "stacked",
     chunk_size: Optional[int] = None,
     stats: Optional[BatchSolveStats] = None,
 ) -> List[LPResult]:
@@ -416,13 +254,12 @@ def solve_lp_batch(
         The linear programs; an empty batch returns an empty list without
         touching any solver.
     backend:
-        ``"scipy"`` (HiGHS) or ``"simplex"``; strategies that need a
-        specific backend validate against it.
+        Must be ``"scipy"`` (:data:`~repro.lp.backends.DEFAULT_BACKEND`),
+        the HiGHS solver.
     strategy:
-        One of :data:`BATCH_STRATEGIES`.  ``"auto"`` picks the batched
-        strategy native to the backend (scipy -> ``"stacked"``, simplex ->
-        ``"grouped"``); ``"per-lp"`` reproduces the one-call-per-LP legacy
-        path bit for bit.
+        One of :data:`BATCH_STRATEGIES`.  ``"stacked"`` (default) solves
+        each chunk in one block-diagonal HiGHS call; ``"per-lp"``
+        reproduces the one-call-per-LP legacy path bit for bit.
     chunk_size:
         Maximum blocks per stacked HiGHS call.  ``None`` (default) stacks
         the whole batch into one call -- the semantics the acceptance test
@@ -446,23 +283,16 @@ def solve_lp_batch(
     stats.lps += len(lps)
     if not lps:
         return []
-    resolved = _resolve_strategy(strategy, backend)
-    if resolved == "stacked" and backend != "scipy":
+    if strategy not in BATCH_STRATEGIES:
         raise SolverError(
-            f"strategy 'stacked' requires the 'scipy' backend, got {backend!r}"
+            f"unknown batch strategy {strategy!r}; expected one of "
+            f"{BATCH_STRATEGIES}"
         )
-    if resolved == "grouped" and backend != "simplex":
-        raise SolverError(
-            f"strategy 'grouped' requires the 'simplex' backend, got {backend!r}"
-        )
-    if resolved == "per-lp":
+    check_backend(backend)
+    if strategy == "per-lp":
         return [solve_lp(lp, backend=backend) for lp in lps]
 
     results: List[LPResult] = []
     for start, stop in _chunks(len(lps), chunk_size):
-        chunk = lps[start:stop]
-        if resolved == "stacked":
-            results.extend(_solve_stacked_chunk(chunk, stats))
-        else:
-            results.extend(_solve_grouped_chunk(chunk, stats))
+        results.extend(_solve_stacked_chunk(lps[start:stop], stats))
     return results

@@ -11,16 +11,14 @@ can be written as the LP ``max ω  s.t.  Ax ≤ 1, ω·1 − Cx ≤ 0, x ≥ 0``
 constraint matrix is no longer non-negative.  This module implements that
 reduction (:func:`maxmin_to_lp`, :func:`solve_max_min`) plus an alternative
 bisection scheme (:func:`solve_max_min_bisection`) that only ever solves
-non-negative *packing feasibility* subproblems -- useful both as a
-cross-check and as the shape of solver that distributed/approximate methods
-(e.g. the multiplicative-weights solver in :mod:`repro.lp.mwu`) can mimic.
+non-negative *packing feasibility* subproblems -- a cross-check of the
+exact reduction.
 
 The reduction is assembled **sparse end-to-end**: the instance matrices are
 already CSR, the reduction only shifts their column indices, and the
 resulting :class:`~repro.lp.standard.LinearProgram` keeps the CSR form all
-the way to the backend boundary (HiGHS consumes it directly; the dense
-simplex densifies at its entry point).  On a 48x48 stress instance this is
-the difference between kilobytes and the old O(n²) dense ``A_ub``.
+the way to HiGHS, which consumes it directly.  On a 48x48 stress instance
+this is the difference between kilobytes and the old O(n²) dense ``A_ub``.
 
 Batch variants (:func:`solve_max_min_batch`, the multi-probe bisection
 rounds) route through :mod:`repro.lp.batch` so a whole sweep of independent
@@ -40,7 +38,7 @@ import scipy.sparse as sp
 
 from ..core.problem import Agent, MaxMinLP
 from ..exceptions import InfeasibleError, SolverError, UnboundedError
-from .backends import DEFAULT_BACKEND, call_highs, solve_lp
+from .backends import DEFAULT_BACKEND, call_highs, check_backend, solve_lp
 from .batch import BatchSolveStats, solve_lp_batch
 from .standard import LinearProgram, LPResult, LPStatus
 
@@ -333,8 +331,8 @@ def solve_maxmin_buffer_batch(
     :meth:`CompiledMaxMin.to_buffers` output.  Under the stacked strategy
     the whole chunk becomes **one** HiGHS call assembled directly from the
     buffers (:func:`_stack_maxmin_buffers`); a non-optimal stack falls back
-    to exact per-unit solves.  Every other strategy builds the per-unit
-    LPs from the buffers the same way and defers to
+    to exact per-unit solves.  Under ``"per-lp"`` the per-unit LPs are
+    built from the buffers the same way and handed to
     :func:`repro.lp.batch.solve_lp_batch`.
     Returns ``(status_name, x_vector)`` pairs -- exceptions and identifier
     work belong to the caller.  ``stats`` receives the same counters
@@ -346,10 +344,8 @@ def solve_maxmin_buffer_batch(
         stats = BatchSolveStats()
     if not buffers_list:
         return []
-    resolved = strategy
-    if strategy == "auto":
-        resolved = "stacked" if backend == "scipy" else strategy
-    if resolved == "stacked" and backend == "scipy":
+    if strategy == "stacked":
+        check_backend(backend)
         stats.batches += 1
         stats.lps += len(buffers_list)
         stats.stacked_calls += 1

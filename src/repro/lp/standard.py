@@ -3,7 +3,7 @@
 The paper reduces the max-min LP to an ordinary linear program (Section 1.3)
 and the local averaging algorithm of Section 5 solves one small LP per agent.
 This module defines the :class:`LinearProgram` container those reductions
-produce and the :class:`LPResult` returned by the solver backends in
+produce and the :class:`LPResult` returned by the HiGHS solver in
 :mod:`repro.lp.backends`.
 
 The convention is *minimisation*:
@@ -75,9 +75,7 @@ class LinearProgram:
         matrix may be a dense array *or* any :mod:`scipy.sparse` matrix;
         sparse input is normalised to CSR and kept sparse end-to-end (the
         local LPs of the paper are extremely sparse, and densifying them is
-        the O(n²) memory blow-up the batch layer exists to avoid).  Only
-        backends that genuinely need dense data (the from-scratch simplex)
-        densify, via :meth:`densified`.
+        the O(n²) memory blow-up the batch layer exists to avoid).
     A_eq, b_eq:
         Equality constraints ``A_eq x = b_eq`` (may be ``None``); dense or
         sparse, like ``A_ub``.
@@ -133,25 +131,6 @@ class LinearProgram:
     def is_sparse(self) -> bool:
         """Whether any constraint matrix is stored sparse."""
         return sp.issparse(self.A_ub) or sp.issparse(self.A_eq)
-
-    def densified(self) -> "LinearProgram":
-        """This LP with dense constraint matrices (``self`` if already dense).
-
-        The dense arrays hold exactly the same values as the sparse ones,
-        so a deterministic backend returns the same result either way; this
-        is the conversion point for backends (the from-scratch simplex)
-        that index rows of the matrices directly.
-        """
-        if not self.is_sparse:
-            return self
-        return LinearProgram(
-            c=self.c,
-            A_ub=self.A_ub.toarray() if sp.issparse(self.A_ub) else self.A_ub,
-            b_ub=self.b_ub,
-            A_eq=self.A_eq.toarray() if sp.issparse(self.A_eq) else self.A_eq,
-            b_eq=self.b_eq,
-            bounds=list(self.bounds),
-        )
 
     @property
     def n_variables(self) -> int:

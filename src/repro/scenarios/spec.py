@@ -56,6 +56,15 @@ def _canonical_params(params: Optional[Mapping[str, Any]]) -> Dict[str, Any]:
     return {str(k): _canonical(v) for k, v in (params or {}).items()}
 
 
+def _check_backend(backend: Any) -> None:
+    """Reject any backend but HiGHS's ``"scipy"``, the only LP solver."""
+    if backend != DEFAULT_BACKEND:
+        raise ValueError(
+            f"unknown LP backend {backend!r}; the only backend is "
+            f"{DEFAULT_BACKEND!r}"
+        )
+
+
 def _parse_radii(radii: Any, *, where: str) -> Tuple[int, ...]:
     """Validate a radii value: an iterable of true integers, all >= 1.
 
@@ -117,7 +126,9 @@ class ScenarioSpec:
         Radii at which the local averaging algorithm is evaluated; must be
         positive integers.  May be empty for growth/baseline-only scenarios.
     backend:
-        LP backend used for every solve of the scenario.
+        LP backend used for every solve of the scenario; must be
+        ``"scipy"`` (HiGHS, the only solver).  It stays a field because
+        it is part of the scenario's wire form and cache identity.
     label:
         Optional human-readable name; a default is derived from the content
         when omitted.
@@ -148,8 +159,7 @@ class ScenarioSpec:
             raise ValueError(
                 f"seed must be an integer or null, got {self.seed!r}"
             )
-        if not self.backend or not isinstance(self.backend, str):
-            raise ValueError("backend must be a non-empty string")
+        _check_backend(self.backend)
         if self.label is not None and not isinstance(self.label, str):
             raise ValueError(f"label must be a string or null, got {self.label!r}")
         object.__setattr__(self, "params", _canonical_params(self.params))
@@ -298,6 +308,7 @@ class ScenarioGrid:
     def __post_init__(self) -> None:
         if not self.family or not isinstance(self.family, str):
             raise ValueError("family must be a non-empty string")
+        _check_backend(self.backend)
         # Axes are stored (and therefore expanded) in sorted key order, so
         # the expansion order survives a JSON round trip — ``to_json`` sorts
         # keys, and a reloaded grid must enumerate the same product order.

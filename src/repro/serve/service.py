@@ -19,9 +19,9 @@ tests (and embedders) can drive it directly:
   reported per request, outside the cached payload).
 * **observability** -- :meth:`SolverService.metrics` snapshots the request
   counters, both scheduler/cache tiers, the engine's LP counters, the canon
-  index, and a process-wide HiGHS call counter
-  (:func:`repro.lp.count_highs_calls` with ``all_threads=True``) with a
-  per-scrape-window delta.
+  index, and the HiGHS calls made since the service started (the metrics
+  registry's process-wide ``lp.highs.calls`` counter, less its value at
+  construction) with a per-scrape-window delta.
 
 Errors callers can fix -- malformed JSON, schema violations, unknown
 families -- raise :class:`ServeRequestError` (the HTTP layer's 400); the
@@ -46,7 +46,6 @@ from ..engine.jobs import RunRegistry
 from ..engine.scheduler import SOURCE_SOLVED, RequestScheduler, UnitFailure
 from ..exceptions import ScenarioError, VerificationError
 from ..faults import inject as _inject
-from ..lp.backends import count_highs_calls
 from ..obs.metrics import get_registry, render_prometheus
 from ..obs.trace import Tracer, activate, stage_summary
 from ..obs.trace import span as trace_span
@@ -234,19 +233,19 @@ class SolverService:
         }
         self._inflight = 0
         self._inflight_cond = threading.Condition()
-        self._highs_cm = count_highs_calls(all_threads=True)
-        self._highs = self._highs_cm.__enter__()
+        self._highs = get_registry().counter("lp.highs.calls", "HiGHS invocations")
+        self._highs_base = self._highs.value
         self._highs_last = 0
-        self._closed = False
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release the process-wide HiGHS counter (idempotent)."""
-        if not self._closed:
-            self._closed = True
-            self._highs_cm.__exit__(None, None, None)
+        """Release the service (idempotent).
+
+        The service holds nothing open; ``close`` and the context-manager
+        protocol let callers scope its lifetime all the same.
+        """
 
     def __enter__(self) -> "SolverService":
         return self
@@ -678,7 +677,7 @@ class SolverService:
         """
         engine = self.runner.engine
         with self._metrics_lock:
-            total = self._highs.calls
+            total = int(self._highs.value - self._highs_base)
             window = total - self._highs_last
             self._highs_last = total
             requests = dict(self._requests)

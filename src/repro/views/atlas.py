@@ -21,7 +21,7 @@ identifiers and rebuilds index arrays per agent inside the canonicaliser.
    exactly the internal-index arrays
    :class:`repro.canon.labeling._Canonicalizer` builds per view — but for
    the whole batch at once;
-4. views are grouped by the byte content of those arrays; each group's
+4. views are bucketed by the byte content of those arrays; each group's
    *representative* runs through
    :meth:`~repro.canon.labeling.CanonicalIndex.canonical_form_from_arrays`
    (one refinement + labeling per distinct literal structure) and every
@@ -565,7 +565,7 @@ class ViewAtlas:
         ]
 
     def canonical_forms(self, index=None) -> Dict[Agent, "CanonicalForm"]:
-        """Canonical form of every view's local LP, grouped and amortised.
+        """Canonical form of every view's local LP, bucketed and amortised.
 
         Bit-identical to calling ``index.canonical_form`` per view (the
         grouping only shares work between views whose identifier-sorted

@@ -50,18 +50,6 @@ class TestKnownOptima:
 
 
 class TestBackendsAgreement:
-    @pytest.mark.parametrize(
-        "fixture", ["tiny_instance", "asymmetric_instance", "cycle8", "path6"]
-    )
-    def test_simplex_backend_matches_scipy(self, fixture, request):
-        problem = request.getfixturevalue(fixture)
-        scipy_result = solve_max_min(problem, backend="scipy")
-        simplex_result = solve_max_min(problem, backend="simplex")
-        assert simplex_result.objective == pytest.approx(
-            scipy_result.objective, rel=1e-6, abs=1e-9
-        )
-        assert problem.is_feasible(problem.to_array(simplex_result.x), tol=1e-6)
-
     @pytest.mark.parametrize("fixture", ["tiny_instance", "cycle8", "random_instance"])
     def test_bisection_matches_exact(self, fixture, request):
         problem = request.getfixturevalue(fixture)

@@ -22,7 +22,7 @@ class TestCanonicalFingerprints:
         base = fingerprint_canonical_request("a" * 64, backend="scipy")
         assert len(base) == 64
         assert fingerprint_canonical_request("b" * 64, backend="scipy") != base
-        assert fingerprint_canonical_request("a" * 64, backend="simplex") != base
+        assert fingerprint_canonical_request("a" * 64, backend="other") != base
 
     def test_disjoint_from_raw_local_lp_requests(self, tiny_instance):
         from repro import fingerprint_instance

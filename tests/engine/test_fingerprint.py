@@ -125,7 +125,7 @@ class TestRequestFingerprint:
             "c6789511d9b2ee79903b96ff0d50c7f17a3be956b42d5877c4e5ace8424ecd76"
         )
         assert fingerprint_request(problem, "maxmin_exact", backend="scipy") != base
-        assert fingerprint_request(problem, "local_lp", backend="simplex") != base
+        assert fingerprint_request(problem, "local_lp", backend="other") != base
         assert (
             fingerprint_request(problem, "local_lp", backend="scipy", params={"R": 2})
             != base

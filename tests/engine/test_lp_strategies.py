@@ -23,6 +23,7 @@ from repro import (
     safe_value,
     safe_values_array,
 )
+from repro.exceptions import SolverError
 from repro.lp import count_highs_calls
 from repro.scenarios.registry import build_instance, list_families
 from repro.scenarios.spec import ScenarioSpec
@@ -36,8 +37,10 @@ def weighted_grid():
 
 class TestEngineValidation:
     def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError):
-            BatchSolver(lp_strategy="quantum")
+        # "grouped" and "auto" were strategies of the removed simplex solver.
+        for strategy in ("quantum", "grouped", "auto"):
+            with pytest.raises(ValueError, match="unknown lp_strategy"):
+                BatchSolver(lp_strategy=strategy)
 
     def test_bad_chunk_size_rejected(self):
         with pytest.raises(ValueError):
@@ -144,21 +147,15 @@ class TestStackedEngine:
         assert second.stats.executed == 0
         assert warm.x == cold.x
 
-    def test_grouped_strategy_via_simplex_backend(self, weighted_grid):
-        engine = BatchSolver(cache=ResultCache(), lp_strategy="grouped")
-        outcome = engine.solve_maxmin(weighted_grid, backend="simplex")
-        reference = BatchSolver(cache=ResultCache()).solve_maxmin(
-            weighted_grid, backend="simplex"
-        )
-        assert outcome.objective == pytest.approx(
-            reference.objective, abs=1e-8
-        )
-
-    def test_strategy_backend_mismatch_degrades_to_auto(self, weighted_grid):
-        # A stacked engine asked for a simplex solve must not error.
-        engine = BatchSolver(cache=ResultCache(), lp_strategy="stacked")
-        outcome = engine.solve_maxmin(weighted_grid, backend="simplex")
-        assert outcome.objective > 0
+    @pytest.mark.parametrize("strategy", ["per-lp", "stacked"])
+    def test_unknown_backend_fails_under_every_strategy(
+        self, weighted_grid, strategy
+    ):
+        # HiGHS is the only solver: no strategy quietly solves a request
+        # for another backend with it.
+        engine = BatchSolver(cache=ResultCache(), lp_strategy=strategy)
+        with pytest.raises(SolverError, match="unknown LP backend"):
+            engine.solve_maxmin(weighted_grid, backend="simplex")
 
 
 class TestSharedCanonIndex:

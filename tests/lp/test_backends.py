@@ -1,26 +1,22 @@
-"""Unit tests for backend registration and dispatch."""
+"""Unit tests for the solver dispatch: HiGHS is the only backend."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro import SolverError
-from repro.lp import DEFAULT_BACKEND, LinearProgram, LPStatus, available_backends, solve_lp
+from repro.lp import LinearProgram, LPStatus, solve_lp
 
 
 class TestDispatch:
-    def test_available_backends(self):
-        names = available_backends()
-        assert "scipy" in names
-        assert "simplex" in names
-        assert DEFAULT_BACKEND in names
-
     def test_unknown_backend_raises(self):
         lp = LinearProgram(c=[1.0])
-        with pytest.raises(SolverError, match="unknown LP backend"):
-            solve_lp(lp, backend="does-not-exist")
+        # "simplex" named the from-scratch solver; HiGHS is now the only one.
+        for backend in ("does-not-exist", "simplex"):
+            with pytest.raises(SolverError, match="unknown LP backend"):
+                solve_lp(lp, backend=backend)
 
-    @pytest.mark.parametrize("backend", ["scipy", "simplex"])
+    @pytest.mark.parametrize("backend", ["scipy"])
     def test_basic_solve(self, backend):
         lp = LinearProgram(c=[-1.0], A_ub=[[1.0]], b_ub=[2.0])
         result = solve_lp(lp, backend=backend)
@@ -28,12 +24,12 @@ class TestDispatch:
         assert result.objective == pytest.approx(-2.0)
         assert result.backend == backend
 
-    @pytest.mark.parametrize("backend", ["scipy", "simplex"])
+    @pytest.mark.parametrize("backend", ["scipy"])
     def test_infeasible_status(self, backend):
         lp = LinearProgram(c=[1.0], A_ub=[[1.0], [-1.0]], b_ub=[1.0, -2.0])
         assert solve_lp(lp, backend=backend).status is LPStatus.INFEASIBLE
 
-    @pytest.mark.parametrize("backend", ["scipy", "simplex"])
+    @pytest.mark.parametrize("backend", ["scipy"])
     def test_unbounded_status(self, backend):
         lp = LinearProgram(c=[-1.0])
         assert solve_lp(lp, backend=backend).status is LPStatus.UNBOUNDED

@@ -148,116 +148,28 @@ class TestStrategies:
             if solo.x is not None:
                 np.testing.assert_array_equal(result.x, solo.x)
 
-    def test_auto_resolves_per_backend(self):
-        lps = [_optimal_lp(2.0)]
+    def test_default_strategy_is_stacked(self):
+        lps = [_optimal_lp(2.0), _optimal_lp(3.0)]
         with count_highs_calls() as counter:
-            scipy_result = solve_lp_batch(lps, backend="scipy", strategy="auto")
+            default = solve_lp_batch(lps)
         assert counter.calls == 1
-        simplex_result = solve_lp_batch(lps, backend="simplex", strategy="auto")
-        assert scipy_result[0].objective == pytest.approx(
-            simplex_result[0].objective
-        )
+        stacked = solve_lp_batch(lps, strategy="stacked")
+        for a, b in zip(default, stacked):
+            np.testing.assert_array_equal(a.x, b.x)
 
     def test_strategy_backend_mismatch(self):
-        with pytest.raises(SolverError):
+        with pytest.raises(SolverError, match="unknown LP backend"):
             solve_lp_batch([_optimal_lp()], backend="simplex", strategy="stacked")
-        with pytest.raises(SolverError):
-            solve_lp_batch([_optimal_lp()], backend="scipy", strategy="grouped")
 
     def test_unknown_strategy(self):
-        with pytest.raises(SolverError):
-            solve_lp_batch([_optimal_lp()], strategy="quantum")
+        # "grouped" and "auto" were strategies of the removed simplex solver.
+        for strategy in ("quantum", "grouped", "auto"):
+            with pytest.raises(SolverError, match="unknown batch strategy"):
+                solve_lp_batch([_optimal_lp()], strategy=strategy)
 
     def test_unknown_backend_on_per_lp(self):
         with pytest.raises(SolverError):
             solve_lp_batch([_optimal_lp()], backend="nope", strategy="per-lp")
-
-
-class TestGroupedSimplex:
-    def _structured_batch(self, count: int = 8, seed: int = 3):
-        rng = np.random.default_rng(seed)
-        pattern = rng.random((4, 6)) < 0.5
-        pattern[0, :] = True  # bounded: one row covers every column
-        lps = []
-        for _ in range(count):
-            A = np.where(pattern, rng.uniform(0.5, 2.0, pattern.shape), 0.0)
-            lps.append(
-                LinearProgram(
-                    c=-rng.uniform(0.5, 1.5, 6), A_ub=A, b_ub=np.ones(4)
-                )
-            )
-        return lps
-
-    def test_grouped_matches_per_lp_simplex(self):
-        lps = self._structured_batch()
-        stats = BatchSolveStats()
-        grouped = solve_lp_batch(
-            lps, backend="simplex", strategy="grouped", stats=stats
-        )
-        assert stats.groups == 1  # one shared sparsity pattern
-        assert stats.warm_started + stats.warm_rejected == len(lps) - 1
-        for lp, result in zip(lps, grouped):
-            reference = solve_lp(lp, backend="simplex")
-            assert result.status is reference.status
-            assert result.objective == pytest.approx(
-                reference.objective, abs=1e-9
-            )
-            assert lp.is_feasible(result.x, tol=1e-7)
-
-    def test_warm_started_siblings_match_cold_solves(self):
-        lps = self._structured_batch(count=12, seed=9)
-        stats = BatchSolveStats()
-        warm = solve_lp_batch(
-            lps, backend="simplex", strategy="grouped", stats=stats
-        )
-        assert stats.warm_started > 0
-        cold = [
-            solve_lp_batch([lp], backend="simplex", strategy="grouped")[0]
-            for lp in lps
-        ]
-        for a, b in zip(warm, cold):
-            assert a.status is b.status
-            assert a.objective == pytest.approx(b.objective, abs=1e-12)
-            np.testing.assert_allclose(a.x, b.x, atol=1e-12)
-
-    def test_numerically_singular_warm_basis_is_rejected(self):
-        # The first LP's optimal basis is singular for the second one (its
-        # rows repeat), yet np.linalg.inv returns without raising.
-        first = np.array(
-            [[1.0, 1.0, 0.5, 0.5, 0.5], [0.5] * 5,
-             [0.5, 0.5, 1.0, 0.5, 0.5], [0.5, 0.5, 0.5, 1.0, 0.5]]
-        )
-        second = np.full((4, 5), 1.9)
-        second[2, 2] = 1.0
-        lps = [
-            LinearProgram(c=-np.ones(5), A_ub=A, b_ub=np.ones(4))
-            for A in (first, second)
-        ]
-        stats = BatchSolveStats()
-        grouped = solve_lp_batch(
-            lps, backend="simplex", strategy="grouped", stats=stats
-        )
-        assert stats.warm_rejected == 1
-        for lp, result in zip(lps, grouped):
-            reference = solve_lp(lp, backend="scipy")
-            assert result.objective == pytest.approx(reference.objective, abs=1e-9)
-
-    def test_unsupported_shapes_fall_back(self):
-        lps = [
-            LinearProgram(  # equality constraint: not kernel-shaped
-                c=[1.0], A_eq=[[1.0]], b_eq=[2.0], bounds=[(0, None)]
-            ),
-            LinearProgram(  # upper-bounded variable: not kernel-shaped
-                c=[-1.0], A_ub=[[1.0]], b_ub=[5.0], bounds=[(0.0, 2.0)]
-            ),
-            LinearProgram(  # negative rhs: needs phase 1
-                c=[1.0], A_ub=[[-1.0]], b_ub=[-1.0]
-            ),
-        ]
-        results = solve_lp_batch(lps, backend="simplex", strategy="grouped")
-        np.testing.assert_allclose(results[0].x, [2.0])
-        assert results[1].objective == pytest.approx(-2.0)
-        assert results[2].objective == pytest.approx(1.0)
 
 
 class TestSparseLinearProgram:
@@ -269,11 +181,9 @@ class TestSparseLinearProgram:
         )
         assert lp.is_sparse
         assert sp.issparse(lp.A_ub) and lp.A_ub.format == "csr"
-        dense = lp.densified()
+        np.testing.assert_allclose(lp.A_ub.toarray(), [[1.0, 2.0]])
+        dense = LinearProgram(c=lp.c, A_ub=lp.A_ub.toarray(), b_ub=lp.b_ub)
         assert not dense.is_sparse
-        np.testing.assert_allclose(dense.A_ub, [[1.0, 2.0]])
-        # Densify of a dense LP is a no-op.
-        assert dense.densified() is dense
 
     def test_sparse_validation(self):
         with pytest.raises(ValueError):
@@ -293,12 +203,15 @@ class TestSparseLinearProgram:
 
     def test_sparse_and_dense_backends_agree(self):
         lp_sparse = maxmin_to_lp_fixture()
-        lp_dense = lp_sparse.densified()
+        lp_dense = LinearProgram(
+            c=lp_sparse.c,
+            A_ub=lp_sparse.A_ub.toarray(),
+            b_ub=lp_sparse.b_ub,
+            bounds=lp_sparse.bounds,
+        )
         a = solve_lp(lp_sparse, backend="scipy")
         b = solve_lp(lp_dense, backend="scipy")
         np.testing.assert_array_equal(a.x, b.x)
-        c = solve_lp(lp_sparse, backend="simplex")
-        assert c.objective == pytest.approx(a.objective, abs=1e-8)
 
 
 def maxmin_to_lp_fixture() -> LinearProgram:

@@ -49,9 +49,6 @@ class TestAsDict:
             "lps",
             "stacked_calls",
             "fallback_solves",
-            "groups",
-            "warm_started",
-            "warm_rejected",
         ]
 
     def test_values_round_trip(self):

@@ -1,21 +1,10 @@
-"""Property-based tests for the LP substrate (simplex vs HiGHS, reductions)."""
+"""Property-based tests for the Section 1.3 max-min LP reduction."""
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
-from repro.lp import (
-    LinearProgram,
-    LPStatus,
-    maxmin_to_lp,
-    solve_lp,
-    solve_max_min,
-    solve_simplex,
-)
+from repro.lp import maxmin_to_lp, solve_max_min
 
 from .strategies import max_min_instances
 
@@ -26,67 +15,6 @@ COMMON_SETTINGS = dict(
 )
 
 
-@st.composite
-def packing_lps(draw, max_vars: int = 5, max_rows: int = 4):
-    """Random packing LPs: maximise a positive objective under A x <= b."""
-    n = draw(st.integers(min_value=1, max_value=max_vars))
-    m = draw(st.integers(min_value=1, max_value=max_rows))
-    c = draw(
-        hnp.arrays(
-            np.float64,
-            (n,),
-            elements=st.floats(min_value=0.1, max_value=5.0, allow_nan=False),
-        )
-    )
-    # Coefficients are either exactly zero or well-scaled (>= 0.1): subnormal
-    # values such as 1e-262 would make the LP numerically unbounded and the
-    # comparison between backends meaningless.
-    A = draw(
-        hnp.arrays(
-            np.float64,
-            (m, n),
-            elements=st.one_of(
-                st.just(0.0),
-                st.floats(min_value=0.1, max_value=3.0, allow_nan=False),
-            ),
-        )
-    )
-    b = draw(
-        hnp.arrays(
-            np.float64,
-            (m,),
-            elements=st.floats(min_value=0.5, max_value=4.0, allow_nan=False),
-        )
-    )
-    # Guarantee boundedness: every variable appears in some constraint.
-    A = A.copy()
-    for j in range(n):
-        if A[:, j].max() <= 0:
-            A[0, j] = 1.0
-    return LinearProgram(c=-c, A_ub=A, b_ub=b)
-
-
-class TestSimplexAgainstHiGHS:
-    @given(lp=packing_lps())
-    @settings(**COMMON_SETTINGS)
-    def test_same_optimum_on_random_packing_lps(self, lp):
-        ours = solve_simplex(lp)
-        reference = solve_lp(lp, backend="scipy")
-        assert reference.status is LPStatus.OPTIMAL
-        assert ours.status is LPStatus.OPTIMAL
-        assert ours.objective == pytest.approx(reference.objective, abs=1e-6)
-        assert lp.is_feasible(ours.x, tol=1e-6)
-
-    @given(lp=packing_lps(max_vars=4, max_rows=3))
-    @settings(**COMMON_SETTINGS)
-    def test_simplex_solution_not_better_than_reference(self, lp):
-        # Minimisation: the simplex objective can never be lower than the
-        # true optimum (that would mean infeasibility or a solver bug).
-        ours = solve_simplex(lp)
-        reference = solve_lp(lp, backend="scipy")
-        assert ours.objective >= reference.objective - 1e-6
-
-
 class TestMaxMinReductionProperties:
     @given(problem=max_min_instances())
     @settings(**COMMON_SETTINGS)
@@ -94,17 +22,6 @@ class TestMaxMinReductionProperties:
         lp = maxmin_to_lp(problem)
         assert lp.n_variables == problem.n_agents + 1
         assert lp.n_inequalities == problem.n_resources + problem.n_beneficiaries
-
-    @given(problem=max_min_instances(max_agents=6, max_resources=5, max_beneficiaries=4))
-    @settings(max_examples=20, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
-    def test_backends_agree_on_maxmin_instances(self, problem):
-        scipy_result = solve_max_min(problem, backend="scipy")
-        simplex_result = solve_max_min(problem, backend="simplex")
-        assert simplex_result.objective == pytest.approx(
-            scipy_result.objective, rel=1e-5, abs=1e-7
-        )
-        assert problem.is_feasible(problem.to_array(simplex_result.x), tol=1e-6)
 
     @given(problem=max_min_instances())
     @settings(**COMMON_SETTINGS)

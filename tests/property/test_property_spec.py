@@ -41,7 +41,7 @@ def scenario_specs(draw):
         radii=tuple(
             draw(st.lists(st.integers(1, 9), min_size=1, max_size=4))
         ),
-        backend=draw(st.sampled_from(["scipy", "simplex"])),
+        backend="scipy",
         label=draw(st.one_of(st.none(), st.text(max_size=12))),
     )
 

@@ -54,6 +54,15 @@ class TestScenarioSpec:
     def test_empty_radii_allowed(self):
         assert ScenarioSpec(family="cycle", radii=()).radii == ()
 
+    @pytest.mark.parametrize("backend", ["foo", "simplex", "", None])
+    def test_rejects_unknown_backend(self, backend):
+        with pytest.raises(ValueError, match="unknown LP backend"):
+            ScenarioSpec(family="cycle", backend=backend)
+        with pytest.raises(ValueError, match="unknown LP backend"):
+            ScenarioGrid("cycle", params={"n": [8]}, backend=backend)
+        with pytest.raises(ValueError, match="unknown LP backend"):
+            ScenarioSpec.from_dict({"family": "cycle", "backend": backend})
+
 
 class TestScenarioGrid:
     def test_lists_are_axes_tuples_are_values(self):

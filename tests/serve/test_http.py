@@ -131,6 +131,17 @@ class TestErrorContract:
         assert excinfo.value.code == 400
         assert "radii" in _error_body(excinfo)["error"]["message"]
 
+    def test_unknown_backend_is_400_not_500(self, server):
+        body = json.dumps(
+            {"family": "cycle", "params": {"n": 8}, "backend": "simplex"}
+        ).encode()
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post(server.url + "/solve", body)
+        assert excinfo.value.code == 400
+        error = _error_body(excinfo)["error"]
+        assert error["type"] == "bad_request"
+        assert "unknown LP backend 'simplex'" in error["message"]
+
     def test_unknown_family_400_lists_families(self, server):
         body = json.dumps({"family": "made_up", "params": {}}).encode()
         with pytest.raises(urllib.error.HTTPError) as excinfo:

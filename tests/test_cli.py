@@ -24,6 +24,18 @@ class TestCLI:
             main(["suite", "does-not-exist"])
         assert excinfo.value.code != 0
 
+    @pytest.mark.parametrize(
+        "command",
+        [["suite", "run", "paper"], ["serve"], ["trace", "run", "paper"]],
+    )
+    @pytest.mark.parametrize("strategy", ["auto", "grouped"])
+    def test_removed_lp_strategies_rejected(self, command, strategy, capsys):
+        # Only "per-lp" and "stacked" remain; argparse exits 2 on the rest.
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command, "--lp-strategy", strategy])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
     def test_missing_argument_rejected(self):
         with pytest.raises(SystemExit) as excinfo:
             main([])

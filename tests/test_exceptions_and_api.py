@@ -62,4 +62,4 @@ class TestPublicAPI:
         import repro.lowerbound
         import repro.lp
 
-        assert repro.lp.DEFAULT_BACKEND in repro.lp.available_backends()
+        assert repro.lp.DEFAULT_BACKEND == "scipy"
