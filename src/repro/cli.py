@@ -1765,8 +1765,10 @@ def _build_parser() -> argparse.ArgumentParser:
         default="per-lp",
         help="how cache-miss LP batches reach the solver: 'per-lp' "
         "(default, bit-identical to the historical engine) or "
-        "'stacked' (one block-diagonal HiGHS call per chunk — same "
-        "optima, far fewer solver round-trips)",
+        "'stacked' (one block-diagonal HiGHS call per chunk, far fewer "
+        "solver round-trips; each local LP reaches the same optimal "
+        "value, but the solver may return a different optimal vertex, "
+        "so averaged results can differ and are cache-keyed apart)",
     )
     sp_run.add_argument(
         "--lp-chunk-size",

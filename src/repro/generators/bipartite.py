@@ -31,12 +31,14 @@ All graphs are :class:`networkx.Graph` instances whose vertices are tagged
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-import networkx as nx
 import numpy as np
 
 from ..exceptions import ConstructionError
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only; builders import it
+    import networkx as nx
 
 __all__ = [
     "girth",
@@ -109,6 +111,8 @@ def cycle_bipartite(n_side: int) -> nx.Graph:
     Its girth is exactly ``2·n_side``, so a long enough cycle satisfies any
     girth requirement for ``Δ = 2``.
     """
+    import networkx as nx
+
     if n_side < 2:
         raise ValueError("a bipartite cycle needs at least 2 vertices per side")
     g = nx.Graph()
@@ -120,6 +124,8 @@ def cycle_bipartite(n_side: int) -> nx.Graph:
 
 def complete_bipartite_regular(degree: int) -> nx.Graph:
     """``K_{Δ,Δ}``: Δ-regular bipartite, girth 4 (2 for Δ=1: a single edge has no cycle)."""
+    import networkx as nx
+
     if degree < 1:
         raise ValueError("degree must be at least 1")
     g = nx.Graph()
@@ -145,6 +151,8 @@ def projective_plane_incidence(q: int) -> nx.Graph:
     ``2(q² + q + 1)`` vertices with girth 6 -- the classical explicit
     construction of a dense high-girth bipartite graph.
     """
+    import networkx as nx
+
     if not _is_prime(q):
         raise ConstructionError(
             f"projective_plane_incidence requires a prime order, got {q}"
@@ -225,6 +233,8 @@ def sidon_circulant_bipartite(degree: int, *, n: Optional[int] = None) -> nx.Gra
         smallest power-of-two multiple of ``2·Δ²`` that admits a greedy
         Sidon set of size Δ is used.
     """
+    import networkx as nx
+
     if degree < 1:
         raise ValueError("degree must be at least 1")
     if n is not None:
@@ -259,6 +269,8 @@ def random_regular_bipartite(
     between the two sides; attempts producing parallel edges are discarded
     and retried.
     """
+    import networkx as nx
+
     if degree < 1:
         raise ValueError("degree must be at least 1")
     if n_side < degree:
@@ -326,6 +338,8 @@ def regular_bipartite_with_girth(
     ConstructionError
         If no suitable graph is found within the size/attempt budget.
     """
+    import networkx as nx
+
     if degree < 1:
         raise ValueError("degree must be at least 1")
     if min_girth < 3:

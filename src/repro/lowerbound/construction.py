@@ -29,9 +29,16 @@ any local algorithm to lose a factor of about ``d/2`` on ``S′``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Hashable, List, Mapping, Optional, Tuple
-
-import networkx as nx
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    FrozenSet,
+    Hashable,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+)
 
 from ..core.problem import Agent, MaxMinLP, MaxMinLPBuilder
 from ..exceptions import ConstructionError
@@ -40,6 +47,9 @@ from ..hypergraph.communication import communication_hypergraph
 from ..hypergraph.hypergraph import Hypergraph
 from .bounds import finite_R_bound, theorem1_bound
 from .hypertree import HyperTree, complete_hypertree
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    import networkx as nx
 
 __all__ = [
     "LowerBoundInstance",

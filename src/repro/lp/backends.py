@@ -7,6 +7,13 @@ it -- and :func:`solve_lp` rejects any other name.  Sparse constraint
 matrices pass straight through to HiGHS, which stores the model sparsely
 anyway.
 
+The extension module is loaded by file location (:func:`_load_highs`), not
+imported through its package: ``import scipy.optimize`` would run the whole
+of ``scipy/optimize/__init__.py`` (about 0.37 s and 23 MB RSS on an Intel
+Xeon, 2 cores, SciPy 1.17.1) although only this one extension is ever
+called.  The module is registered under its real name, so ``linprog``
+imported before or after this module shares the same object.
+
 Every call into HiGHS -- from :func:`solve_lp` here or from the batched
 block-diagonal path in :mod:`repro.lp.batch` -- goes through
 :func:`call_highs`, which feeds the :func:`count_highs_calls` shim and the
@@ -25,13 +32,18 @@ the registry families' local LPs from about 3.1 ms to about 0.7 ms
 from __future__ import annotations
 
 import contextlib
+import importlib.machinery
+import importlib.util
+import os
+import sys
 import threading
 import time
+from types import ModuleType
 from typing import Iterator, List, NamedTuple, Optional
 
 import numpy as np
+import scipy
 import scipy.sparse as sp
-from scipy.optimize._highspy import _core as _highs
 
 from ..exceptions import SolverError
 from ..faults import InjectedFault, RetryPolicy
@@ -51,6 +63,49 @@ __all__ = [
 ]
 
 DEFAULT_BACKEND = "scipy"
+
+_HIGHS_MODULE = "scipy.optimize._highspy._core"
+
+
+def _load_highs() -> ModuleType:
+    """Load SciPy's HiGHS extension without running ``scipy.optimize``.
+
+    ``find_spec("scipy.optimize")`` locates the package and imports only
+    ``scipy``; the extension is then loaded from the package's
+    ``_highspy`` directory and registered in :data:`sys.modules` under its
+    real name, so a later ``import scipy.optimize`` reuses it.  If the
+    module is already loaded it is returned as is: pybind11 registers its
+    types once per process, so both import orders must share one module
+    object.  (Attribute access ``scipy.optimize._highspy._core`` is the one
+    thing a later package import does not bind; ``import`` statements and
+    ``from`` imports of the module do resolve.)
+    """
+    loaded = sys.modules.get(_HIGHS_MODULE)
+    if loaded is not None:
+        return loaded
+    package = importlib.util.find_spec("scipy.optimize")
+    search = [
+        os.path.join(location, "_highspy")
+        for location in (package.submodule_search_locations if package else ())
+    ]
+    spec = importlib.machinery.PathFinder.find_spec(_HIGHS_MODULE, search)
+    if spec is None or spec.loader is None:
+        raise ImportError(
+            f"SciPy's HiGHS extension {_HIGHS_MODULE} not found in {search} "
+            f"(scipy {scipy.__version__})",
+            name=_HIGHS_MODULE,
+        )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[_HIGHS_MODULE] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        sys.modules.pop(_HIGHS_MODULE, None)
+        raise
+    return module
+
+
+_highs = _load_highs()
 
 #: Transient-backend retry: injected (or injectable) faults at the
 #: ``lp.highs.call`` seam are absorbed here; real solver statuses are not

@@ -34,9 +34,7 @@ these the go-to families for exercising the paper's support-bound regime.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional
-
-import networkx as nx
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional
 
 from ..apps import random_isp_network, random_sensor_network
 from ..core.problem import MaxMinLP, MaxMinLPBuilder
@@ -51,6 +49,9 @@ from ..generators import (
     unit_disk_instance,
 )
 from .spec import ScenarioSpec
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    import networkx as nx
 
 __all__ = [
     "FamilyInfo",

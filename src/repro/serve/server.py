@@ -27,8 +27,11 @@ Endpoints
 Error contract: caller mistakes (malformed JSON, schema violations,
 unknown families) are **400** with ``{"error": {"type": "bad_request",
 "message": ...}}`` -- never a 500, never a traceback; unknown paths are
-404, wrong methods 405, and anything unexpected is a 500 with the
-exception's one-line rendering.
+404, wrong methods 405.  A spec whose instance cannot be built (the
+family's generator raises :class:`~repro.exceptions.ConstructionError`)
+is a **422** ``construction_failed``: the failure is deterministic, so
+retrying cannot help.  Any other solve failure is a 500 ``solve_failed``,
+and anything unexpected is a 500 with the exception's one-line rendering.
 
 The server is :class:`http.server.ThreadingHTTPServer`-based: one thread
 per connection, which is exactly the concurrency the service's
@@ -45,6 +48,7 @@ from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from .. import __version__
+from ..exceptions import ConstructionError
 from ..obs.trace import span
 from .service import (
     DeadlineExceeded,
@@ -300,7 +304,11 @@ class _Handler(BaseHTTPRequestHandler):
         except DeadlineExceeded as exc:
             self._send_error_json(504, "deadline_exceeded", str(exc))
         except ScenarioSolveError as exc:
-            self._send_error_json(500, "solve_failed", str(exc))
+            if isinstance(exc.cause, ConstructionError):
+                # Deterministic: the same spec fails the same way on retry.
+                self._send_error_json(422, "construction_failed", str(exc))
+            else:
+                self._send_error_json(500, "solve_failed", str(exc))
         except (BrokenPipeError, ConnectionResetError):  # client went away
             pass
         except Exception as exc:

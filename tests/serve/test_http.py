@@ -173,6 +173,24 @@ class TestErrorContract:
             _post(server.url + "/metrics", b"{}")
         assert excinfo.value.code == 405
 
+    def test_construction_failure_is_422_not_500(self, server):
+        # Deterministic: the permutation sampler cannot build this graph,
+        # so a retry would fail the same way -- the caller's spec is at fault.
+        body = json.dumps(
+            {
+                "family": "random_regular_bipartite",
+                "params": {"n_side": 16, "degree": 4},
+                "seed": 0,
+                "radii": [1],
+            }
+        ).encode()
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post(server.url + "/solve", body)
+        assert excinfo.value.code == 422
+        error = _error_body(excinfo)["error"]
+        assert error["type"] == "construction_failed"
+        assert "ConstructionError" in error["message"]
+
     def test_errors_are_counted(self, server):
         with pytest.raises(urllib.error.HTTPError):
             _post(server.url + "/solve", b"broken")
