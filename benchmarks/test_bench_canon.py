@@ -1,8 +1,9 @@
-"""Experiment CANON -- orbit solve-sharing vs the per-agent local-LP path.
+"""Experiment CANON -- canonical solve-sharing vs the literal local-LP path.
 
 The Section 5 locality argument says agents with isomorphic radius-``R``
-views compute identical local solutions; :mod:`repro.canon` exploits this
-by solving one local LP per view-equivalence class.  This benchmark
+views compute identical local solutions; the engine exploits this by
+keying every local LP by its canonical form (:mod:`repro.canon`), so it
+solves one local LP per view-equivalence class.  This benchmark
 quantifies the collapse on the three symmetric families named by the
 acceptance criteria:
 
@@ -17,8 +18,8 @@ acceptance criteria:
 The baseline is the engine's non-canonical path (``canonical_local=False``)
 — exactly the pre-canon behaviour: one compiled, fingerprinted and solved
 LP per agent.  Correctness is asserted alongside timing (objectives agree
-to solver tolerance; the orbit path is bit-identical to the canonical
-per-agent path, which the unit tests cover exhaustively).
+to solver tolerance; the canonical path is bit-identical to the scalar
+per-agent reference, which the unit tests cover exhaustively).
 
 Set ``REPRO_BENCH_QUICK=1`` for the CI smoke variant (smaller instances)
 and ``REPRO_BENCH_OUT=<path>`` to write the measured rows as JSON — the
@@ -77,9 +78,7 @@ def measurements():
 
         shared_engine = BatchSolver(cache=ResultCache())
         start = time.perf_counter()
-        shared = local_averaging_solution(
-            problem, R, engine=shared_engine, share_orbits=True
-        )
+        shared = local_averaging_solution(problem, R, engine=shared_engine)
         shared_seconds = time.perf_counter() - start
 
         # The local LP *values* are unique optima — they must agree across
@@ -101,7 +100,7 @@ def measurements():
             "R": R,
             "baseline_solves": baseline_engine.stats.executed,
             "shared_solves": shared_engine.stats.executed,
-            "n_orbits": shared.orbit_stats["n_orbits"],
+            "n_orbits": partition_views(problem, R).n_orbits,
             "baseline_seconds": round(baseline_seconds, 4),
             "shared_seconds": round(shared_seconds, 4),
             "speedup": round(baseline_seconds / shared_seconds, 2),
@@ -114,7 +113,7 @@ def measurements():
 def test_canon_solve_collapse_and_speedup(measurements, report):
     """Acceptance: distinct solves collapse n -> O(#classes), torus >= 5x."""
     report(
-        "CANON: orbit solve-sharing vs per-agent baseline"
+        "CANON: canonical solve-sharing vs per-agent baseline"
         + (" (quick mode)" if QUICK else ""),
         "\n".join(
             "{family:>20}: agents={n_agents:<4} solves {baseline_solves:>4} -> "
@@ -156,11 +155,15 @@ def test_orbit_counts_match_partition(measurements):
 
 
 def test_shared_path_bit_identical_on_grid(measurements):
-    """Bit-identity spot check at benchmark scale (grid family)."""
+    """Bit-identity spot check at benchmark scale (grid family).
+
+    The shared (canonical, vectorized) path against the scalar per-agent
+    reference, which canonicalises and pulls back one view at a time.
+    """
     problem, R = FAMILIES["grid"]
-    plain = local_averaging_solution(problem, R, engine=BatchSolver())
-    shared = local_averaging_solution(
-        problem, R, engine=BatchSolver(), share_orbits=True
+    shared = local_averaging_solution(problem, R, engine=BatchSolver())
+    scalar = local_averaging_solution(
+        problem, R, engine=BatchSolver(), vectorized=False
     )
-    assert shared.x == plain.x
-    assert shared.local_objectives == plain.local_objectives
+    assert shared.x == scalar.x
+    assert shared.local_objectives == scalar.local_objectives

@@ -36,8 +36,8 @@ DISK_LOCALS = harvest_local_subproblems(
 )
 
 
-def solve_batch_exact(subproblems, backend):
-    return [solve_max_min(sub, backend=backend).objective for sub in subproblems]
+def solve_batch_exact(subproblems):
+    return [solve_max_min(sub).objective for sub in subproblems]
 
 
 @pytest.mark.benchmark(group="lp-backends")
@@ -48,6 +48,6 @@ def solve_batch_exact(subproblems, backend):
 )
 def test_scipy_backend_batch(benchmark, label, subproblems):
     """HiGHS on the full batch of local LPs (the default configuration)."""
-    objectives = benchmark(solve_batch_exact, subproblems, "scipy")
+    objectives = benchmark(solve_batch_exact, subproblems)
     assert len(objectives) == len(subproblems)
     assert all(value >= 0 for value in objectives)

@@ -1,16 +1,15 @@
 """Experiment VIEWS -- vectorized view-extraction pipeline vs scalar loops.
 
-PR 3 collapsed the Section 5 pipeline's *solver* cost (one LP per view
-orbit); what remained was per-agent Python: one BFS ball, one local-LP
+Canonical keying collapsed the Section 5 pipeline's *solver* cost (one
+LP per view orbit); what remained was per-agent Python: one BFS ball, one local-LP
 structure extraction and one canonicalisation per agent.  The
 :mod:`repro.views` pipeline replaces those n-fold loops with batched
 sparse-matrix sweeps.  This benchmark pins the acceptance criteria:
 
-* **end-to-end**: ``local_averaging_solution(share_orbits=True)`` on the
-  30x30 unit torus must be at least **4x** faster through the vectorized
-  pipeline than through the scalar reference path
-  (``vectorized=False`` -- the pre-PR per-agent pipeline, kept callable
-  exactly for this comparison);
+* **end-to-end**: ``local_averaging_solution`` on the 30x30 unit torus
+  must be at least **4x** faster through the vectorized pipeline than
+  through the scalar reference path (``vectorized=False`` -- the
+  per-agent pipeline, kept callable exactly for this comparison);
 * **ball extraction**: the batch membership kernel must beat a per-agent
   ``Hypergraph.ball`` loop by at least **10x** (48x48 torus, R=3);
 * **bit-identity**: on every scenario family in the registry the two
@@ -111,10 +110,10 @@ def test_bit_identical_on_every_registry_family(family):
     )
     problem = build_instance(spec)
     fast = local_averaging_solution(
-        problem, 1, engine=BatchSolver(), share_orbits=True, vectorized=True
+        problem, 1, engine=BatchSolver(), vectorized=True
     )
     slow = local_averaging_solution(
-        problem, 1, engine=BatchSolver(), share_orbits=True, vectorized=False
+        problem, 1, engine=BatchSolver(), vectorized=False
     )
     assert fast.x == slow.x
     assert fast.beta == slow.beta

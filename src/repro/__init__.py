@@ -91,7 +91,7 @@ from .lowerbound import (
 )
 
 # The canonicalization layer sits on top of the core and the engine: view
-# canonical forms, orbit partitions and the orbit solve planner.
+# canonical forms and orbit partitions.
 from .canon import (
     CanonicalForm,
     OrbitPartition,

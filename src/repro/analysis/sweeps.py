@@ -33,7 +33,6 @@ def radius_sweep(
     problem: MaxMinLP,
     radii: Sequence[int],
     *,
-    backend: str = "scipy",
     optimum: Optional[float] = None,
     engine: Optional[BatchSolver] = None,
 ) -> List[Dict[str, float]]:
@@ -50,16 +49,14 @@ def radius_sweep(
         raise ValueError(f"radii must be positive integers, got {radii}")
     eng = engine if engine is not None else get_default_engine()
     if optimum is None:
-        optimum = eng.solve_maxmin(problem, backend=backend).objective
+        optimum = eng.solve_maxmin(problem).objective
     H = communication_hypergraph(problem)
     max_R = max(radii)
     profile = growth_profile(H, max_R)
     rows: List[Dict[str, float]] = []
     safe_obj = problem.objective(problem.to_array(safe_solution(problem)))
     for R in radii:
-        result = local_averaging_solution(
-            problem, R, backend=backend, hypergraph=H, engine=eng
-        )
+        result = local_averaging_solution(problem, R, hypergraph=H, engine=eng)
         rows.append(
             {
                 "R": R,

@@ -1,4 +1,4 @@
-"""Local-view canonicalisation and orbit solve-sharing.
+"""Local-view canonicalization and view orbits.
 
 The paper's central structural fact (Section 5) is that a local algorithm's
 output at an agent is a deterministic function of the agent's radius-``R``
@@ -7,25 +7,20 @@ else about the instance can influence it.  Agents whose views are
 isomorphic — equal as weighted incidence structures after forgetting vertex
 names — therefore provably compute identical local solutions.
 
-This subpackage turns that theorem into a solve-sharing accelerator:
+This subpackage turns that theorem into solve sharing:
 
 * :mod:`repro.canon.labeling` — deterministic WL-style canonical labeling
   of a view's local LP; isomorphic views get equal canonical forms and
   content keys (:func:`canonical_view_key`), and the canonical position
   maps provide the explicit isomorphisms;
 * :mod:`repro.canon.orbits` — :func:`partition_views` groups an instance's
-  agents into view-equivalence classes (*orbits*) at a given radius;
-* :mod:`repro.canon.planner` — :func:`orbit_solve_local_lps` submits one
-  canonical LP per orbit through the batch engine and pulls the solved
-  vector back into every member's own vertex names.
+  agents into view-equivalence classes (*orbits*) at a given radius.
 
-The batch engine itself canonicalises every local LP it solves
-(:meth:`repro.engine.BatchSolver.solve_subproblems`), so the planner's fast
-path and the per-agent path hand identical matrices to the LP backend and
-produce bit-identical results; the planner is purely a constant-factor
-accelerator, and its cache entries are shared *across isomorphic
-instances* (a small torus warms the disk cache for the interior of a much
-larger one).
+The batch engine keys every local LP by its canonical form
+(:meth:`repro.engine.BatchSolver.solve_local_lps`), so the members of an
+orbit collapse to one solve within a batch, and cache entries are shared
+*across isomorphic instances* (a small torus warms the disk cache for the
+interior of a much larger one).
 """
 
 from .labeling import (
@@ -38,20 +33,16 @@ from .labeling import (
     view_local_structure,
 )
 from .orbits import OrbitPartition, ViewOrbit, partition_views
-from .planner import OrbitSolveStats, orbit_solve_local_lps, orbit_solve_views
 
 __all__ = [
     "CANON_FORMAT_VERSION",
     "CanonicalForm",
     "DEFAULT_BRANCH_BUDGET",
     "OrbitPartition",
-    "OrbitSolveStats",
     "ViewOrbit",
     "canonical_view_key",
     "canonicalize_local_lp",
     "canonicalize_problem",
-    "orbit_solve_local_lps",
-    "orbit_solve_views",
     "partition_views",
     "view_local_structure",
 ]

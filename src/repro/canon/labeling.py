@@ -14,8 +14,8 @@ form** of the local LP of a view: a relabeling of its index sets to
 weighted incidence structure, never on the incoming identifiers.  Equal
 canonical forms certify isomorphic views (the composed position maps *are*
 the isomorphism), so grouping agents by the form's content hash yields the
-view-equivalence classes used by :mod:`repro.canon.orbits` and the solve
-planner in :mod:`repro.canon.planner`.
+view-equivalence classes used by :mod:`repro.canon.orbits` and the
+canonical cache keys of the batch engine.
 
 The labeling is computed by colour refinement (1-dimensional
 Weisfeiler–Leman) over the tripartite incidence graph
@@ -41,8 +41,8 @@ isomorphic pair.
 Determinism contract: the result depends only on the *set* of agents and
 coefficient entries handed in — not on their iteration order, not on the
 identifier values (except in the explicitly literal fallback), and not on
-any global state.  The engine and the orbit planner rely on this to produce
-bit-identical solutions through either code path.
+any global state.  The vectorized and scalar averaging paths rely on this
+to produce bit-identical solutions.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from hashlib import sha256
+from itertools import repeat
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -171,10 +172,8 @@ class CanonicalForm:
 
     def pull_back(self, canonical_x: Dict[int, float]) -> Dict[Agent, float]:
         """Map a solution of the canonical LP back to original agent names."""
-        return {
-            agent: float(canonical_x.get(position, 0.0))
-            for position, agent in enumerate(self.agent_order)
-        }
+        values = map(canonical_x.get, range(len(self.agent_order)), repeat(0.0))
+        return dict(zip(self.agent_order, map(float, values)))
 
 
 
@@ -525,8 +524,8 @@ def _build_canonicalizer(
 
     The identifier sort is what makes every downstream step independent of
     the caller's iteration order: the engine (canonicalising a compiled
-    sub-instance) and the orbit planner (canonicalising a raw view
-    structure) reach identical internal indexings, hence identical
+    sub-instance) and the scalar averaging reference (canonicalising a raw
+    view structure) reach identical internal indexings, hence identical
     labelings, for the same view.
     """
     agent_list = sorted(set(agents), key=_sort_key)
@@ -703,9 +702,8 @@ class CanonicalIndex:
     by edge).  The outcome for a view is a pure function of the view's
     structure — the canonical form of a class is unique, so it does not
     matter which member's search discovered it or whether a match or a
-    search produced the labeling.  The engine and the
-    orbit planner therefore stay bit-for-bit interchangeable even though
-    each keeps its own index.
+    search produced the labeling.  Two engines therefore stay bit-for-bit
+    interchangeable even though each keeps its own index.
 
     The index is an unguarded pure cache: concurrent use from several
     threads can at worst duplicate work or register a redundant equal-key
@@ -763,7 +761,8 @@ class CanonicalIndex:
         its own form) — and by the full search otherwise.  Whether the form
         was already registered, and by whom, therefore never changes any
         member's labeling; this is what keeps warm and cold engines, and
-        the engine and the orbit planner, bit-for-bit interchangeable.
+        the batch and scalar canonicalisation paths, bit-for-bit
+        interchangeable.
         """
         form, _positions = self.canonical_form_and_positions(
             agents, consumption, benefit
@@ -1210,9 +1209,9 @@ def view_local_structure(
     Exactly the structure :meth:`~repro.core.problem.MaxMinLP.local_subproblem`
     compiles — every resource with support intersecting the view, clipped to
     it, and every beneficiary whose support is contained in it — but as
-    plain lists, without building matrices.  The orbit planner
-    canonicalises thousands of views; skipping instance compilation for
-    every member is most of its constant-factor win.
+    plain lists, without building matrices.  The scalar averaging
+    reference and :func:`repro.canon.partition_views` canonicalise views
+    straight from it, without compiling one sub-instance per view.
     """
     keep = set(view)
     agents = list(keep)

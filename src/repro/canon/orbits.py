@@ -5,19 +5,19 @@ sole input of its local computation; agents whose views induce isomorphic
 local LPs form an *orbit* and provably share one local solution (up to the
 relabeling).  :func:`partition_views` computes this partition by
 canonicalising every agent's view (:mod:`repro.canon.labeling`) and
-grouping on the canonical keys; the solve planner
-(:mod:`repro.canon.planner`) then submits one LP per orbit.
+grouping on the canonical keys.  The batch engine keys local LPs by the
+same canonical keys, so an instance's ``n_orbits`` is the number of
+distinct local LPs one averaging run solves.
 
 On vertex-transitive families the partition is extreme — every agent of a
 unit-weight torus sits in a single orbit — while irregular instances
-degrade gracefully to singleton orbits and the planner's cost converges to
-the per-agent path.
+degrade gracefully to singleton orbits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..core.problem import Agent, MaxMinLP
 from ..hypergraph.communication import communication_hypergraph
@@ -69,7 +69,7 @@ class OrbitPartition:
 
     @property
     def sharing_factor(self) -> float:
-        """Agents per orbit — the solve-count compression the planner gets."""
+        """Agents per orbit — the solve-count compression of canonical keys."""
         return self.n_agents / self.n_orbits if self.orbits else 1.0
 
     def orbit_of(self, agent: Agent) -> ViewOrbit:
@@ -98,10 +98,8 @@ def partition_views(
     R: int,
     *,
     hypergraph: Optional[Hypergraph] = None,
-    views: Optional[Mapping[Agent, FrozenSet[Agent]]] = None,
     branch_budget: int = DEFAULT_BRANCH_BUDGET,
     index: Optional[CanonicalIndex] = None,
-    atlas=None,
     vectorized: bool = True,
 ) -> OrbitPartition:
     """Partition the agents of ``problem`` into radius-``R`` view orbits.
@@ -114,12 +112,6 @@ def partition_views(
         View radius; must be at least 1 (matching the averaging algorithm).
     hypergraph:
         Optional pre-built communication hypergraph (built on demand).
-    views:
-        Optional pre-computed balls ``B_H(u, R)`` keyed by agent; supplying
-        them lets the averaging fast path reuse its own BFS results.  Only
-        the agents present in the mapping are partitioned, mirroring
-        :meth:`repro.engine.BatchSolver.solve_local_lps`'s acceptance of
-        view subsets.
     branch_budget:
         Forwarded to :mod:`repro.canon.labeling` (ignored when ``index`` is
         given).
@@ -128,10 +120,6 @@ def partition_views(
         across partitions (e.g. across the radii of a sweep); a fresh one
         is created otherwise.  Canonical forms are pure functions of the
         view structure, so sharing an index never changes the partition.
-    atlas:
-        Optional pre-built :class:`~repro.views.ViewAtlas` whose rows are
-        the views to partition; supplying it lets the averaging fast path
-        reuse its batch ball extraction and structure arrays.
     vectorized:
         Canonicalise all views through the batch pipeline of
         :mod:`repro.views` (the default) instead of one
@@ -150,9 +138,7 @@ def partition_views(
             problem,
             R,
             hypergraph=hypergraph,
-            views=views,
             index=index,
-            atlas=atlas,
             vectorized=vectorized,
         )
 
@@ -162,41 +148,25 @@ def _partition_views_impl(
     R: int,
     *,
     hypergraph: Optional[Hypergraph],
-    views: Optional[Mapping[Agent, FrozenSet[Agent]]],
     index: CanonicalIndex,
-    atlas,
     vectorized: bool,
 ) -> OrbitPartition:
     """The traced body of :func:`partition_views`."""
     forms: Dict[Agent, CanonicalForm]
-    if vectorized or atlas is not None:
+    if vectorized:
         from ..views.atlas import ViewAtlas
 
-        if atlas is None:
-            if views is not None:
-                atlas = ViewAtlas.from_views(problem, views)
-            else:
-                atlas = ViewAtlas.from_problem(
-                    problem, R, hypergraph=hypergraph
-                )
+        atlas = ViewAtlas.from_problem(problem, R, hypergraph=hypergraph)
         forms = atlas.canonical_forms(index)
-        roots = atlas.roots
     else:
-        if views is None:
-            H = (
-                hypergraph
-                if hypergraph is not None
-                else communication_hypergraph(problem)
-            )
-            views = {u: H.ball(u, R) for u in problem.agents}
+        H = hypergraph if hypergraph is not None else communication_hypergraph(problem)
         forms = {}
-        for u in views:
-            agents, cons, bens = view_local_structure(problem, views[u])
+        for u in problem.agents:
+            agents, cons, bens = view_local_structure(problem, H.ball(u, R))
             forms[u] = index.canonical_form(agents, cons, bens)
-        roots = tuple(views)
 
     members: Dict[str, List[Agent]] = {}
-    for u in roots:
+    for u in problem.agents:
         members.setdefault(forms[u].key, []).append(u)
     orbits = tuple(
         ViewOrbit(key=key, members=tuple(agents), form=forms[agents[0]])

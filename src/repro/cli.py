@@ -424,8 +424,7 @@ def bench_measurements(quick: bool, repeats: int) -> Dict[str, object]:
             engine = BatchSolver(cache=ResultCache())
             start = time.perf_counter()
             local_averaging_solution(
-                problem, 2, engine=engine, share_orbits=True,
-                vectorized=vectorized,
+                problem, 2, engine=engine, vectorized=vectorized
             )
             elapsed = time.perf_counter() - start
             if vectorized:
@@ -1099,7 +1098,7 @@ def recovery_measurements(quick: bool, repeats: int) -> Dict[str, object]:
 #: Sections of the bench JSON that carry a speedup the ``--compare`` gate
 #: judges, with their display labels.
 _BENCH_SECTIONS = {
-    "e2e": "local_averaging share_orbits e2e",
+    "e2e": "local_averaging e2e",
     "balls": "batch ball extraction",
     "lp_batch_e2e": "batched LP solving e2e (averaging)",
     "lp_batch_bisection": "batched feasibility-probe sweep",
@@ -1328,7 +1327,6 @@ def run_serve(args: argparse.Namespace) -> int:
         cache_dir=cache_dir,
         lp_strategy=args.lp_strategy,
         lp_chunk_size=args.lp_chunk_size,
-        share_orbits=args.share_orbits,
         deadline_s=args.deadline,
         max_inflight=args.max_inflight,
         verify=args.verify,
@@ -1462,7 +1460,6 @@ def run_suite_cmd(args: argparse.Namespace) -> int:
         max_workers=args.workers,
         cache=cache,
         registry=registry,
-        share_orbits=args.share_orbits,
         lp_strategy=args.lp_strategy,
         lp_chunk_size=args.lp_chunk_size,
         verify=args.verify,
@@ -1754,12 +1751,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="worker pool size for thread/process mode",
     )
     sp_run.add_argument(
-        "--share-orbits",
-        action="store_true",
-        help="solve one local LP per view-equivalence class (bit-identical, "
-        "much faster on symmetric families)",
-    )
-    sp_run.add_argument(
         "--lp-strategy",
         choices=list(BATCH_STRATEGIES),
         default="per-lp",
@@ -1847,11 +1838,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="worker pool size for thread/process mode",
-    )
-    sp.add_argument(
-        "--share-orbits",
-        action="store_true",
-        help="solve one local LP per view-equivalence class (bit-identical)",
     )
     sp.add_argument(
         "--lp-strategy",

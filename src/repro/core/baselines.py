@@ -24,7 +24,6 @@ from typing import Dict, Optional
 from ..engine.executor import BatchSolver, get_default_engine
 from ..hypergraph.communication import communication_hypergraph
 from ..hypergraph.hypergraph import Hypergraph
-from ..lp.backends import DEFAULT_BACKEND
 from .problem import Agent, MaxMinLP
 
 __all__ = [
@@ -68,7 +67,6 @@ def single_shot_local_solution(
     problem: MaxMinLP,
     R: int,
     *,
-    backend: str = DEFAULT_BACKEND,
     hypergraph: Optional[Hypergraph] = None,
     engine: Optional[BatchSolver] = None,
 ) -> Dict[Agent, float]:
@@ -83,7 +81,7 @@ def single_shot_local_solution(
     H = hypergraph if hypergraph is not None else communication_hypergraph(problem)
     eng = engine if engine is not None else get_default_engine()
     atlas = _batched_views(problem, R, H)
-    outcomes = eng.solve_local_lps(problem, atlas.views(), backend=backend, atlas=atlas)
+    outcomes = eng.solve_local_lps(problem, atlas=atlas)
     return {v: outcomes[v].x.get(v, 0.0) for v in problem.agents}
 
 
@@ -91,7 +89,6 @@ def unshrunk_averaging_solution(
     problem: MaxMinLP,
     R: int,
     *,
-    backend: str = DEFAULT_BACKEND,
     hypergraph: Optional[Hypergraph] = None,
     engine: Optional[BatchSolver] = None,
 ) -> Dict[Agent, float]:
@@ -108,7 +105,7 @@ def unshrunk_averaging_solution(
     eng = engine if engine is not None else get_default_engine()
     atlas = _batched_views(problem, R, H)
     views = atlas.views()
-    outcomes = eng.solve_local_lps(problem, views, backend=backend, atlas=atlas)
+    outcomes = eng.solve_local_lps(problem, views, atlas=atlas)
     x: Dict[Agent, float] = {}
     for j in problem.agents:
         total = sum(outcomes[u].x.get(j, 0.0) for u in views[j])

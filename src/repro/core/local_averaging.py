@@ -27,9 +27,9 @@ scenario family):
 * the **vectorized** default — balls, view canonicalisation and the
   Figure 2 set system all run as batched sparse-matrix sweeps through
   :mod:`repro.views`;
-* the **scalar** reference (``vectorized=False``) — one Python BFS / local
-  LP / set loop per agent, kept callable for the equality tests and the
-  speedup benchmarks.
+* the **scalar** reference (``vectorized=False``) — one Python BFS, view
+  canonicalisation and set loop per agent, kept callable for the equality
+  tests and the speedup benchmarks.
 
 The sums of step 3 run in instance column order (ascending agent position)
 in both implementations, which is what makes them exactly interchangeable.
@@ -49,14 +49,13 @@ the default strategy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional
+from typing import Dict, FrozenSet, Iterable, List, Optional
 
 import numpy as np
 
 from ..exceptions import SolverError
 from ..hypergraph.communication import communication_hypergraph
 from ..hypergraph.hypergraph import Hypergraph
-from ..lp.backends import DEFAULT_BACKEND
 from ..engine.executor import BatchSolver, get_default_engine
 from ..obs.trace import span
 from .problem import Agent, Beneficiary, MaxMinLP, Resource
@@ -98,10 +97,6 @@ class LocalAveragingResult:
     local_solutions:
         The per-agent local solutions ``x^u`` (only retained when
         ``keep_local_solutions=True`` was passed).
-    orbit_stats:
-        Sharing statistics of the ``share_orbits=True`` fast path (see
-        :class:`repro.canon.OrbitSolveStats`); ``None`` on the per-agent
-        path.
     """
 
     R: int
@@ -116,14 +111,12 @@ class LocalAveragingResult:
     local_solutions: Optional[Dict[Agent, Dict[Agent, float]]] = field(
         repr=False, default=None
     )
-    orbit_stats: Optional[Dict[str, float]] = field(repr=False, default=None)
 
 
 def solve_local_lp_batch(
     problem: MaxMinLP,
     views: Iterable[Iterable[Agent]],
     *,
-    backend: str = DEFAULT_BACKEND,
     engine: Optional[BatchSolver] = None,
 ) -> List[Dict[Agent, float]]:
     """Solve the local LP (9) for a batch of views as one engine batch.
@@ -135,9 +128,7 @@ def solve_local_lp_batch(
     """
     eng = engine if engine is not None else get_default_engine()
     view_sets = [frozenset(view) for view in views]
-    outcomes = eng.solve_local_lps(
-        problem, dict(enumerate(view_sets)), backend=backend
-    )
+    outcomes = eng.solve_local_lps(problem, dict(enumerate(view_sets)))
     return [dict(outcomes[idx].x) for idx in range(len(view_sets))]
 
 
@@ -145,7 +136,6 @@ def solve_local_lp(
     problem: MaxMinLP,
     view: FrozenSet[Agent],
     *,
-    backend: str = DEFAULT_BACKEND,
     engine: Optional[BatchSolver] = None,
 ) -> Dict[Agent, float]:
     """Solve the local LP (9) of Section 5.1 over the view ``V^u``.
@@ -157,9 +147,7 @@ def solve_local_lp(
     Thin single-view wrapper over :func:`solve_local_lp_batch`; callers
     with many views should batch them.
     """
-    (solution,) = solve_local_lp_batch(
-        problem, [view], backend=backend, engine=engine
-    )
+    (solution,) = solve_local_lp_batch(problem, [view], engine=engine)
     return solution
 
 
@@ -256,11 +244,9 @@ def local_averaging_solution(
     problem: MaxMinLP,
     R: int,
     *,
-    backend: str = DEFAULT_BACKEND,
     hypergraph: Optional[Hypergraph] = None,
     keep_local_solutions: bool = False,
     engine: Optional[BatchSolver] = None,
-    share_orbits: bool = False,
     vectorized: bool = True,
 ) -> LocalAveragingResult:
     """Run the Section 5 local averaging algorithm with radius ``R``.
@@ -271,8 +257,6 @@ def local_averaging_solution(
         The max-min LP instance.
     R:
         Radius of the local views ``V^u = B_H(u, R)``; must be at least 1.
-    backend:
-        LP backend used for the per-agent local LPs.
     hypergraph:
         Optional pre-built communication hypergraph of ``problem`` (built on
         demand otherwise); supplying it avoids repeated construction in
@@ -285,20 +269,16 @@ def local_averaging_solution(
         Batch engine through which the per-agent local LPs are solved (they
         are independent, so the engine may cache and parallelise them);
         defaults to the process-wide engine of
-        :func:`repro.engine.get_default_engine`.  Results are bit-identical
-        across execution modes, worker counts and cache states; the one
-        configuration that may pick different (equally optimal) local LP
-        vertices is the legacy ``BatchSolver(canonical_local=False)`` path,
-        whose solver sees differently ordered matrices.
-    share_orbits:
-        Solve one local LP per *view-equivalence class* instead of one per
-        agent (:mod:`repro.canon`): agents whose radius-``R`` views are
-        isomorphic provably share a local solution, so on symmetric
-        families (tori, grids, regular bipartite structures) the number of
-        distinct solves collapses from ``n`` to the handful of classes.
-        The output is bit-identical to the per-agent path — both paths
-        solve the same canonical LPs and apply the same pull-back maps —
-        and :attr:`LocalAveragingResult.orbit_stats` records the sharing.
+        :func:`repro.engine.get_default_engine`.  The engine keys every
+        local LP by its canonical form (:mod:`repro.canon`), so agents with
+        isomorphic views share one solve.  Results are bit-identical across
+        execution modes, worker counts and cache states.  Two engine
+        configurations may pick different (equally optimal) local LP
+        vertices, and hence a different ``x̃``: the legacy
+        ``BatchSolver(canonical_local=False)`` path, whose solver sees
+        differently ordered matrices, and ``lp_strategy="stacked"``, whose
+        block-diagonal HiGHS call chooses vertices that depend on the
+        batch composition.
     vectorized:
         Run view extraction, canonicalisation and the Figure 2 set system
         as batched sparse-matrix sweeps (:mod:`repro.views`) instead of
@@ -320,24 +300,11 @@ def local_averaging_solution(
         radius=R,
         vectorized=vectorized,
     ):
-        if vectorized:
-            return _local_averaging_vectorized(
-                problem,
-                R,
-                H,
-                eng,
-                backend=backend,
-                keep_local_solutions=keep_local_solutions,
-                share_orbits=share_orbits,
-            )
-        return _local_averaging_scalar(
-            problem,
-            R,
-            H,
-            eng,
-            backend=backend,
-            keep_local_solutions=keep_local_solutions,
-            share_orbits=share_orbits,
+        implementation = (
+            _local_averaging_vectorized if vectorized else _local_averaging_scalar
+        )
+        return implementation(
+            problem, R, H, eng, keep_local_solutions=keep_local_solutions
         )
 
 
@@ -347,9 +314,7 @@ def _local_averaging_vectorized(
     H: Hypergraph,
     eng: BatchSolver,
     *,
-    backend: str,
     keep_local_solutions: bool,
-    share_orbits: bool,
 ) -> LocalAveragingResult:
     """Batched implementation: one sparse sweep per pipeline stage."""
     from ..views.atlas import ViewAtlas
@@ -358,48 +323,18 @@ def _local_averaging_vectorized(
     n_agents = problem.n_agents
     sizes = atlas.view_sizes().astype(np.int64)
 
-    # Step 1: local solutions, as the (n_views x n_agents) matrix X with
-    # X[u, j] = x^u_j.
-    orbit_stats = None
-    if share_orbits:
-        from ..canon.planner import orbit_solve_views
-
-        partition, by_key, stats = orbit_solve_views(
-            atlas, R, engine=eng, backend=backend
-        )
-        orbit_stats = stats.as_dict()
-        x_by_key: Dict[str, np.ndarray] = {}
-        objective_by_key: Dict[str, float] = {}
-        for orbit in partition.orbits:
-            outcome = by_key[orbit.key]
-            vector = np.zeros(orbit.form.n_agents, dtype=np.float64)
-            for position, value in outcome.x.items():
-                vector[position] = value
-            x_by_key[orbit.key] = vector
-            objective_by_key[orbit.key] = outcome.objective
-        X = atlas.local_solution_matrix(x_by_key)
-        forms = partition.forms
-        local_objectives = {
-            u: objective_by_key[forms[u].key] for u in atlas.roots
-        }
-        solutions_getter = None
-    else:
-        outcomes = eng.solve_local_lps(
-            problem, atlas.views(), backend=backend, atlas=atlas
-        )
-        membership = atlas.membership
-        agents_tuple = problem.agents
-        data = np.empty(membership.nnz, dtype=np.float64)
-        indptr, indices = membership.indptr, membership.indices
-        for row, root in enumerate(atlas.roots):
-            x_u = outcomes[root].x
-            for e in range(indptr[row], indptr[row + 1]):
-                data[e] = x_u.get(agents_tuple[indices[e]], 0.0)
-        X = membership.__class__(
-            (data, indices.copy(), indptr), shape=membership.shape
-        )
-        local_objectives = {u: outcomes[u].objective for u in atlas.roots}
-        solutions_getter = outcomes
+    # Step 1: every local solution x^u (keyed by the agents of V^u),
+    # flattened view by view, in agent order, into parallel column and
+    # value lists.
+    outcomes = eng.solve_local_lps(problem, atlas=atlas)
+    position = {agent: j for j, agent in enumerate(problem.agents)}
+    columns: List[int] = []
+    values: List[float] = []
+    for u in atlas.roots:
+        x_u = outcomes[u].x
+        columns += map(position.__getitem__, x_u)
+        values += x_u.values()
+    local_objectives = {u: outcomes[u].objective for u in atlas.roots}
 
     # Steps 2-3, vectorized (exact integer set arithmetic, float ops in the
     # same order as the scalar loops).
@@ -425,10 +360,14 @@ def _local_averaging_vectorized(
     beta_arr = _segment_min(ratio[A_csc.indices], A_csc.indptr, 1.0)
 
     # Step 3: Σ_{u ∈ V^j} x^u_j.  ``bincount`` accumulates strictly in
-    # storage order — row-major, so each column's contributions arrive in
-    # ascending-row order, the exact float addition sequence of the scalar
+    # list order — view by view, so each column's contributions arrive in
+    # ascending-u order, the exact float addition sequence of the scalar
     # loop (reduceat would sum pairwise and drift in the last ulp).
-    totals = np.bincount(X.indices, weights=X.data, minlength=n_agents)
+    totals = np.bincount(
+        np.asarray(columns, dtype=np.intp),
+        weights=np.asarray(values, dtype=np.float64),
+        minlength=n_agents,
+    )
     x_arr = beta_arr * totals / sizes
 
     agents = problem.agents
@@ -438,23 +377,7 @@ def _local_averaging_vectorized(
 
     local_solutions = None
     if keep_local_solutions:
-        if solutions_getter is not None:
-            local_solutions = {
-                u: dict(solutions_getter[u].x) for u in atlas.roots
-            }
-        else:
-            forms_map = forms
-            local_solutions = {}
-            for row, root in enumerate(atlas.roots):
-                # Reconstruct each dict in pull-back (canonical position)
-                # order, matching the scalar path exactly.
-                vector = x_by_key[forms_map[root].key]
-                local_solutions[root] = {
-                    agent: float(vector[position])
-                    for position, agent in enumerate(
-                        forms_map[root].agent_order
-                    )
-                }
+        local_solutions = {u: dict(outcomes[u].x) for u in atlas.roots}
 
     objective = problem.objective(x_arr)
     return LocalAveragingResult(
@@ -468,7 +391,6 @@ def _local_averaging_vectorized(
         proven_ratio_bound=float(resource_ratio * beneficiary_ratio),
         local_objectives=local_objectives,
         local_solutions=local_solutions,
-        orbit_stats=orbit_stats,
     )
 
 
@@ -478,37 +400,36 @@ def _local_averaging_scalar(
     H: Hypergraph,
     eng: BatchSolver,
     *,
-    backend: str,
     keep_local_solutions: bool,
-    share_orbits: bool,
 ) -> LocalAveragingResult:
     """Per-agent reference implementation (the pre-vectorization pipeline).
 
     One BFS ball, one local-LP canonicalisation and one set-arithmetic pass
     per agent.  Kept callable so the equality tests and the speedup
     benchmarks can compare against it; the step 3 sums run in ascending
-    agent-position order, the same order the vectorized path uses.
+    agent-position order, the same order the vectorized path uses.  Its
+    local LPs are always keyed by canonical form, whatever the engine's
+    ``canonical_local`` setting.
     """
-    # Step 1: local views and local LP solutions, as one engine batch.
+    from ..canon.labeling import view_local_structure
+
+    # Step 1: local views, canonicalised one view at a time through the
+    # engine's index (the same forms the batch pipeline derives), then all
+    # canonical local LPs as one engine batch.
     views: Dict[Agent, FrozenSet[Agent]] = {
         u: H.ball(u, R) for u in problem.agents
     }
-    orbit_stats = None
-    if share_orbits:
-        from ..canon.planner import orbit_solve_local_lps
-
-        outcomes, stats = orbit_solve_local_lps(
-            problem, views, R, engine=eng, backend=backend, vectorized=False
-        )
-        orbit_stats = stats.as_dict()
-    else:
-        outcomes = eng.solve_local_lps(problem, views, backend=backend)
-    local_solutions: Dict[Agent, Dict[Agent, float]] = {
-        u: outcomes[u].x for u in problem.agents
-    }
-    local_objectives: Dict[Agent, float] = {
-        u: outcomes[u].objective for u in problem.agents
-    }
+    index = eng.canon_index()
+    forms = [
+        index.canonical_form(*view_local_structure(problem, views[u]))
+        for u in problem.agents
+    ]
+    canonical = eng.solve_canonical_local_lps(forms)
+    local_solutions: Dict[Agent, Dict[Agent, float]] = {}
+    local_objectives: Dict[Agent, float] = {}
+    for u, form, outcome in zip(problem.agents, forms, canonical):
+        local_solutions[u] = form.pull_back(outcome.x)
+        local_objectives[u] = outcome.objective
 
     view_sizes = {u: len(views[u]) for u in problem.agents}
 
@@ -573,5 +494,4 @@ def _local_averaging_scalar(
         proven_ratio_bound=float(resource_ratio * beneficiary_ratio),
         local_objectives=local_objectives,
         local_solutions=local_solutions if keep_local_solutions else None,
-        orbit_stats=orbit_stats,
     )

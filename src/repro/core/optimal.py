@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
-from ..lp.backends import DEFAULT_BACKEND
 from ..lp.maxmin import solve_max_min
 from .problem import Agent, MaxMinLP
 
@@ -43,11 +42,9 @@ class OptimalSolution:
     backend: str
 
 
-def optimal_solution(
-    problem: MaxMinLP, *, backend: str = DEFAULT_BACKEND
-) -> OptimalSolution:
+def optimal_solution(problem: MaxMinLP) -> OptimalSolution:
     """Compute the global optimum of ``problem`` via the LP reduction."""
-    result = solve_max_min(problem, backend=backend)
+    result = solve_max_min(problem)
     return OptimalSolution(
         objective=result.objective, x=result.x, backend=result.backend
     )
@@ -56,7 +53,6 @@ def optimal_solution(
 def optimal_solution_batch(
     problems: Sequence[MaxMinLP],
     *,
-    backend: str = DEFAULT_BACKEND,
     engine=None,
 ) -> List[OptimalSolution]:
     """Global optima of a batch of instances through one engine submission.
@@ -71,7 +67,7 @@ def optimal_solution_batch(
     from ..engine.executor import get_default_engine
 
     eng = engine if engine is not None else get_default_engine()
-    results = eng.solve_maxmin_batch(list(problems), backend=backend)
+    results = eng.solve_maxmin_batch(list(problems))
     return [
         OptimalSolution(
             objective=result.objective, x=result.x, backend=result.backend
@@ -80,6 +76,6 @@ def optimal_solution_batch(
     ]
 
 
-def optimal_objective(problem: MaxMinLP, *, backend: str = DEFAULT_BACKEND) -> float:
+def optimal_objective(problem: MaxMinLP) -> float:
     """The optimal objective value ``ω*`` of ``problem``."""
-    return optimal_solution(problem, backend=backend).objective
+    return optimal_solution(problem).objective

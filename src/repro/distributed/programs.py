@@ -27,7 +27,6 @@ from typing import Any, Dict, Set
 from ..core.local_averaging import solve_local_lp
 from ..core.problem import Agent
 from ..core.safe import safe_value
-from ..lp.backends import DEFAULT_BACKEND
 from .knowledge import LocalKnowledge
 from .simulator import NodeProgram
 from .views import LocalView
@@ -133,16 +132,13 @@ class LocalAveragingProgram(KnowledgeFloodingProgram):
     R:
         The local-LP radius; the program gathers the radius ``2R + 1`` view,
         exactly the horizon claimed in Section 5.1.
-    backend:
-        LP backend for the local LPs (same default as the centralised code).
     """
 
-    def __init__(self, R: int, *, backend: str = DEFAULT_BACKEND) -> None:
+    def __init__(self, R: int) -> None:
         if R < 1:
             raise ValueError("the local averaging algorithm requires R >= 1")
         super().__init__(radius=2 * R + 1)
         self._R = R
-        self._backend = backend
 
     @property
     def R(self) -> int:
@@ -159,7 +155,7 @@ class LocalAveragingProgram(KnowledgeFloodingProgram):
         contribution = 0.0
         for u in sorted(V_j, key=repr):
             V_u = view.ball(u, R)
-            x_u = solve_local_lp(window, V_u, backend=self._backend)
+            x_u = solve_local_lp(window, V_u)
             contribution += x_u.get(j, 0.0)
 
         # β_j = min_{i ∈ I_j} n_i / N_i with

@@ -235,7 +235,6 @@ class _SolveUnit:
 
 def _solve_buffers_contained(
     unit_buffers: List[Tuple],
-    backend: str,
     strategy: str,
     stats: BatchSolveStats,
 ) -> List[Tuple[str, Optional[Any]]]:
@@ -250,14 +249,14 @@ def _solve_buffers_contained(
     """
     try:
         return solve_maxmin_buffer_batch(
-            unit_buffers, backend=backend, strategy=strategy, stats=stats
+            unit_buffers, strategy=strategy, stats=stats
         )
     except Exception:
         results: List[Tuple[str, Optional[Any]]] = []
         for buffers in unit_buffers:
             try:
                 (result,) = solve_maxmin_buffer_batch(
-                    [buffers], backend=backend, strategy=strategy, stats=stats
+                    [buffers], strategy=strategy, stats=stats
                 )
             except Exception as exc:
                 result = (
@@ -269,11 +268,11 @@ def _solve_buffers_contained(
 
 
 def _solve_compiled_chunk(
-    args: Tuple[List[Tuple], str, str, Optional[Dict[str, Any]]],
+    args: Tuple[List[Tuple], str, Optional[Dict[str, Any]]],
 ) -> Tuple[List[Tuple[str, Optional[Any]]], float, Dict[str, int], List[Tuple]]:
     """Solve one chunk of compiled reductions as a single batched submission.
 
-    ``args`` is ``(unit_buffers, backend, strategy, trace_ctx)`` where each
+    ``args`` is ``(unit_buffers, strategy, trace_ctx)`` where each
     entry of ``unit_buffers`` is
     :meth:`repro.lp.maxmin.CompiledMaxMin.to_buffers` output.  Returns
     ``(status_name, x_vector)`` per unit plus the chunk's solve duration,
@@ -289,20 +288,16 @@ def _solve_compiled_chunk(
     HiGHS call made in a child process lands in the same trace tree as one
     made inline.  With ``trace_ctx=None`` nothing is recorded anywhere.
     """
-    unit_buffers, backend, strategy, trace_ctx = args
+    unit_buffers, strategy, trace_ctx = args
     stats = BatchSolveStats()
     start = time.perf_counter()
     if trace_ctx is None:
-        results = _solve_buffers_contained(
-            unit_buffers, backend, strategy, stats
-        )
+        results = _solve_buffers_contained(unit_buffers, strategy, stats)
         return results, time.perf_counter() - start, stats.as_dict(), []
     local = Tracer()
     with activate(local):
         with span("lp.chunk", lps=len(unit_buffers), strategy=strategy):
-            results = _solve_buffers_contained(
-                unit_buffers, backend, strategy, stats
-            )
+            results = _solve_buffers_contained(unit_buffers, strategy, stats)
     return (
         results,
         time.perf_counter() - start,
@@ -544,7 +539,6 @@ class BatchSolver:
         builders: Sequence[Callable[[], Any]],
         *,
         kind: str,
-        backend: str,
     ) -> List[Dict[str, Any]]:
         """Dedup → cache → compile → batched fan-out, in submission order.
 
@@ -567,7 +561,7 @@ class BatchSolver:
             builders,
             kind=kind,
             solve=lambda built: self._solve_pending(
-                [_SolveUnit.of(unit) for unit in built], kind=kind, backend=backend
+                [_SolveUnit.of(unit) for unit in built], kind=kind
             ),
             validate=self._verify_validator(kind=kind),
         )
@@ -646,7 +640,6 @@ class BatchSolver:
         units: Sequence[_SolveUnit],
         *,
         kind: str,
-        backend: str,
     ) -> List[Tuple[Dict[str, Any], float]]:
         """Solve cache-miss units; returns ``(payload, duration)`` per unit.
 
@@ -677,7 +670,11 @@ class BatchSolver:
                 )
             elif exact and compiled.n_agents == 0:
                 payloads[idx] = (
-                    {"objective": 0.0, "x": solution_to_dict({}), "backend": backend},
+                    {
+                        "objective": 0.0,
+                        "x": solution_to_dict({}),
+                        "backend": DEFAULT_BACKEND,
+                    },
                     0.0,
                 )
             elif not exact and (
@@ -716,7 +713,6 @@ class BatchSolver:
                 chunk_args = [
                     (
                         [units[idx].compiled.to_buffers() for idx in chunk_ids],
-                        backend,
                         strategy,
                         trace_ctx,
                     )
@@ -749,11 +745,7 @@ class BatchSolver:
                             continue
                         try:
                             payload = self._interpret_unit(
-                                units[idx],
-                                status_name,
-                                x_vec,
-                                kind=kind,
-                                backend=backend,
+                                units[idx], status_name, x_vec, kind=kind
                             )
                         except (
                             InfeasibleError,
@@ -800,7 +792,6 @@ class BatchSolver:
         x_vec: Optional[np.ndarray],
         *,
         kind: str,
-        backend: str,
     ) -> Dict[str, Any]:
         """Turn one solved reduction into its cacheable JSON payload.
 
@@ -814,7 +805,7 @@ class BatchSolver:
         if status is LPStatus.INFEASIBLE:
             raise InfeasibleError("max-min LP reduction reported infeasible")
         if status is not LPStatus.OPTIMAL or x_vec is None:
-            raise SolverError(f"LP backend {backend!r} failed: {status}")
+            raise SolverError(f"LP backend {DEFAULT_BACKEND!r} failed: {status}")
         x_vec = np.asarray(x_vec, dtype=np.float64)
         omega = float(x_vec[-1])
         activities = np.clip(x_vec[:-1], 0.0, None)
@@ -825,7 +816,7 @@ class BatchSolver:
             return {
                 "objective": omega,
                 "x": solution_to_dict(x),
-                "backend": backend,
+                "backend": DEFAULT_BACKEND,
             }
         objective = unit.compiled.objective(activities)
         return {"x": solution_to_dict(x), "objective": float(objective)}
@@ -833,8 +824,6 @@ class BatchSolver:
     def solve_subproblems(
         self,
         subproblems: Sequence[MaxMinLP],
-        *,
-        backend: str = DEFAULT_BACKEND,
     ) -> List[LocalLPOutcome]:
         """Solve a batch of local LPs (paper eq. 9), one per subproblem.
 
@@ -854,7 +843,7 @@ class BatchSolver:
         if self.canonical_local:
             index = self.canon_index()
             forms = [index.canonical_form_of_problem(sub) for sub in problems]
-            canonical = self.solve_canonical_local_lps(forms, backend=backend)
+            canonical = self.solve_canonical_local_lps(forms)
             return [
                 LocalLPOutcome(
                     x=form.pull_back(outcome.x), objective=outcome.objective
@@ -864,7 +853,7 @@ class BatchSolver:
         params = self._request_params()
         keys = [
             fingerprint_request(
-                problem, "local_lp", backend=backend, params=params
+                problem, "local_lp", backend=DEFAULT_BACKEND, params=params
             )
             for problem in problems
         ]
@@ -872,7 +861,6 @@ class BatchSolver:
             keys,
             [lambda problem=problem: problem for problem in problems],
             kind="local_lp",
-            backend=backend,
         )
         return [
             LocalLPOutcome(
@@ -885,8 +873,6 @@ class BatchSolver:
     def solve_canonical_local_lps(
         self,
         forms: Sequence["CanonicalForm"],
-        *,
-        backend: str = DEFAULT_BACKEND,
     ) -> List[LocalLPOutcome]:
         """Solve canonical local LPs, returning canonical-coordinate outcomes.
 
@@ -896,35 +882,33 @@ class BatchSolver:
         so identical forms — wherever they came from — share one cache
         entry, and the stored solution is the canonical LP's vector keyed
         by canonical agent positions.  Callers map it back through
-        :meth:`~repro.canon.labeling.CanonicalForm.pull_back`; the orbit
-        planner (:func:`repro.canon.orbit_solve_local_lps`) calls this
-        directly with one form per view orbit.
+        :meth:`~repro.canon.labeling.CanonicalForm.pull_back`; the scalar
+        averaging reference calls this directly with one form per view.
+        Equal forms in one batch share one outcome object.
         """
         keys = fingerprint_canonical_requests(
             [form.key for form in forms],
-            backend=backend,
+            backend=DEFAULT_BACKEND,
             params=self._request_params(),
         )
         payloads = self._run_requests(
-            keys,
-            [form.compiled for form in forms],
-            kind="local_lp_canon",
-            backend=backend,
+            keys, [form.compiled for form in forms], kind="local_lp_canon"
         )
-        return [
-            LocalLPOutcome(
-                x=solution_from_dict(payload["x"]),
-                objective=float(payload["objective"]),
-            )
-            for payload in payloads
-        ]
+        # Duplicate keys share one payload object: decode each one once.
+        decoded: Dict[int, LocalLPOutcome] = {}
+        for payload in payloads:
+            if id(payload) not in decoded:
+                decoded[id(payload)] = LocalLPOutcome(
+                    x=solution_from_dict(payload["x"]),
+                    objective=float(payload["objective"]),
+                )
+        return [decoded[id(payload)] for payload in payloads]
 
     def solve_local_lps(
         self,
         problem: MaxMinLP,
-        views: Mapping[Agent, FrozenSet[Agent]],
+        views: Optional[Mapping[Agent, FrozenSet[Agent]]] = None,
         *,
-        backend: str = DEFAULT_BACKEND,
         atlas=None,
     ) -> Dict[Agent, LocalLPOutcome]:
         """Solve the local LP of every view ``V^u`` of ``problem``.
@@ -934,7 +918,8 @@ class BatchSolver:
         pipeline (:mod:`repro.views`) — no per-agent sub-instance is ever
         compiled; only the cache-miss canonical representatives
         materialise.  A pre-built :class:`~repro.views.ViewAtlas` over the
-        same views may be passed to reuse its extraction work.
+        same views may be passed to reuse its extraction work; ``views``
+        may then be omitted (the atlas rows are the views).
 
         On the legacy literal path (``canonical_local=False``) each
         request is keyed by the *base* instance fingerprint — hashed once
@@ -945,7 +930,12 @@ class BatchSolver:
         atlas's sliced extraction when one is supplied (identical
         sub-instances either way — the views property tests assert it).
         """
-        agents = list(views)
+        if views is None:
+            if atlas is None:
+                raise TypeError("solve_local_lps needs views or an atlas")
+            agents = list(atlas.roots)
+        else:
+            agents = list(views)
         if self.canonical_local:
             from ..views.atlas import ViewAtlas
 
@@ -953,18 +943,20 @@ class BatchSolver:
                 atlas = ViewAtlas.from_views(problem, views)
             forms_by_root = atlas.canonical_forms(self.canon_index())
             forms = [forms_by_root[u] for u in agents]
-            canonical = self.solve_canonical_local_lps(forms, backend=backend)
+            canonical = self.solve_canonical_local_lps(forms)
             return {
                 u: LocalLPOutcome(
                     x=form.pull_back(outcome.x), objective=outcome.objective
                 )
                 for u, form, outcome in zip(agents, forms, canonical)
             }
+        if views is None:
+            views = atlas.views()
         base_fingerprint = fingerprint_instance(problem)
         keys = fingerprint_view_requests(
             base_fingerprint,
             [sorted(map(repr, views[u])) for u in agents],
-            backend=backend,
+            backend=DEFAULT_BACKEND,
             extra_params=self._request_params(),
         )
         if atlas is not None:
@@ -973,12 +965,7 @@ class BatchSolver:
             builders = [
                 lambda u=u: problem.local_subproblem(views[u]) for u in agents
             ]
-        payloads = self._run_requests(
-            keys,
-            builders,
-            kind="local_lp",
-            backend=backend,
-        )
+        payloads = self._run_requests(keys, builders, kind="local_lp")
         return {
             u: LocalLPOutcome(
                 x=solution_from_dict(payload["x"]),
@@ -987,24 +974,19 @@ class BatchSolver:
             for u, payload in zip(agents, payloads)
         }
 
-    def solve_maxmin(
-        self, problem: MaxMinLP, *, backend: str = DEFAULT_BACKEND
-    ) -> MaxMinSolveResult:
+    def solve_maxmin(self, problem: MaxMinLP) -> MaxMinSolveResult:
         """Cached exact solve of one instance (see :func:`repro.lp.maxmin.solve_max_min`)."""
-        return self.solve_maxmin_batch([problem], backend=backend)[0]
+        return self.solve_maxmin_batch([problem])[0]
 
     def solve_maxmin_batch(
-        self,
-        problems: Sequence[MaxMinLP],
-        *,
-        backend: str = DEFAULT_BACKEND,
+        self, problems: Sequence[MaxMinLP]
     ) -> List[MaxMinSolveResult]:
         """Exactly solve a batch of whole instances (sweep-style jobs)."""
         problems = list(problems)
         params = self._request_params()
         keys = [
             fingerprint_request(
-                problem, "maxmin_exact", backend=backend, params=params
+                problem, "maxmin_exact", backend=DEFAULT_BACKEND, params=params
             )
             for problem in problems
         ]
@@ -1012,7 +994,6 @@ class BatchSolver:
             keys,
             [lambda problem=problem: problem for problem in problems],
             kind="maxmin_exact",
-            backend=backend,
         )
         return [
             MaxMinSolveResult(

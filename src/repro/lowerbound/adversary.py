@@ -85,11 +85,11 @@ def safe_algorithm(problem: MaxMinLP) -> Dict[Agent, float]:
     return safe_solution(problem)
 
 
-def local_averaging_algorithm(R: int, *, backend: str = "scipy") -> LocalAlgorithm:
+def local_averaging_algorithm(R: int) -> LocalAlgorithm:
     """The Theorem 3 averaging algorithm with radius ``R`` as a :data:`LocalAlgorithm`."""
 
     def run(problem: MaxMinLP) -> Dict[Agent, float]:
-        return local_averaging_solution(problem, R, backend=backend).x
+        return local_averaging_solution(problem, R).x
 
     run.__name__ = f"local_averaging_R{R}"
     return run

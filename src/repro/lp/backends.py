@@ -3,7 +3,7 @@
 HiGHS (``scipy.optimize._highspy._core``) is the only solver.  The
 backend name ``"scipy"`` (:data:`DEFAULT_BACKEND`) survives as data --
 scenario specs, request fingerprints and :class:`LPResult.backend` carry
-it -- and :func:`solve_lp` rejects any other name.  Sparse constraint
+it -- and :func:`check_backend` rejects any other name.  Sparse constraint
 matrices pass straight through to HiGHS, which stores the model sparsely
 anyway.
 
@@ -380,13 +380,6 @@ def _solve_scipy(lp: LinearProgram) -> LPResult:
     )
 
 
-def solve_lp(lp: LinearProgram, *, backend: str = DEFAULT_BACKEND) -> LPResult:
-    """Solve a :class:`LinearProgram` with HiGHS.
-
-    Raises
-    ------
-    SolverError
-        If ``backend`` is not :data:`DEFAULT_BACKEND`.
-    """
-    check_backend(backend)
+def solve_lp(lp: LinearProgram) -> LPResult:
+    """Solve a :class:`LinearProgram` with HiGHS."""
     return _solve_scipy(lp)

@@ -50,7 +50,7 @@ import scipy.sparse as sp
 from ..exceptions import SolverError
 from ..obs.statsutil import stats_as_dict
 from ..obs.trace import span
-from .backends import DEFAULT_BACKEND, call_highs, check_backend, solve_lp
+from .backends import call_highs, solve_lp
 from .standard import LinearProgram, LPResult, LPStatus
 
 __all__ = [
@@ -224,7 +224,7 @@ def _solve_stacked_chunk(
     # its own so every LP gets its exact status (and the good blocks their
     # true optima).
     stats.fallback_solves += len(lps)
-    return [solve_lp(lp, backend="scipy") for lp in lps]
+    return [solve_lp(lp) for lp in lps]
 
 
 # ----------------------------------------------------------------------
@@ -241,7 +241,6 @@ def _chunks(count: int, chunk_size: Optional[int]) -> List[Tuple[int, int]]:
 def solve_lp_batch(
     lps: Sequence[LinearProgram],
     *,
-    backend: str = DEFAULT_BACKEND,
     strategy: str = "stacked",
     chunk_size: Optional[int] = None,
     stats: Optional[BatchSolveStats] = None,
@@ -253,9 +252,6 @@ def solve_lp_batch(
     lps:
         The linear programs; an empty batch returns an empty list without
         touching any solver.
-    backend:
-        Must be ``"scipy"`` (:data:`~repro.lp.backends.DEFAULT_BACKEND`),
-        the HiGHS solver.
     strategy:
         One of :data:`BATCH_STRATEGIES`.  ``"stacked"`` (default) solves
         each chunk in one block-diagonal HiGHS call; ``"per-lp"``
@@ -273,8 +269,8 @@ def solve_lp_batch(
     Raises
     ------
     SolverError
-        Unknown backend/strategy, or a backend failure on the per-LP
-        fallback path (exactly as :func:`repro.lp.backends.solve_lp`).
+        Unknown strategy, or a solver failure on the per-LP fallback path
+        (exactly as :func:`repro.lp.backends.solve_lp`).
     """
     lps = list(lps)
     if stats is None:
@@ -288,9 +284,8 @@ def solve_lp_batch(
             f"unknown batch strategy {strategy!r}; expected one of "
             f"{BATCH_STRATEGIES}"
         )
-    check_backend(backend)
     if strategy == "per-lp":
-        return [solve_lp(lp, backend=backend) for lp in lps]
+        return [solve_lp(lp) for lp in lps]
 
     results: List[LPResult] = []
     for start, stop in _chunks(len(lps), chunk_size):

@@ -38,7 +38,7 @@ import scipy.sparse as sp
 
 from ..core.problem import Agent, MaxMinLP
 from ..exceptions import InfeasibleError, SolverError, UnboundedError
-from .backends import DEFAULT_BACKEND, call_highs, check_backend, solve_lp
+from .backends import DEFAULT_BACKEND, call_highs, solve_lp
 from .batch import BatchSolveStats, solve_lp_batch
 from .standard import LinearProgram, LPResult, LPStatus
 
@@ -65,7 +65,7 @@ class MaxMinSolveResult:
     x:
         Optimal activities keyed by agent.
     backend:
-        LP backend used.
+        LP backend used (always :data:`~repro.lp.backends.DEFAULT_BACKEND`).
     """
 
     objective: float
@@ -321,7 +321,6 @@ def _stack_maxmin_buffers(buffers_list: Sequence[Tuple]) -> Tuple[LinearProgram,
 def solve_maxmin_buffer_batch(
     buffers_list: Sequence[Tuple],
     *,
-    backend: str = DEFAULT_BACKEND,
     strategy: str = "per-lp",
     stats: Optional[BatchSolveStats] = None,
 ) -> List[Tuple[str, Optional[np.ndarray]]]:
@@ -345,7 +344,6 @@ def solve_maxmin_buffer_batch(
     if not buffers_list:
         return []
     if strategy == "stacked":
-        check_backend(backend)
         stats.batches += 1
         stats.lps += len(buffers_list)
         stats.stacked_calls += 1
@@ -367,20 +365,16 @@ def solve_maxmin_buffer_batch(
         # Exact-status fallback: re-solve each block alone.
         stats.fallback_solves += len(buffers_list)
         results = [
-            solve_lp(_stack_maxmin_buffers([buffers])[0], backend=backend)
+            solve_lp(_stack_maxmin_buffers([buffers])[0])
             for buffers in buffers_list
         ]
     else:
         lps = [_stack_maxmin_buffers([buffers])[0] for buffers in buffers_list]
-        results = solve_lp_batch(
-            lps, backend=backend, strategy=strategy, stats=stats
-        )
+        results = solve_lp_batch(lps, strategy=strategy, stats=stats)
     return [(result.status.value, result.x) for result in results]
 
 
-def _interpret_maxmin_result(
-    result: LPResult, *, backend: str
-) -> Tuple[float, np.ndarray]:
+def _interpret_maxmin_result(result: LPResult) -> Tuple[float, np.ndarray]:
     """Map an LP result of the reduction to ``(ω, x)``; raise on bad status."""
     if result.status is LPStatus.UNBOUNDED:
         raise UnboundedError("max-min LP reduction reported unbounded")
@@ -389,13 +383,13 @@ def _interpret_maxmin_result(
         # happen for a well-formed instance.
         raise InfeasibleError("max-min LP reduction reported infeasible")
     if not result.is_optimal or result.x is None:
-        raise SolverError(f"LP backend {backend!r} failed: {result.status}")
+        raise SolverError(
+            f"LP backend {DEFAULT_BACKEND!r} failed: {result.status}"
+        )
     return float(result.x[-1]), np.clip(result.x[:-1], 0.0, None)
 
 
-def solve_max_min(
-    problem: MaxMinLP, *, backend: str = DEFAULT_BACKEND
-) -> MaxMinSolveResult:
+def solve_max_min(problem: MaxMinLP) -> MaxMinSolveResult:
     """Solve ``problem`` exactly through the LP reduction.
 
     Raises
@@ -404,26 +398,24 @@ def solve_max_min(
         If the instance has no beneficiaries (``ω`` is unbounded above) --
         callers that allow this case should check ``n_beneficiaries`` first.
     SolverError
-        If the backend fails.
+        If HiGHS fails.
     """
     if problem.n_beneficiaries == 0:
         raise UnboundedError(
             "the max-min objective is unbounded when there are no beneficiaries"
         )
     if problem.n_agents == 0:
-        return MaxMinSolveResult(objective=0.0, x={}, backend=backend)
+        return MaxMinSolveResult(objective=0.0, x={}, backend=DEFAULT_BACKEND)
     lp = maxmin_to_lp(problem)
-    result = solve_lp(lp, backend=backend)
-    omega, x_vec = _interpret_maxmin_result(result, backend=backend)
+    omega, x_vec = _interpret_maxmin_result(solve_lp(lp))
     return MaxMinSolveResult(
-        objective=omega, x=problem.from_array(x_vec), backend=backend
+        objective=omega, x=problem.from_array(x_vec), backend=DEFAULT_BACKEND
     )
 
 
 def solve_max_min_batch(
     problems: Sequence[MaxMinLP],
     *,
-    backend: str = DEFAULT_BACKEND,
     strategy: str = "per-lp",
     chunk_size: Optional[int] = None,
     stats: Optional[BatchSolveStats] = None,
@@ -448,18 +440,20 @@ def solve_max_min_batch(
     lps = []
     for idx, problem in enumerate(problems):
         if problem.n_agents == 0:
-            outputs[idx] = MaxMinSolveResult(objective=0.0, x={}, backend=backend)
+            outputs[idx] = MaxMinSolveResult(
+                objective=0.0, x={}, backend=DEFAULT_BACKEND
+            )
         else:
             solve_indices.append(idx)
             lps.append(maxmin_to_lp(problem))
     results = solve_lp_batch(
-        lps, backend=backend, strategy=strategy, chunk_size=chunk_size, stats=stats
+        lps, strategy=strategy, chunk_size=chunk_size, stats=stats
     )
     for idx, result in zip(solve_indices, results):
         problem = problems[idx]
-        omega, x_vec = _interpret_maxmin_result(result, backend=backend)
+        omega, x_vec = _interpret_maxmin_result(result)
         outputs[idx] = MaxMinSolveResult(
-            objective=omega, x=problem.from_array(x_vec), backend=backend
+            objective=omega, x=problem.from_array(x_vec), backend=DEFAULT_BACKEND
         )
     return outputs  # type: ignore[return-value]
 
@@ -499,22 +493,20 @@ def _interpret_probe(result: LPResult) -> Tuple[bool, Optional[np.ndarray]]:
 
 
 def _packing_feasible_for_target(
-    problem: MaxMinLP, target: float, *, backend: str
+    problem: MaxMinLP, target: float
 ) -> Tuple[bool, Optional[np.ndarray]]:
     """Check whether some ``x ≥ 0`` has ``A x ≤ 1`` and ``C x ≥ target``.
 
     The check is itself an LP: minimise the maximum resource usage subject to
     the benefit constraints, then compare the optimum against 1.
     """
-    result = solve_lp(_packing_probe_lp(problem, target), backend=backend)
-    return _interpret_probe(result)
+    return _interpret_probe(solve_lp(_packing_probe_lp(problem, target)))
 
 
 def _packing_feasible_for_targets(
     problem: MaxMinLP,
     targets: Sequence[float],
     *,
-    backend: str,
     strategy: str,
     stats: Optional[BatchSolveStats] = None,
 ) -> List[Tuple[bool, Optional[np.ndarray]]]:
@@ -525,14 +517,13 @@ def _packing_feasible_for_targets(
     per-LP loop under ``strategy="per-lp"``).
     """
     lps = [_packing_probe_lp(problem, target) for target in targets]
-    results = solve_lp_batch(lps, backend=backend, strategy=strategy, stats=stats)
+    results = solve_lp_batch(lps, strategy=strategy, stats=stats)
     return [_interpret_probe(result) for result in results]
 
 
 def solve_max_min_bisection(
     problem: MaxMinLP,
     *,
-    backend: str = DEFAULT_BACKEND,
     tol: float = 1e-6,
     max_iter: int = 100,
     probes_per_round: int = 1,
@@ -568,7 +559,7 @@ def solve_max_min_bisection(
             "the max-min objective is unbounded when there are no beneficiaries"
         )
     if problem.n_agents == 0:
-        return MaxMinSolveResult(objective=0.0, x={}, backend=backend)
+        return MaxMinSolveResult(objective=0.0, x={}, backend=DEFAULT_BACKEND)
 
     # Upper bound on ω*: every party k can get at most
     # max_{v∈V_k} c_kv / max(a_iv over i) ... a simple safe upper bound is
@@ -589,7 +580,9 @@ def solve_max_min_bisection(
         raise UnboundedError("instance has an agent with no resource constraint")
     if upper <= 0.0:
         return MaxMinSolveResult(
-            objective=0.0, x={v: 0.0 for v in problem.agents}, backend=backend
+            objective=0.0,
+            x={v: 0.0 for v in problem.agents},
+            backend=DEFAULT_BACKEND,
         )
 
     lo, hi = 0.0, float(upper)
@@ -599,7 +592,7 @@ def solve_max_min_bisection(
             break
         if probes_per_round == 1:
             mid = 0.5 * (lo + hi)
-            ok, x = _packing_feasible_for_target(problem, mid, backend=backend)
+            ok, x = _packing_feasible_for_target(problem, mid)
             if ok and x is not None:
                 lo = mid
                 best_x = x
@@ -611,7 +604,7 @@ def solve_max_min_bisection(
                 lo + (hi - lo) * (j + 1) / (k + 1) for j in range(k)
             ]
             outcomes = _packing_feasible_for_targets(
-                problem, targets, backend=backend, strategy=strategy
+                problem, targets, strategy=strategy
             )
             # Feasibility is monotone decreasing in the target: find the
             # largest feasible probe (if any) and the smallest infeasible
@@ -628,5 +621,7 @@ def solve_max_min_bisection(
     # Report the objective actually achieved by the best feasible x found.
     achieved = problem.objective(best_x) if problem.n_beneficiaries else float("inf")
     return MaxMinSolveResult(
-        objective=float(achieved), x=problem.from_array(best_x), backend=backend
+        objective=float(achieved),
+        x=problem.from_array(best_x),
+        backend=DEFAULT_BACKEND,
     )

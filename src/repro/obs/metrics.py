@@ -2,7 +2,7 @@
 
 One :class:`MetricsRegistry` per process (or per service) replaces the
 ad-hoc stats scattered across ``engine.scheduler``, ``engine.cache``,
-``canon.planner`` and the HiGHS-call counter with one consistent naming
+``canon`` and the HiGHS-call counter with one consistent naming
 scheme: dotted instrument names (``engine.requests``, ``lp.highs.seconds``)
 that render to Prometheus text exposition with dots mapped to
 underscores and a ``repro_`` prefix.

@@ -7,7 +7,7 @@
    against the registry *before* solving anything (so a typo in the last
    grid cannot waste the first grid's work);
 2. **build** the instances and submit all reference optima to the shared
-   :class:`~repro.engine.BatchSolver` as one batch per backend — identical
+   :class:`~repro.engine.BatchSolver` as one batch — identical
    instances appearing in different scenarios are de-duplicated there, a
    pooled engine solves them concurrently, and a warm cache answers them
    without any LP work;
@@ -278,11 +278,6 @@ class SuiteRunner:
         not supplied; ``cache`` defaults to a purely in-memory
         :class:`~repro.engine.ResultCache` (pass one with a ``directory``
         for warm re-runs across processes).
-    share_orbits:
-        Run every local-averaging solve through the orbit fast path
-        (:mod:`repro.canon`): one local LP per view-equivalence class
-        instead of one per agent.  Results are bit-identical either way;
-        symmetric scenario families just finish sooner.
     lp_strategy / lp_chunk_size:
         Forwarded to :class:`~repro.engine.BatchSolver` when ``engine`` is
         not supplied: how each batch of cache-miss LPs reaches the solver
@@ -298,6 +293,9 @@ class SuiteRunner:
         (``"off"``/``"cached"``/``"all"``, see :mod:`repro.lp.verify`).
     """
 
+    #: Always False (the orbit planner is gone); provenance records read it.
+    share_orbits = False
+
     def __init__(
         self,
         *,
@@ -306,7 +304,6 @@ class SuiteRunner:
         max_workers: Optional[int] = None,
         cache: Optional[ResultCache] = None,
         registry: Optional[RunRegistry] = None,
-        share_orbits: bool = False,
         lp_strategy: str = "per-lp",
         lp_chunk_size: int = 64,
         verify: str = "off",
@@ -322,7 +319,6 @@ class SuiteRunner:
                 verify=verify,
             )
         self.engine = engine
-        self.share_orbits = share_orbits
 
     # ------------------------------------------------------------------
     # Expansion helpers
@@ -350,7 +346,7 @@ class SuiteRunner:
         """Run every scenario, yielding each result as soon as it is ready.
 
         The reference optima of *all* scenarios are submitted to the engine
-        first (one batch per distinct backend), so cross-scenario dedup, the
+        first, as one batch, so cross-scenario dedup, the
         warm cache and pooled execution apply to the heaviest LPs of the
         run; the per-scenario work then streams in declaration order.
 
@@ -373,16 +369,13 @@ class SuiteRunner:
         }
 
         with span("suite.optima", scenarios=len(fresh_ids)):
-            by_backend: Dict[str, List[int]] = {}
-            for idx in fresh_ids:
-                by_backend.setdefault(scenarios[idx].backend, []).append(idx)
-            optima: Dict[int, float] = {}
-            for backend, indices in by_backend.items():
-                batch = self.engine.solve_maxmin_batch(
-                    [problems[idx] for idx in indices], backend=backend
-                )
-                for idx, solved in zip(indices, batch):
-                    optima[idx] = float(solved.objective)
+            batch = self.engine.solve_maxmin_batch(
+                [problems[idx] for idx in fresh_ids]
+            )
+            optima: Dict[int, float] = {
+                idx: float(solved.objective)
+                for idx, solved in zip(fresh_ids, batch)
+            }
 
         for idx, spec in enumerate(scenarios):
             restored = completed.get(spec.scenario_id)
@@ -408,12 +401,7 @@ class SuiteRunner:
                 radius_results: List[RadiusResult] = []
                 for R in spec.radii:
                     averaged = local_averaging_solution(
-                        problem,
-                        R,
-                        backend=spec.backend,
-                        hypergraph=hypergraph,
-                        engine=self.engine,
-                        share_orbits=self.share_orbits,
+                        problem, R, hypergraph=hypergraph, engine=self.engine
                     )
                     radius_results.append(
                         RadiusResult(

@@ -32,6 +32,8 @@ family's generator raises :class:`~repro.exceptions.ConstructionError`)
 is a **422** ``construction_failed``: the failure is deterministic, so
 retrying cannot help.  Any other solve failure is a 500 ``solve_failed``,
 and anything unexpected is a 500 with the exception's one-line rendering.
+``POST /suite`` streams a failed scenario as an ``error`` record carrying
+the same type names and carries on with the next scenario.
 
 The server is :class:`http.server.ThreadingHTTPServer`-based: one thread
 per connection, which is exactly the concurrency the service's

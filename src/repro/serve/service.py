@@ -44,7 +44,7 @@ from ..engine.executor import VERIFY_MODES
 from ..engine.fingerprint import fingerprint_data
 from ..engine.jobs import RunRegistry
 from ..engine.scheduler import SOURCE_SOLVED, RequestScheduler, UnitFailure
-from ..exceptions import ScenarioError, VerificationError
+from ..exceptions import ConstructionError, ScenarioError, VerificationError
 from ..faults import inject as _inject
 from ..obs.metrics import get_registry, render_prometheus
 from ..obs.trace import Tracer, activate, stage_summary
@@ -109,9 +109,9 @@ def scenario_request_key(spec: ScenarioSpec, *, lp_strategy: str) -> str:
     already excludes the display label), plus the engine's ``lp_strategy``:
     the ``"stacked"`` path may return different equally-optimal vertices
     than ``"per-lp"``, so results produced under different strategies must
-    never answer each other's requests.  ``share_orbits`` and execution
-    mode are deliberately *not* part of the key -- they are bit-identical
-    accelerations of the same computation.
+    never answer each other's requests.  The execution mode is
+    deliberately *not* part of the key -- serial and pooled engines return
+    bit-identical results.
     """
     return fingerprint_data(
         {
@@ -132,7 +132,7 @@ class SolverService:
         A ready :class:`~repro.scenarios.runner.SuiteRunner` to solve cache
         misses with.  When omitted, one is built from the remaining
         parameters.
-    mode / max_workers / lp_strategy / lp_chunk_size / share_orbits:
+    mode / max_workers / lp_strategy / lp_chunk_size:
         Forwarded to the runner's :class:`~repro.engine.BatchSolver` when
         ``runner`` is not supplied.
     cache_dir:
@@ -179,7 +179,6 @@ class SolverService:
         cache_dir: Optional[Union[str, Path]] = None,
         lp_strategy: str = "per-lp",
         lp_chunk_size: int = 64,
-        share_orbits: bool = False,
         max_memory_entries: int = 4096,
         deadline_s: Optional[float] = None,
         max_inflight: Optional[int] = None,
@@ -203,7 +202,6 @@ class SolverService:
                 max_workers=max_workers,
                 cache=engine_cache,
                 registry=RunRegistry(),
-                share_orbits=share_orbits,
                 lp_strategy=lp_strategy,
                 lp_chunk_size=lp_chunk_size,
                 verify=verify,
@@ -610,7 +608,10 @@ class SolverService:
         Failure containment: a scenario that fails (or runs past
         ``deadline_s``) yields one structured ``{"type": "error", ...}``
         record and the stream *continues* -- one poisoned scenario never
-        costs the caller the rest of the suite.
+        costs the caller the rest of the suite.  The record's error type
+        matches ``POST /solve``'s: ``deadline_exceeded``,
+        ``construction_failed`` (the instance cannot be built) or
+        ``solve_failed``.
         """
         suite, scenarios = self.parse_suite(text)
         with self._metrics_lock:
@@ -627,17 +628,16 @@ class SolverService:
                 except (ScenarioSolveError, DeadlineExceeded) as exc:
                     counts["failed"] += 1
                     self.count_error()
+                    if isinstance(exc, DeadlineExceeded):
+                        error_type = "deadline_exceeded"
+                    elif isinstance(exc.cause, ConstructionError):
+                        error_type = "construction_failed"
+                    else:
+                        error_type = "solve_failed"
                     yield {
                         "type": "error",
                         "scenario_id": spec.scenario_id,
-                        "error": {
-                            "type": (
-                                "deadline_exceeded"
-                                if isinstance(exc, DeadlineExceeded)
-                                else "solve_failed"
-                            ),
-                            "message": str(exc),
-                        },
+                        "error": {"type": error_type, "message": str(exc)},
                     }
                     continue
                 counts[envelope["source"]] += 1

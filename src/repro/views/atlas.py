@@ -95,7 +95,7 @@ class ViewAtlas:
     Construct with :meth:`from_problem` (all radius-``R`` balls) or
     :meth:`from_views` (an explicit view mapping).  All heavy work is lazy:
     the structure arrays materialise on first use and are reused by every
-    consumer (canonical forms, local solution assembly, equality helpers).
+    consumer (canonical forms, sub-instances, equality helpers).
     """
 
     def __init__(
@@ -116,7 +116,6 @@ class ViewAtlas:
         self._views: Optional[Dict[Agent, FrozenSet[Agent]]] = None
         self._forms: Optional[Dict[Agent, "CanonicalForm"]] = None
         self._forms_index = None
-        self._agent_positions_by_row: Optional[List[np.ndarray]] = None
         self._membership_counts: Optional[sp.csr_matrix] = None
         self._root_index: Optional[Dict[Agent, int]] = None
 
@@ -605,7 +604,6 @@ class ViewAtlas:
             groups.setdefault(signature, []).append(row)
 
         forms: List[Optional["CanonicalForm"]] = [None] * n_rows
-        agent_positions: List[Optional[np.ndarray]] = [None] * n_rows
         group_rows = list(groups.values())
         reps = [rows[0] for rows in group_rows]
         stable_by_rep = dict(zip(reps, self._batch_stable_colors(reps)))
@@ -614,28 +612,22 @@ class ViewAtlas:
             form, positions = self._canonicalize_row(
                 rep, index, stable=stable_by_rep[rep]
             )
-            n_agents = form.n_agents
             forms[rep] = form
-            agent_positions[rep] = positions[:n_agents]
             if form.exact:
                 for row in rows[1:]:
                     forms[row] = self._member_form(row, form, positions)
-                    agent_positions[row] = positions[:n_agents]
             else:
                 # Literal-fallback keys embed the identifiers themselves;
                 # every member must derive its own (still deterministic)
                 # labeling.  Same structure arrays, so the representative's
                 # stable colouring applies verbatim.
                 for row in rows[1:]:
-                    member_form, member_positions = self._canonicalize_row(
+                    forms[row], _ = self._canonicalize_row(
                         row, index, stable=stable_by_rep[rep]
                     )
-                    forms[row] = member_form
-                    agent_positions[row] = member_positions[:n_agents]
 
         self._forms = dict(zip(self.roots, forms))
         self._forms_index = index
-        self._agent_positions_by_row = agent_positions
         return self._forms
 
     def _canonicalize_row(
@@ -696,33 +688,4 @@ class ViewAtlas:
             consumption=template.consumption,
             benefit=template.benefit,
             exact=True,
-        )
-
-    # ------------------------------------------------------------------
-    # Batch solution assembly
-    # ------------------------------------------------------------------
-    def local_solution_matrix(
-        self, canonical_x_by_key: Mapping[str, np.ndarray]
-    ) -> sp.csr_matrix:
-        """Every view's local solution as one ``(n_views, n_agents)`` matrix.
-
-        ``canonical_x_by_key`` maps each orbit's canonical key to the solved
-        canonical solution *vector* (indexed by canonical agent position).
-        Row ``u`` of the result is the pulled-back local solution ``x^u``
-        over the instance's agent columns — the dense-per-view equivalent of
-        calling :meth:`~repro.canon.labeling.CanonicalForm.pull_back` for
-        every agent, without building ``n`` dictionaries.
-        """
-        if self._forms is None or self._agent_positions_by_row is None:
-            raise RuntimeError("canonical_forms() must run before assembly")
-        P_indptr = self.membership.indptr
-        data = np.empty(self.membership.nnz, dtype=np.float64)
-        for row, root in enumerate(self.roots):
-            vector = canonical_x_by_key[self._forms[root].key]
-            data[P_indptr[row]: P_indptr[row + 1]] = vector[
-                self._agent_positions_by_row[row]
-            ]
-        return sp.csr_matrix(
-            (data, self._sorted_cols.copy(), P_indptr),
-            shape=self.membership.shape,
         )

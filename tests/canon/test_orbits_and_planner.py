@@ -1,8 +1,6 @@
-"""Tests for view-orbit partitioning and the orbit solve planner."""
+"""Tests for view-orbit partitioning and per-orbit solve sharing."""
 
 from __future__ import annotations
-
-import math
 
 import pytest
 
@@ -13,9 +11,6 @@ from repro import (
     local_averaging_solution,
     partition_views,
 )
-from repro.canon import orbit_solve_local_lps
-from repro.generators import cycle_instance
-from repro.hypergraph.communication import communication_hypergraph
 
 
 class TestPartitionViews:
@@ -63,101 +58,11 @@ class TestPartitionViews:
         ]
 
 
-class TestOrbitPlanner:
-    @pytest.mark.parametrize(
-        "factory",
-        [
-            lambda: grid_instance((5, 5), torus=True),
-            lambda: grid_instance((5, 5)),
-            lambda: cycle_instance(10),
-        ],
-    )
-    def test_outcomes_bit_identical_to_engine_path(self, factory):
-        problem = factory()
-        H = communication_hypergraph(problem)
-        views = {u: H.ball(u, 2) for u in problem.agents}
-        engine = BatchSolver()
-        direct = engine.solve_local_lps(problem, views)
-        shared, stats = orbit_solve_local_lps(
-            problem, views, 2, engine=BatchSolver()
-        )
-        assert stats.n_agents == problem.n_agents
-        assert stats.n_orbits <= problem.n_agents
-        for u in problem.agents:
-            assert shared[u].x == direct[u].x
-            assert shared[u].objective == direct[u].objective
-
-    def test_rejects_non_positive_radius(self, cycle8):
-        H = communication_hypergraph(cycle8)
-        views = {u: H.ball(u, 1) for u in cycle8.agents}
-        with pytest.raises(ValueError, match="radius"):
-            orbit_solve_local_lps(cycle8, views, 0)
-
+class TestSolveSharing:
     def test_distinct_solve_count_collapses_on_torus(self):
+        # The engine keys local LPs by canonical form, so the default path
+        # solves exactly one LP per view orbit.
         problem = grid_instance((8, 8), torus=True)
         engine = BatchSolver(cache=ResultCache())
-        result = local_averaging_solution(
-            problem, 2, engine=engine, share_orbits=True
-        )
-        assert engine.stats.executed == 1
-        assert result.orbit_stats == {
-            "n_agents": 64,
-            "n_orbits": 1,
-            "shared": 63,
-            "sharing_factor": 64.0,
-            "inexact_orbits": 0,
-        }
-
-    def test_share_orbits_bit_identical_averaging(self):
-        for problem, R in [
-            (grid_instance((6, 6), torus=True), 2),
-            (grid_instance((5, 5)), 1),
-            (cycle_instance(12), 2),
-        ]:
-            plain = local_averaging_solution(problem, R, engine=BatchSolver())
-            shared = local_averaging_solution(
-                problem, R, engine=BatchSolver(), share_orbits=True
-            )
-            assert shared.x == plain.x
-            assert shared.objective == plain.objective
-            assert shared.local_objectives == plain.local_objectives
-            assert shared.beta == plain.beta
-            assert plain.orbit_stats is None
-            assert shared.orbit_stats is not None
-
-    def test_share_orbits_on_random_instance(self, random_instance):
-        plain = local_averaging_solution(random_instance, 1, engine=BatchSolver())
-        shared = local_averaging_solution(
-            random_instance, 1, engine=BatchSolver(), share_orbits=True
-        )
-        assert shared.x == plain.x
-        assert shared.objective == plain.objective
-
-    def test_accepts_view_subsets_like_the_engine_path(self, cycle8):
-        # solve_local_lps accepts any view mapping, not just all-agents;
-        # the planner (and partition_views) must mirror that.
-        H = communication_hypergraph(cycle8)
-        subset = dict(
-            (u, H.ball(u, 1)) for u in list(cycle8.agents)[:3]
-        )
-        direct = BatchSolver().solve_local_lps(cycle8, subset)
-        shared, stats = orbit_solve_local_lps(
-            cycle8, subset, 1, engine=BatchSolver()
-        )
-        assert stats.n_agents == 3
-        assert set(shared) == set(subset)
-        for u in subset:
-            assert shared[u].x == direct[u].x
-
-    def test_vacuous_views_share_correctly(self):
-        # Single-agent views have no complete beneficiary support: the
-        # planner must pull back all-zero solutions with objective inf.
-        problem = cycle_instance(6)
-        views = {u: frozenset({u}) for u in problem.agents}
-        outcomes, stats = orbit_solve_local_lps(
-            problem, views, 1, engine=BatchSolver()
-        )
-        assert stats.n_orbits == 1
-        for u in problem.agents:
-            assert outcomes[u].x == {u: 0.0}
-            assert outcomes[u].objective == math.inf
+        local_averaging_solution(problem, 2, engine=engine)
+        assert engine.stats.executed == partition_views(problem, 2).n_orbits == 1

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro import (
     BatchSolver,
     ResultCache,
+    cycle_instance,
     grid_instance,
     local_averaging_solution,
 )
@@ -101,12 +104,28 @@ class TestCanonicalLocalSolves:
         assert engine_large.stats.executed == 0
         assert engine_large.cache.stats.disk_hits >= 1
 
-    def test_share_orbits_and_engine_path_share_cache_entries(self):
-        problem = grid_instance((5, 5), torus=True)
-        cache = ResultCache()
-        engine = BatchSolver(cache=cache)
-        local_averaging_solution(problem, 1, engine=engine, share_orbits=True)
-        executed_after_orbit_run = engine.stats.executed
-        local_averaging_solution(problem, 1, engine=engine, share_orbits=False)
-        # The per-agent path found every canonical LP already cached.
-        assert engine.stats.executed == executed_after_orbit_run
+    def test_accepts_view_subsets(self, cycle8):
+        # Any view mapping is a valid batch, not just one view per agent.
+        H = communication_hypergraph(cycle8)
+        everyone = {u: H.ball(u, 1) for u in cycle8.agents}
+        subset = {u: everyone[u] for u in list(cycle8.agents)[:3]}
+        full = BatchSolver().solve_local_lps(cycle8, everyone)
+        partial = BatchSolver().solve_local_lps(cycle8, subset)
+        assert set(partial) == set(subset)
+        for u in subset:
+            assert partial[u].x == full[u].x
+            assert partial[u].objective == full[u].objective
+
+    def test_vacuous_views_share_one_solve(self):
+        # Single-agent views have no complete beneficiary support: every
+        # agent gets the all-zero solution with objective inf, from one
+        # canonical request.
+        problem = cycle_instance(6)
+        views = {u: frozenset({u}) for u in problem.agents}
+        engine = BatchSolver()
+        outcomes = engine.solve_local_lps(problem, views)
+        assert engine.stats.executed == 1
+        assert engine.stats.dedup_saved == problem.n_agents - 1
+        for u in problem.agents:
+            assert outcomes[u].x == {u: 0.0}
+            assert outcomes[u].objective == math.inf

@@ -23,7 +23,6 @@ from repro import (
     safe_value,
     safe_values_array,
 )
-from repro.exceptions import SolverError
 from repro.lp import count_highs_calls
 from repro.scenarios.registry import build_instance, list_families
 from repro.scenarios.spec import ScenarioSpec
@@ -146,16 +145,6 @@ class TestStackedEngine:
         warm = local_averaging_solution(weighted_grid, 1, engine=second)
         assert second.stats.executed == 0
         assert warm.x == cold.x
-
-    @pytest.mark.parametrize("strategy", ["per-lp", "stacked"])
-    def test_unknown_backend_fails_under_every_strategy(
-        self, weighted_grid, strategy
-    ):
-        # HiGHS is the only solver: no strategy quietly solves a request
-        # for another backend with it.
-        engine = BatchSolver(cache=ResultCache(), lp_strategy=strategy)
-        with pytest.raises(SolverError, match="unknown LP backend"):
-            engine.solve_maxmin(weighted_grid, backend="simplex")
 
 
 class TestSharedCanonIndex:

@@ -157,19 +157,11 @@ class TestStrategies:
         for a, b in zip(default, stacked):
             np.testing.assert_array_equal(a.x, b.x)
 
-    def test_strategy_backend_mismatch(self):
-        with pytest.raises(SolverError, match="unknown LP backend"):
-            solve_lp_batch([_optimal_lp()], backend="simplex", strategy="stacked")
-
     def test_unknown_strategy(self):
         # "grouped" and "auto" were strategies of the removed simplex solver.
         for strategy in ("quantum", "grouped", "auto"):
             with pytest.raises(SolverError, match="unknown batch strategy"):
                 solve_lp_batch([_optimal_lp()], strategy=strategy)
-
-    def test_unknown_backend_on_per_lp(self):
-        with pytest.raises(SolverError):
-            solve_lp_batch([_optimal_lp()], backend="nope", strategy="per-lp")
 
 
 class TestSparseLinearProgram:
@@ -209,8 +201,8 @@ class TestSparseLinearProgram:
             b_ub=lp_sparse.b_ub,
             bounds=lp_sparse.bounds,
         )
-        a = solve_lp(lp_sparse, backend="scipy")
-        b = solve_lp(lp_dense, backend="scipy")
+        a = solve_lp(lp_sparse)
+        b = solve_lp(lp_dense)
         np.testing.assert_array_equal(a.x, b.x)
 
 
@@ -315,7 +307,6 @@ class TestMaxMinBatch:
         bad = CompiledMaxMin.from_triples(1, 0, 1, [], [(0, 0, 1.0)])
         out = solve_maxmin_buffer_batch(
             [good.to_buffers(), bad.to_buffers()],
-            backend="scipy",
             strategy="stacked",
         )
         assert out[0][0] == LPStatus.OPTIMAL.value

@@ -246,6 +246,34 @@ class TestFailureContainment:
         assert summary["sources"]["solved"] == 1
         assert plan.injected() == 1
 
+    def test_suite_stream_labels_a_construction_failure(self):
+        """A scenario whose instance cannot be built streams the same
+        ``construction_failed`` type ``POST /solve`` answers with 422."""
+        suite = SuiteSpec.from_dict(
+            {
+                "name": "construction-suite",
+                "grids": [
+                    {
+                        "family": "random_regular_bipartite",
+                        "params": {"n_side": [16], "degree": [4]},
+                        "seeds": [0],
+                        "radii": [1],
+                    },
+                    {"family": "cycle", "params": {"n": [8]}, "radii": [1]},
+                ],
+            }
+        )
+        with SolverService() as service:
+            records = list(service.iter_suite_json(suite.to_json()))
+        assert [record["type"] for record in records] == [
+            "error",
+            "result",
+            "summary",
+        ]
+        assert records[0]["error"]["type"] == "construction_failed"
+        assert "ConstructionError" in records[0]["error"]["message"]
+        assert records[2]["sources"]["failed"] == 1
+
     def test_service_level_failure_carries_the_cause(self):
         with SolverService() as service:
             plan = FaultPlan(

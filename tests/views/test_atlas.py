@@ -142,20 +142,20 @@ class TestBatchCanonicalForms:
 
 class TestVectorizedAveraging:
     @pytest.mark.parametrize("problem,R", FAMILIES)
-    @pytest.mark.parametrize("share_orbits", [False, True])
-    def test_bit_identical_to_scalar_path(self, problem, R, share_orbits):
+    @pytest.mark.parametrize("keep_local_solutions", [False, True])
+    def test_bit_identical_to_scalar_path(self, problem, R, keep_local_solutions):
         fast = local_averaging_solution(
             problem,
             R,
             engine=BatchSolver(),
-            share_orbits=share_orbits,
+            keep_local_solutions=keep_local_solutions,
             vectorized=True,
         )
         slow = local_averaging_solution(
             problem,
             R,
             engine=BatchSolver(),
-            share_orbits=share_orbits,
+            keep_local_solutions=keep_local_solutions,
             vectorized=False,
         )
         assert fast.x == slow.x
@@ -166,6 +166,7 @@ class TestVectorizedAveraging:
         assert fast.resource_ratio == slow.resource_ratio
         assert fast.beneficiary_ratio == slow.beneficiary_ratio
         assert fast.proven_ratio_bound == slow.proven_ratio_bound
+        assert fast.local_solutions == slow.local_solutions
 
     def test_keep_local_solutions_matches_scalar(self):
         problem = grid_instance((4, 4), torus=True)
@@ -173,7 +174,6 @@ class TestVectorizedAveraging:
             problem,
             2,
             engine=BatchSolver(),
-            share_orbits=True,
             vectorized=True,
             keep_local_solutions=True,
         )
@@ -181,7 +181,6 @@ class TestVectorizedAveraging:
             problem,
             2,
             engine=BatchSolver(),
-            share_orbits=True,
             vectorized=False,
             keep_local_solutions=True,
         )
