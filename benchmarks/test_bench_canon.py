@@ -15,11 +15,13 @@ acceptance criteria:
 * **random 3-regular bipartite** (R=1): locally tree-like, collapsing to
   the few local tree shapes.
 
-The baseline is the engine's non-canonical path (``canonical_local=False``)
-— exactly the pre-canon behaviour: one compiled, fingerprinted and solved
-LP per agent.  Correctness is asserted alongside timing (objectives agree
-to solver tolerance; the canonical path is bit-identical to the scalar
-per-agent reference, which the unit tests cover exhaustively).
+The baseline is a per-agent loop inside this file — exactly the pre-canon
+behaviour: one local sub-instance built and solved per agent
+(``solve_max_min(problem.local_subproblem(H.ball(u, R)))``).  HiGHS calls
+are counted on both sides: the baseline makes one per agent, the shared
+path one per orbit.  Correctness is asserted alongside timing (objectives
+agree to solver tolerance; the canonical path is bit-identical to the
+scalar per-agent reference, which the unit tests cover exhaustively).
 
 Set ``REPRO_BENCH_QUICK=1`` for the CI smoke variant (smaller instances)
 and ``REPRO_BENCH_OUT=<path>`` to write the measured rows as JSON — the
@@ -38,8 +40,16 @@ from pathlib import Path
 
 import pytest
 
-from repro import BatchSolver, ResultCache, grid_instance, local_averaging_solution
+from repro import (
+    BatchSolver,
+    ResultCache,
+    communication_hypergraph,
+    grid_instance,
+    local_averaging_solution,
+)
 from repro.canon import partition_views
+from repro.lp.backends import count_highs_calls
+from repro.lp.maxmin import solve_max_min
 from repro.scenarios.registry import build_instance
 from repro.scenarios.spec import ScenarioSpec
 
@@ -66,45 +76,52 @@ FAMILIES = {
 }
 
 
+def _per_agent_local_objectives(problem, R):
+    """The pre-canon baseline: build and solve every agent's local LP."""
+    H = communication_hypergraph(problem)
+    return {
+        u: solve_max_min(problem.local_subproblem(H.ball(u, R))).objective
+        for u in problem.agents
+    }
+
+
 @pytest.fixture(scope="session")
 def measurements():
     """One timed (baseline, shared) pair per family; reused by every test."""
     rows = {}
     for label, (problem, R) in FAMILIES.items():
-        baseline_engine = BatchSolver(cache=ResultCache(), canonical_local=False)
-        start = time.perf_counter()
-        baseline = local_averaging_solution(problem, R, engine=baseline_engine)
-        baseline_seconds = time.perf_counter() - start
+        with count_highs_calls() as baseline_calls:
+            start = time.perf_counter()
+            baseline = _per_agent_local_objectives(problem, R)
+            baseline_seconds = time.perf_counter() - start
 
         shared_engine = BatchSolver(cache=ResultCache())
-        start = time.perf_counter()
-        shared = local_averaging_solution(problem, R, engine=shared_engine)
-        shared_seconds = time.perf_counter() - start
+        with count_highs_calls() as shared_calls:
+            start = time.perf_counter()
+            shared = local_averaging_solution(problem, R, engine=shared_engine)
+            shared_seconds = time.perf_counter() - start
 
         # The local LP *values* are unique optima — they must agree across
         # paths to solver precision.  (The solution vectors may differ: a
         # degenerate local LP has many optimal vertices and the canonical
-        # column order picks its own; x̃ then differs too, which is why the
-        # bit-identity guarantee is stated against the canonical per-agent
-        # path, not this legacy baseline.)
+        # column order picks its own.)
         for u in problem.agents:
             assert shared.local_objectives[u] == pytest.approx(
-                baseline.local_objectives[u], abs=1e-7
+                baseline[u], abs=1e-7
             )
         assert problem.is_feasible(problem.to_array(shared.x), tol=1e-7)
-        assert problem.is_feasible(problem.to_array(baseline.x), tol=1e-7)
 
         rows[label] = {
             "family": label,
             "n_agents": problem.n_agents,
             "R": R,
-            "baseline_solves": baseline_engine.stats.executed,
+            "baseline_solves": baseline_calls.calls,
             "shared_solves": shared_engine.stats.executed,
+            "shared_highs_calls": shared_calls.calls,
             "n_orbits": partition_views(problem, R).n_orbits,
             "baseline_seconds": round(baseline_seconds, 4),
             "shared_seconds": round(shared_seconds, 4),
             "speedup": round(baseline_seconds / shared_seconds, 2),
-            "baseline_objective": baseline.objective,
             "shared_objective": shared.objective,
         }
     return rows
@@ -125,7 +142,11 @@ def test_canon_solve_collapse_and_speedup(measurements, report):
     )
     torus = measurements["torus"]
     assert torus["shared_solves"] <= 5, "torus must collapse to <= 5 solves"
-    assert torus["baseline_solves"] == torus["n_agents"]
+    for row in measurements.values():
+        # Exact solver traffic: one HiGHS call per agent before, one per
+        # orbit after.
+        assert row["baseline_solves"] == row["n_agents"], row
+        assert row["shared_highs_calls"] == row["n_orbits"], row
     if not QUICK:
         assert torus["n_agents"] == 900
         assert torus["speedup"] >= 5.0, (

@@ -976,14 +976,6 @@ class CanonicalIndex:
             exact=True,
         )
 
-    def canonical_form_of_problem(self, problem: MaxMinLP) -> CanonicalForm:
-        """Shortcut for compiled (sub-)instances."""
-        return self.canonical_form(
-            problem.agents,
-            ((i, v, value) for (i, v), value in problem.consumption_items()),
-            ((k, v, value) for (k, v), value in problem.benefit_items()),
-        )
-
     # ------------------------------------------------------------------
     @staticmethod
     def _invariant_key(canonicalizer: _Canonicalizer, stable: np.ndarray) -> Tuple:

@@ -272,11 +272,9 @@ def local_averaging_solution(
         :func:`repro.engine.get_default_engine`.  The engine keys every
         local LP by its canonical form (:mod:`repro.canon`), so agents with
         isomorphic views share one solve.  Results are bit-identical across
-        execution modes, worker counts and cache states.  Two engine
-        configurations may pick different (equally optimal) local LP
-        vertices, and hence a different ``x̃``: the legacy
-        ``BatchSolver(canonical_local=False)`` path, whose solver sees
-        differently ordered matrices, and ``lp_strategy="stacked"``, whose
+        execution modes, worker counts and cache states.  An engine with
+        ``lp_strategy="stacked"`` may pick different (equally optimal)
+        local LP vertices, and hence a different ``x̃``: its
         block-diagonal HiGHS call chooses vertices that depend on the
         batch composition.
     vectorized:
@@ -407,9 +405,7 @@ def _local_averaging_scalar(
     One BFS ball, one local-LP canonicalisation and one set-arithmetic pass
     per agent.  Kept callable so the equality tests and the speedup
     benchmarks can compare against it; the step 3 sums run in ascending
-    agent-position order, the same order the vectorized path uses.  Its
-    local LPs are always keyed by canonical form, whatever the engine's
-    ``canonical_local`` setting.
+    agent-position order, the same order the vectorized path uses.
     """
     from ..canon.labeling import view_local_structure
 

@@ -29,14 +29,12 @@ solves from the analysis sweeps — and it
 Execution mode never changes the numbers: results are produced by the same
 backend on the same canonical subproblems in the same deterministic chunks,
 so serial, pooled and cache-warm runs return bit-identical objectives (the
-test suite asserts this).  Two knobs *do* select among equally optimal
-vertices: ``canonical_local`` (the default canonical path and the legacy
-raw path hand the solver differently ordered isomorphic matrices) and
-``lp_strategy`` (the opt-in ``"stacked"`` strategy solves whole chunks in
-one block-diagonal HiGHS call, whose vertex choice on degenerate LPs
-depends on batch composition; the default ``"per-lp"`` is bit-identical to
-the historical per-call engine).  Optimal *values* agree across all of
-them to solver tolerance.
+test suite asserts this).  One knob *does* select among equally optimal
+vertices: ``lp_strategy`` (the opt-in ``"stacked"`` strategy solves whole
+chunks in one block-diagonal HiGHS call, whose vertex choice on degenerate
+LPs depends on batch composition; the default ``"per-lp"`` is
+bit-identical to the historical per-call engine).  Optimal *values* agree
+across both to solver tolerance.
 
 A process-wide default engine (serial, in-memory cache) is available via
 :func:`get_default_engine`; the algorithm entry points use it when no
@@ -91,9 +89,7 @@ from ..obs.trace import Tracer, activate, capture_context, get_tracer, span
 from .cache import ResultCache
 from .fingerprint import (
     fingerprint_canonical_requests,
-    fingerprint_instance,
     fingerprint_request,
-    fingerprint_view_requests,
 )
 from .jobs import RunRegistry
 from .scheduler import RequestScheduler, UnitFailure
@@ -359,6 +355,10 @@ class BatchSolver:
         registry.
     """
 
+    #: Every local LP is keyed by its canonical form; a constant, read by
+    #: the benchmark's provenance record.
+    canonical_local = True
+
     def __init__(
         self,
         *,
@@ -366,7 +366,6 @@ class BatchSolver:
         max_workers: Optional[int] = None,
         cache: Optional[ResultCache] = None,
         registry: Optional[RunRegistry] = None,
-        canonical_local: bool = True,
         lp_strategy: str = "per-lp",
         lp_chunk_size: int = 64,
         canon_index=None,
@@ -391,7 +390,6 @@ class BatchSolver:
             )
         self.mode = mode
         self.max_workers = max_workers
-        self.canonical_local = canonical_local
         self.lp_strategy = lp_strategy
         self.lp_chunk_size = lp_chunk_size
         self.verify = verify
@@ -821,55 +819,6 @@ class BatchSolver:
         objective = unit.compiled.objective(activities)
         return {"x": solution_to_dict(x), "objective": float(objective)}
 
-    def solve_subproblems(
-        self,
-        subproblems: Sequence[MaxMinLP],
-    ) -> List[LocalLPOutcome]:
-        """Solve a batch of local LPs (paper eq. 9), one per subproblem.
-
-        With ``canonical_local`` (the default) every subproblem is first
-        canonicalised (:mod:`repro.canon`): the solver sees the canonical
-        LP, the cache is keyed by the canonical content key — shared across
-        isomorphic views and isomorphic *instances* — and the solved vector
-        is pulled back into the subproblem's own agent names.  Isomorphic
-        subproblems therefore collapse to one solve even when their
-        identifiers differ, and the numbers are identical whichever member
-        of the class triggered the solve.
-
-        Subproblems with no complete beneficiary support get the all-zero
-        solution with objective ``inf``, matching the vacuous local LP.
-        """
-        problems = list(subproblems)
-        if self.canonical_local:
-            index = self.canon_index()
-            forms = [index.canonical_form_of_problem(sub) for sub in problems]
-            canonical = self.solve_canonical_local_lps(forms)
-            return [
-                LocalLPOutcome(
-                    x=form.pull_back(outcome.x), objective=outcome.objective
-                )
-                for form, outcome in zip(forms, canonical)
-            ]
-        params = self._request_params()
-        keys = [
-            fingerprint_request(
-                problem, "local_lp", backend=DEFAULT_BACKEND, params=params
-            )
-            for problem in problems
-        ]
-        payloads = self._run_requests(
-            keys,
-            [lambda problem=problem: problem for problem in problems],
-            kind="local_lp",
-        )
-        return [
-            LocalLPOutcome(
-                x=solution_from_dict(payload["x"]),
-                objective=float(payload["objective"]),
-            )
-            for payload in payloads
-        ]
-
     def solve_canonical_local_lps(
         self,
         forms: Sequence["CanonicalForm"],
@@ -913,65 +862,30 @@ class BatchSolver:
     ) -> Dict[Agent, LocalLPOutcome]:
         """Solve the local LP of every view ``V^u`` of ``problem``.
 
-        This is step 1 of the Section 5 algorithm as a single batch.  On
-        the canonical path the views run through the batch canonicalisation
-        pipeline (:mod:`repro.views`) — no per-agent sub-instance is ever
-        compiled; only the cache-miss canonical representatives
-        materialise.  A pre-built :class:`~repro.views.ViewAtlas` over the
-        same views may be passed to reuse its extraction work; ``views``
-        may then be omitted (the atlas rows are the views).
-
-        On the legacy literal path (``canonical_local=False``) each
-        request is keyed by the *base* instance fingerprint — hashed once
-        per batch — plus the view's agent set (the whole key batch is
-        rendered from one request template,
-        :func:`repro.engine.fingerprint.fingerprint_view_requests`);
-        subproblems are built lazily, for cache misses only, through the
-        atlas's sliced extraction when one is supplied (identical
-        sub-instances either way — the views property tests assert it).
+        This is step 1 of the Section 5 algorithm as a single batch.  The
+        views run through the batch canonicalisation pipeline
+        (:mod:`repro.views`) — no per-agent sub-instance is ever compiled;
+        only the cache-miss canonical representatives materialise, and
+        each view pulls its canonical solution back into its own agent
+        names.  A pre-built :class:`~repro.views.ViewAtlas` over the same
+        views may be passed to reuse its extraction work; ``views`` may
+        then be omitted (the atlas rows are the views).
         """
-        if views is None:
-            if atlas is None:
+        if atlas is None:
+            if views is None:
                 raise TypeError("solve_local_lps needs views or an atlas")
-            agents = list(atlas.roots)
-        else:
-            agents = list(views)
-        if self.canonical_local:
             from ..views.atlas import ViewAtlas
 
-            if atlas is None:
-                atlas = ViewAtlas.from_views(problem, views)
-            forms_by_root = atlas.canonical_forms(self.canon_index())
-            forms = [forms_by_root[u] for u in agents]
-            canonical = self.solve_canonical_local_lps(forms)
-            return {
-                u: LocalLPOutcome(
-                    x=form.pull_back(outcome.x), objective=outcome.objective
-                )
-                for u, form, outcome in zip(agents, forms, canonical)
-            }
-        if views is None:
-            views = atlas.views()
-        base_fingerprint = fingerprint_instance(problem)
-        keys = fingerprint_view_requests(
-            base_fingerprint,
-            [sorted(map(repr, views[u])) for u in agents],
-            backend=DEFAULT_BACKEND,
-            extra_params=self._request_params(),
-        )
-        if atlas is not None:
-            builders = [lambda u=u: atlas.subproblem(u) for u in agents]
-        else:
-            builders = [
-                lambda u=u: problem.local_subproblem(views[u]) for u in agents
-            ]
-        payloads = self._run_requests(keys, builders, kind="local_lp")
+            atlas = ViewAtlas.from_views(problem, views)
+        agents = list(atlas.roots) if views is None else list(views)
+        forms_by_root = atlas.canonical_forms(self.canon_index())
+        forms = [forms_by_root[u] for u in agents]
+        canonical = self.solve_canonical_local_lps(forms)
         return {
             u: LocalLPOutcome(
-                x=solution_from_dict(payload["x"]),
-                objective=float(payload["objective"]),
+                x=form.pull_back(outcome.x), objective=outcome.objective
             )
-            for u, payload in zip(agents, payloads)
+            for u, form, outcome in zip(agents, forms, canonical)
         }
 
     def solve_maxmin(self, problem: MaxMinLP) -> MaxMinSolveResult:

@@ -45,7 +45,6 @@ __all__ = [
     "fingerprint_data",
     "fingerprint_instance",
     "fingerprint_request",
-    "fingerprint_view_requests",
 ]
 
 #: Bumped whenever the canonical encoding changes; part of every request
@@ -145,7 +144,7 @@ def fingerprint_request(
         ``instance_fingerprint`` is supplied directly (avoids re-hashing an
         instance that the caller already fingerprinted).
     algorithm:
-        Name of the computation, e.g. ``"local_lp"`` or ``"maxmin_exact"``.
+        Name of the computation, e.g. ``"maxmin_exact"``.
     backend:
         LP backend name; part of the key because different backends may
         return different (equally optimal) vertices.
@@ -188,9 +187,9 @@ def fingerprint_canonical_request(
 
     The canonical key already embeds
     :data:`repro.canon.labeling.CANON_FORMAT_VERSION`, and the distinct
-    ``local_lp_canon`` algorithm tag keeps these requests disjoint from the
-    raw per-instance ``local_lp`` requests of the non-canonical engine
-    path, so neither encoding can alias the other across versions.
+    ``local_lp_canon`` algorithm tag keeps these requests disjoint from
+    requests keyed by an instance fingerprint, so neither encoding can
+    alias the other across versions.
     """
     return fingerprint_request(
         None,
@@ -243,57 +242,4 @@ def fingerprint_canonical_requests(
             (prefix + json.dumps(key) + suffix).encode("utf-8")
         ).hexdigest()
         for key in canonical_keys
-    ]
-
-
-def fingerprint_view_requests(
-    instance_fingerprint: str,
-    view_reprs: Sequence[Sequence[str]],
-    *,
-    backend: str,
-    extra_params: Optional[Mapping[str, Any]] = None,
-) -> List[str]:
-    """Batch request keys for the legacy literal view path.
-
-    One key per view, element-for-element equal to calling
-    :func:`fingerprint_request` with ``algorithm="local_lp_view"`` and
-    ``params={"view": <sorted reprs>, **extra_params}`` (asserted by the
-    tests) -- but the request template around the view list is rendered
-    once per batch, so a one-request-per-agent engine batch hashes
-    ``prefix + view-list + suffix`` per unit instead of re-serialising the
-    whole request mapping.  ``view_reprs`` entries must already be sorted
-    (the caller sorts them, exactly as the per-unit path did);
-    ``extra_params`` carries request-level keys such as the engine's
-    vertex-selecting LP strategy.
-    """
-    params_template: Dict[str, Any] = dict(extra_params) if extra_params else {}
-    params_template["view"] = _KEY_PLACEHOLDER
-    template = canonical_json(
-        {
-            "fingerprint_version": FINGERPRINT_VERSION,
-            "instance": instance_fingerprint,
-            "algorithm": "local_lp_view",
-            "backend": backend,
-            "params": params_template,
-        }
-    )
-    parts = template.split(json.dumps(_KEY_PLACEHOLDER))
-    if len(parts) != 2:  # pragma: no cover - params/fingerprint collision
-        return [
-            fingerprint_request(
-                None,
-                "local_lp_view",
-                backend=backend,
-                params={**(dict(extra_params) if extra_params else {}),
-                        "view": list(view)},
-                instance_fingerprint=instance_fingerprint,
-            )
-            for view in view_reprs
-        ]
-    prefix, suffix = parts
-    return [
-        hashlib.sha256(
-            (prefix + canonical_json(list(view)) + suffix).encode("utf-8")
-        ).hexdigest()
-        for view in view_reprs
     ]

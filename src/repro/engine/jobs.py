@@ -34,7 +34,7 @@ class JobRecord:
     job_id:
         Registry-unique identifier (``job-000042``).
     kind:
-        What was computed, e.g. ``"local_lp"`` or ``"maxmin_exact"``.
+        What was computed, e.g. ``"local_lp_canon"`` or ``"maxmin_exact"``.
     fingerprint:
         Content fingerprint of the solve request (the cache key).
     status:

@@ -9,9 +9,9 @@ a handful of sparse-matrix sweeps shared by *every* agent at once:
   one boolean CSR frontier sweep over the cached agent adjacency
   (:meth:`repro.hypergraph.Hypergraph.adjacency_csr`);
 * :class:`ViewAtlas` — each view's local LP as CSR row/column index slices
-  of the instance's already-compiled ``A``/``C`` matrices (full
-  :class:`~repro.core.problem.MaxMinLP` sub-instances are only materialised
-  for the cache-miss canonical representatives the engine actually solves),
+  of the instance's already-compiled ``A``/``C`` matrices (no
+  :class:`~repro.core.problem.MaxMinLP` sub-instance is built; the engine
+  compiles only the cache-miss canonical representatives it solves),
   plus the batch canonicalisation pipeline: identifier-sorted structure
   arrays for every view via shared ``lexsort`` calls, grouping by literal
   structure, and one :class:`~repro.canon.labeling.CanonicalIndex` call per

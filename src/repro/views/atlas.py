@@ -32,8 +32,7 @@ identifiers and rebuilds index arrays per agent inside the canonicaliser.
 
 Full :class:`~repro.core.problem.MaxMinLP` sub-instances are never built
 here; the engine materialises the canonical representative's LP only on a
-cache miss (:meth:`ViewAtlas.subproblem` exists for the legacy literal path
-and for equality tests).
+cache miss.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence,
 import numpy as np
 import scipy.sparse as sp
 
-from ..core.problem import Agent, Beneficiary, MaxMinLP, Resource
+from ..core.problem import Agent, MaxMinLP
 from ..hypergraph.communication import communication_hypergraph
 from ..hypergraph.hypergraph import Hypergraph, ragged_gather
 from ..obs.trace import span
@@ -95,7 +94,7 @@ class ViewAtlas:
     Construct with :meth:`from_problem` (all radius-``R`` balls) or
     :meth:`from_views` (an explicit view mapping).  All heavy work is lazy:
     the structure arrays materialise on first use and are reused by every
-    consumer (canonical forms, sub-instances, equality helpers).
+    consumer.
     """
 
     def __init__(
@@ -117,7 +116,6 @@ class ViewAtlas:
         self._forms: Optional[Dict[Agent, "CanonicalForm"]] = None
         self._forms_index = None
         self._membership_counts: Optional[sp.csr_matrix] = None
-        self._root_index: Optional[Dict[Agent, int]] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -360,14 +358,10 @@ class ViewAtlas:
         self._sorted_cols = sorted_cols
         self._cons_indptr = cons_indptr
         self._cons_packed = np.ascontiguousarray(cons_packed, dtype=np.int64)
-        self._cons_row_global = cons_row_global
-        self._cons_val = cons_val
         self._res_group_indptr = res_group_indptr
         self._res_group_rows = res_group_rows
         self._ben_indptr = ben_indptr
         self._ben_packed = np.ascontiguousarray(ben_packed, dtype=np.int64)
-        self._ben_row_global = ben_row_global
-        self._ben_val = ben_val
         self._ben_group_indptr = ben_group_indptr
         self._ben_group_rows = ben_group_rows
         self._w_indptr = w_indptr
@@ -376,75 +370,6 @@ class ViewAtlas:
         self._resources_obj = _object_array(problem.resources)
         self._bens_obj = _object_array(problem.beneficiaries)
         self._structures_ready = True
-
-    # ------------------------------------------------------------------
-    # Per-view structure accessors (scalar equivalents, used by tests and
-    # the legacy literal path)
-    # ------------------------------------------------------------------
-    def _row_of(self, root: Agent) -> int:
-        if self._root_index is None:
-            self._root_index = {v: row for row, v in enumerate(self.roots)}
-        try:
-            return self._root_index[root]
-        except KeyError:
-            raise KeyError(f"unknown view root {root!r}") from None
-
-    def local_structure(
-        self, root: Agent
-    ) -> Tuple[
-        List[Agent],
-        List[Tuple[Resource, Agent, float]],
-        List[Tuple[Beneficiary, Agent, float]],
-    ]:
-        """The view's local-LP coefficient structure, as plain lists.
-
-        Equal (up to list order) to
-        :func:`repro.canon.labeling.view_local_structure` on the same view.
-        """
-        self._ensure_structures()
-        row = self._row_of(root)
-        s0, s1 = self.membership.indptr[row], self.membership.indptr[row + 1]
-        view_agents = self._agents_obj[self._sorted_cols[s0:s1]]
-        agents = list(view_agents)
-        c0, c1 = self._cons_indptr[row], self._cons_indptr[row + 1]
-        cons = [
-            (
-                self._resources_obj[self._cons_row_global[e]],
-                view_agents[self._cons_packed[e, 1]],
-                float(self._cons_val[e]),
-            )
-            for e in range(c0, c1)
-        ]
-        b0, b1 = self._ben_indptr[row], self._ben_indptr[row + 1]
-        bens = [
-            (
-                self._bens_obj[self._ben_row_global[e]],
-                view_agents[self._ben_packed[e, 1]],
-                float(self._ben_val[e]),
-            )
-            for e in range(b0, b1)
-        ]
-        return agents, cons, bens
-
-    def subproblem(self, root: Agent) -> MaxMinLP:
-        """The compiled local sub-LP of one view, from the atlas's slices.
-
-        Equal to ``problem.local_subproblem(view)`` — same index orders
-        (canonical ``repr`` sort), same coefficients — without re-deriving
-        the support sets from scratch.
-        """
-        agents, cons, bens = self.local_structure(root)
-        agents_kept = sorted(agents, key=repr)
-        resources = sorted({i for i, _v, _a in cons}, key=repr)
-        beneficiaries = sorted({k for k, _v, _a in bens}, key=repr)
-        return MaxMinLP(
-            agents_kept,
-            {(i, v): value for i, v, value in cons},
-            {(k, v): value for k, v, value in bens},
-            resources=resources,
-            beneficiaries=beneficiaries,
-            validate=False,
-        )
 
     # ------------------------------------------------------------------
     # Batch canonicalisation

@@ -13,11 +13,13 @@ from repro import (
     grid_instance,
     local_averaging_solution,
 )
+from repro.engine import fingerprint
 from repro.engine.fingerprint import (
     fingerprint_canonical_request,
     fingerprint_request,
 )
 from repro.hypergraph.communication import communication_hypergraph
+from repro.scenarios.runner import SuiteRunner
 
 
 class TestCanonicalFingerprints:
@@ -45,33 +47,20 @@ class TestCanonicalLocalSolves:
         # engine path solves exactly one of them.
         problem = grid_instance((5, 5), torus=True)
         H = communication_hypergraph(problem)
-        subs = [problem.local_subproblem(H.ball(u, 1)) for u in problem.agents]
+        views = {u: H.ball(u, 1) for u in problem.agents}
         engine = BatchSolver(cache=ResultCache())
-        outcomes = engine.solve_subproblems(subs)
+        outcomes = engine.solve_local_lps(problem, views)
         assert engine.stats.executed == 1
-        assert len(outcomes) == len(subs)
-        objectives = {outcome.objective for outcome in outcomes}
+        assert len(outcomes) == len(views)
+        objectives = {outcome.objective for outcome in outcomes.values()}
         assert len(objectives) == 1
-
-    def test_non_canonical_engine_reproduces_legacy_behaviour(self):
-        problem = grid_instance((4, 4), torus=True)
-        H = communication_hypergraph(problem)
-        subs = [problem.local_subproblem(H.ball(u, 1)) for u in problem.agents]
-        legacy = BatchSolver(canonical_local=False)
-        outcomes = legacy.solve_subproblems(subs)
-        # No canonicalisation: every distinct-identifier subproblem solves.
-        assert legacy.stats.executed == len(subs)
-        canonical = BatchSolver().solve_subproblems(subs)
-        for legacy_out, canon_out in zip(outcomes, canonical):
-            assert legacy_out.objective == pytest.approx(
-                canon_out.objective, abs=1e-9
-            )
 
     def test_pull_back_keys_match_subproblem_agents(self, grid4x4):
         H = communication_hypergraph(grid4x4)
-        view = H.ball(grid4x4.agents[0], 1)
+        root = grid4x4.agents[0]
+        view = H.ball(root, 1)
         sub = grid4x4.local_subproblem(view)
-        (outcome,) = BatchSolver().solve_subproblems([sub])
+        outcome = BatchSolver().solve_local_lps(grid4x4, {root: view})[root]
         assert set(outcome.x) == set(sub.agents)
         assert sub.is_feasible(sub.to_array(outcome.x), tol=1e-7)
 
@@ -129,3 +118,23 @@ class TestCanonicalLocalSolves:
         for u in problem.agents:
             assert outcomes[u].x == {u: 0.0}
             assert outcomes[u].objective == math.inf
+
+
+class TestOneLocalLPPath:
+    """Canonical keying is the only local-LP path the engine has."""
+
+    def test_literal_keyword_rejected(self):
+        with pytest.raises(TypeError):
+            BatchSolver(canonical_local=False)
+
+    def test_no_subproblem_entry_point(self):
+        assert not hasattr(BatchSolver, "solve_subproblems")
+
+    def test_no_literal_view_fingerprints(self):
+        assert not hasattr(fingerprint, "fingerprint_view_requests")
+        assert "fingerprint_view_requests" not in fingerprint.__all__
+
+    def test_provenance_constants(self):
+        # The benchmark's provenance record reads both attributes.
+        assert BatchSolver().canonical_local is True
+        assert SuiteRunner.share_orbits is False

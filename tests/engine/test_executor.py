@@ -102,10 +102,10 @@ class TestDeduplication:
         # R = 1 on a cycle leaves some beneficiary supports incomplete only
         # for tiny views; build a view of a single agent instead.
         engine = serial_engine()
-        sub = cycle8.local_subproblem([cycle8.agents[0]])
-        (outcome,) = engine.solve_subproblems([sub])
+        root = cycle8.agents[0]
+        outcome = engine.solve_local_lps(cycle8, {root: frozenset({root})})[root]
         assert outcome.objective == math.inf
-        assert set(outcome.x.values()) == {0.0}
+        assert outcome.x == {root: 0.0}
 
 
 class TestSweepCaching:

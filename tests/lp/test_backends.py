@@ -29,7 +29,6 @@ def _callables_without_backend():
         baselines.single_shot_local_solution,
         baselines.unshrunk_averaging_solution,
         sweeps.radius_sweep,
-        BatchSolver.solve_subproblems,
         BatchSolver.solve_canonical_local_lps,
         BatchSolver.solve_local_lps,
         BatchSolver.solve_maxmin,

@@ -226,15 +226,16 @@ class TestCompiledMaxMin:
 
     def test_from_triples_matches_canonical_problem(self):
         from repro import grid_instance
-        from repro.canon.labeling import CanonicalIndex
+        from repro.canon.labeling import CanonicalIndex, view_local_structure
         from repro.hypergraph.communication import communication_hypergraph
 
         problem = grid_instance((3, 4))
         H = communication_hypergraph(problem)
         index = CanonicalIndex()
         for u in list(problem.agents)[:4]:
-            sub = problem.local_subproblem(H.ball(u, 1))
-            form = index.canonical_form_of_problem(sub)
+            form = index.canonical_form(
+                *view_local_structure(problem, H.ball(u, 1))
+            )
             compiled = form.compiled()
             reference = maxmin_to_lp(form.problem())
             np.testing.assert_array_equal(

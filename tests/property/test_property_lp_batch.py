@@ -8,10 +8,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.engine.fingerprint import (
-    fingerprint_request,
-    fingerprint_view_requests,
-)
 from repro.lp import (
     LinearProgram,
     LPStatus,
@@ -111,40 +107,3 @@ class TestStackedEqualsPerLP:
         a = solve_lp_batch(lps, strategy="stacked", chunk_size=chunk)
         b = solve_lp_batch(lps, strategy="stacked")
         assert [r.status for r in a] == [r.status for r in b]
-
-
-_ID_CHARS = st.text(
-    alphabet=st.characters(min_codepoint=33, max_codepoint=126), max_size=8
-)
-
-
-class TestBatchFingerprints:
-    @given(
-        views=st.lists(
-            st.lists(_ID_CHARS, min_size=0, max_size=5).map(sorted),
-            min_size=0,
-            max_size=6,
-        ),
-        backend=st.sampled_from(["scipy", "other"]),
-        strategy=st.sampled_from([None, "stacked"]),
-    )
-    @settings(**COMMON_SETTINGS)
-    def test_view_request_template_equals_per_unit(
-        self, views, backend, strategy
-    ):
-        instance_fp = "f" * 64
-        extra = None if strategy is None else {"lp_strategy": strategy}
-        batched = fingerprint_view_requests(
-            instance_fp, views, backend=backend, extra_params=extra
-        )
-        reference = [
-            fingerprint_request(
-                None,
-                "local_lp_view",
-                backend=backend,
-                params={**(extra or {}), "view": list(view)},
-                instance_fingerprint=instance_fp,
-            )
-            for view in views
-        ]
-        assert batched == reference

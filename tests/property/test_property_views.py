@@ -4,8 +4,9 @@ Three layers, three contracts (random bounded-degree instances, the awkward
 shapes the shared strategies are biased towards):
 
 * batch balls == per-agent ``Hypergraph.ball``;
-* CSR-sliced local LPs == ``MaxMinLP.local_subproblem`` (and the raw
-  structures == ``view_local_structure``);
+* the local LP each batch canonical form describes ==
+  ``MaxMinLP.local_subproblem`` (and its structure ==
+  ``view_local_structure``);
 * batch canonical forms == per-view ``CanonicalIndex.canonical_form`` —
   same keys, same orders, hence bit-identical solve paths.
 """
@@ -15,7 +16,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import communication_hypergraph
+from repro import MaxMinLP, communication_hypergraph
 from repro.canon.labeling import CanonicalIndex, view_local_structure
 from repro.views import ViewAtlas, batch_balls
 
@@ -27,6 +28,27 @@ def instance_and_radius(draw, **kwargs):
     problem = draw(max_min_instances(**kwargs))
     radius = draw(st.integers(min_value=1, max_value=3))
     return problem, radius
+
+
+def _structure_of(form):
+    """A canonical form's coefficient triples in the view's own names."""
+    agents, resources = form.agent_order, form.resource_order
+    cons = [(resources[r], agents[v], w) for r, v, w in form.consumption]
+    bens = [(form.beneficiary_order[k], agents[v], w) for k, v, w in form.benefit]
+    return list(agents), cons, bens
+
+
+def _local_lp_of(form):
+    """The local LP a canonical form describes, ordered like ``local_subproblem``."""
+    agents, cons, bens = _structure_of(form)
+    return MaxMinLP(
+        sorted(agents, key=repr),
+        {(i, v): w for i, v, w in cons},
+        {(k, v): w for k, v, w in bens},
+        resources=sorted(form.resource_order, key=repr),
+        beneficiaries=sorted(form.beneficiary_order, key=repr),
+        validate=False,
+    )
 
 
 class TestBatchBallsEqualScalar:
@@ -47,9 +69,10 @@ class TestAtlasEqualsScalarExtraction:
         problem, radius = case
         H = communication_hypergraph(problem)
         atlas = ViewAtlas.from_problem(problem, radius, hypergraph=H)
+        forms = atlas.canonical_forms()
         for u in problem.agents:
             view = H.ball(u, radius)
-            assert atlas.subproblem(u) == problem.local_subproblem(view)
+            assert _local_lp_of(forms[u]) == problem.local_subproblem(view)
 
     @settings(max_examples=30, deadline=None)
     @given(instance_and_radius())
@@ -57,11 +80,12 @@ class TestAtlasEqualsScalarExtraction:
         problem, radius = case
         H = communication_hypergraph(problem)
         atlas = ViewAtlas.from_problem(problem, radius, hypergraph=H)
+        forms = atlas.canonical_forms()
         for u in problem.agents:
             scalar_agents, scalar_cons, scalar_bens = view_local_structure(
                 problem, H.ball(u, radius)
             )
-            agents, cons, bens = atlas.local_structure(u)
+            agents, cons, bens = _structure_of(forms[u])
             assert set(agents) == set(scalar_agents)
             assert set(cons) == set(scalar_cons)
             assert set(bens) == set(scalar_bens)

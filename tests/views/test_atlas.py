@@ -7,6 +7,7 @@ import pytest
 
 from repro import (
     BatchSolver,
+    MaxMinLP,
     communication_hypergraph,
     cycle_instance,
     grid_instance,
@@ -45,16 +46,37 @@ FAMILIES = [
 ]
 
 
+def _structure_of(form):
+    """A canonical form's coefficient triples in the view's own names."""
+    agents, resources = form.agent_order, form.resource_order
+    cons = [(resources[r], agents[v], w) for r, v, w in form.consumption]
+    bens = [(form.beneficiary_order[k], agents[v], w) for k, v, w in form.benefit]
+    return list(agents), cons, bens
+
+
+def _local_lp_of(form):
+    """The local LP a canonical form describes, ordered like ``local_subproblem``."""
+    agents, cons, bens = _structure_of(form)
+    return MaxMinLP(
+        sorted(agents, key=repr),
+        {(i, v): w for i, v, w in cons},
+        {(k, v): w for k, v, w in bens},
+        resources=sorted(form.resource_order, key=repr),
+        beneficiaries=sorted(form.beneficiary_order, key=repr),
+        validate=False,
+    )
+
+
 class TestAtlasStructures:
     @pytest.mark.parametrize("problem,R", FAMILIES)
     def test_local_structure_matches_scalar(self, problem, R):
         H = communication_hypergraph(problem)
-        atlas = ViewAtlas.from_problem(problem, R, hypergraph=H)
+        forms = ViewAtlas.from_problem(problem, R, hypergraph=H).canonical_forms()
         for u in problem.agents:
             scalar_agents, scalar_cons, scalar_bens = view_local_structure(
                 problem, H.ball(u, R)
             )
-            agents, cons, bens = atlas.local_structure(u)
+            agents, cons, bens = _structure_of(forms[u])
             assert set(agents) == set(scalar_agents)
             assert set(cons) == set(scalar_cons)
             assert set(bens) == set(scalar_bens)
@@ -62,9 +84,9 @@ class TestAtlasStructures:
     @pytest.mark.parametrize("problem,R", FAMILIES)
     def test_subproblem_equals_local_subproblem(self, problem, R):
         H = communication_hypergraph(problem)
-        atlas = ViewAtlas.from_problem(problem, R, hypergraph=H)
+        forms = ViewAtlas.from_problem(problem, R, hypergraph=H).canonical_forms()
         for u in problem.agents:
-            assert atlas.subproblem(u) == problem.local_subproblem(H.ball(u, R))
+            assert _local_lp_of(forms[u]) == problem.local_subproblem(H.ball(u, R))
 
     @pytest.mark.parametrize("problem,R", FAMILIES)
     def test_views_and_sizes_match_balls(self, problem, R):
@@ -84,19 +106,15 @@ class TestAtlasStructures:
         }
         atlas = ViewAtlas.from_views(problem, views)
         assert atlas.roots == ("a", "b")
+        assert atlas.views() == views
+        forms = atlas.canonical_forms()
         for root, view in views.items():
-            assert atlas.subproblem(root) == problem.local_subproblem(view)
+            assert _local_lp_of(forms[root]) == problem.local_subproblem(view)
 
     def test_from_views_unknown_agent_rejected(self):
         problem = cycle_instance(5)
         with pytest.raises(KeyError):
             ViewAtlas.from_views(problem, {"a": frozenset({"ghost"})})
-
-    def test_unknown_root_rejected(self):
-        problem = cycle_instance(5)
-        atlas = ViewAtlas.from_problem(problem, 1)
-        with pytest.raises(KeyError):
-            atlas.local_structure("ghost")
 
 
 class TestBatchCanonicalForms:
