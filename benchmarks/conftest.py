@@ -5,11 +5,23 @@ theorem's quantitative content, or an application scenario) and prints the
 corresponding text table; run with ``pytest benchmarks/ --benchmark-only -s``
 to see the tables, or without ``-s`` to only collect the timings.  The
 printed tables are the source of the numbers recorded in EXPERIMENTS.md.
+
+The serve, obs and faults benchmarks all drive a live
+:class:`~repro.serve.ReproServer`; the ``solve_server`` and ``warm_replay``
+fixtures are the one copy of that HTTP protocol they share.
 """
 
 from __future__ import annotations
 
+import time
+import urllib.request
+from contextlib import contextmanager
+from typing import Callable, Iterator, List, Optional, Tuple
+
 import pytest
+
+from repro.scenarios.spec import ScenarioSpec
+from repro.serve import ReproServer, SolverService
 
 
 def emit(title: str, text: str) -> None:
@@ -22,3 +34,74 @@ def emit(title: str, text: str) -> None:
 def report():
     """The ``emit`` helper as a fixture (keeps benchmark signatures tidy)."""
     return emit
+
+
+@contextmanager
+def _solve_server(
+    distinct: int, cache_dir: Optional[str] = None
+) -> Iterator[Tuple[SolverService, Callable[[bytes], bytes], List[bytes]]]:
+    """A live server on an ephemeral port over ``distinct`` small scenarios.
+
+    Yields ``(service, post, bodies)``: ``bodies[i]`` is the JSON body of
+    the i-th scenario (cycles and paths of 6 + i agents, R=1) and
+    ``post(body)`` sends one ``POST /solve`` and returns the raw response.
+    """
+    specs = [
+        ScenarioSpec(
+            family=("cycle", "path")[i % 2],
+            params={"n": 6 + i},
+            seed=i,
+            radii=(1,),
+        )
+        for i in range(distinct)
+    ]
+    bodies = [spec.to_json().encode("utf-8") for spec in specs]
+    service = SolverService(cache_dir=cache_dir)
+    with ReproServer(service, port=0) as server:
+        url = server.url + "/solve"
+
+        def post(body: bytes) -> bytes:
+            request = urllib.request.Request(
+                url,
+                data=body,
+                method="POST",
+                headers={"Content-Type": "application/json"},
+            )
+            with urllib.request.urlopen(request) as response:
+                return response.read()
+
+        yield service, post, bodies
+
+
+@contextmanager
+def _warm_replay(distinct: int, requests: int) -> Iterator[Callable[[], float]]:
+    """A timed warm ``POST /solve`` replay: every request a cache hit.
+
+    Each scenario is solved once up front; the yielded ``replay()`` then
+    sends ``requests`` requests cycling through them from one client and
+    returns the wall-clock seconds.
+    """
+    with _solve_server(distinct) as (_, post, bodies):
+        for body in bodies:
+            post(body)  # warm the scenario cache
+        order = [i % distinct for i in range(requests)]
+
+        def replay() -> float:
+            start = time.perf_counter()
+            for idx in order:
+                post(bodies[idx])
+            return time.perf_counter() - start
+
+        yield replay
+
+
+@pytest.fixture(scope="session")
+def solve_server():
+    """:func:`_solve_server` as a fixture."""
+    return _solve_server
+
+
+@pytest.fixture(scope="session")
+def warm_replay():
+    """:func:`_warm_replay` as a fixture."""
+    return _warm_replay

@@ -2,18 +2,16 @@
 
 The verification tentpole is only shippable if certifying every cached
 read is effectively free on the warm path and the fsync'd checkpoint
-journal doesn't dominate a suite run.  This benchmark pins both against
-the shared measurement protocol of ``repro bench --suite recovery``
-(:func:`repro.cli.recovery_measurements` -- same code, so the CLI gate
-against ``BENCH_recovery_baseline.json`` and this test can never drift
-apart):
+journal doesn't dominate a suite run.  This benchmark pins both:
 
 * **cached-read verification**: a warm suite re-run from a cold memory
   tier (every LP answered by a checksummed disk read) with
   ``verify="cached"`` must carry an *implied* certificate overhead --
   per-certificate microbench cost times certificates issued -- under
   **5%** of the verify-off wall time, and a single certificate must stay
-  under a millisecond;
+  under a millisecond; in quick mode the verify-off/verify-cached
+  wall-clock ratio must also stay at or above **0.595** (quick runs
+  measured 0.94-0.99, the spread being disk and scheduler noise);
 * **journal durability tax**: one flushed-and-fsynced checkpoint append
   must cost well under the time of even the cheapest scenario solve, so
   ``--checkpoint`` never becomes the bottleneck of a suite run.
@@ -29,11 +27,17 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
+import time
 from pathlib import Path
 
 import pytest
 
-from repro.cli import recovery_measurements
+from repro import BatchSolver, ResultCache, grid_instance
+from repro.lp import verify_solution
+from repro.scenarios import SuiteRunner
+from repro.scenarios.checkpoint import CheckpointJournal
+from repro.scenarios.spec import ScenarioSpec
 
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
 REPEATS = 3
@@ -41,8 +45,105 @@ REPEATS = 3
 
 @pytest.fixture(scope="session")
 def measurements():
-    """Best-of-N recovery timings via the shared CLI protocol."""
-    return recovery_measurements(QUICK, REPEATS)
+    """Best-of-N verification and journal timings.
+
+    * ``recovery_overhead`` -- a small suite is solved once to warm the
+      disk cache, then re-run from a cold memory tier (every LP answered by
+      a *disk* read) with ``verify="off"`` and again with
+      ``verify="cached"``.  Wall-clock noise drowns the true delta on runs
+      this short, so the headline is the *implied* overhead: the
+      per-certificate cost (:func:`repro.lp.verify_solution`,
+      microbenchmark) times the certificates one warm run issues (the
+      engine's ``verify_passed``), as a fraction of the verify-off wall
+      time.  ``speedup`` is the off/cached wall ratio.
+    * ``recovery_journal`` -- checkpoint-journal append throughput: each
+      append is flushed **and fsynced** before the runner moves on.
+    """
+    n_scenarios = 4 if QUICK else 8
+    cert_calls = 500 if QUICK else 2000
+    journal_appends = 50 if QUICK else 200
+
+    specs = [
+        ScenarioSpec(
+            family=("cycle", "path")[i % 2],
+            params={"n": 8 + 2 * i},
+            radii=(1, 2),
+        )
+        for i in range(n_scenarios)
+    ]
+
+    # (1) per-certificate cost, microbenchmarked on a real solved instance.
+    problem = grid_instance((8, 8), torus=True)
+    engine = BatchSolver(cache=ResultCache())
+    (reference,) = engine.solve_maxmin_batch([problem])
+    cert_s = float("inf")
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        for _ in range(cert_calls):
+            verify_solution(problem, reference)
+        cert_s = min(cert_s, (time.perf_counter() - start) / cert_calls)
+
+    with tempfile.TemporaryDirectory(prefix="repro-bench-recovery-") as tmp:
+        directory = Path(tmp)
+        # Warm the disk tier once; all timed runs below are pure reads.
+        baseline = [
+            r.as_dict()
+            for r in SuiteRunner(cache=ResultCache(directory=directory)).run(specs)
+        ]
+
+        off_s = on_s = float("inf")
+        certificates = 0
+        for _ in range(REPEATS):
+            # A fresh ResultCache each run keeps the memory tier cold, so
+            # every hit is a disk read -- the tier verify="cached" certifies.
+            runner = SuiteRunner(
+                cache=ResultCache(directory=directory), verify="off"
+            )
+            start = time.perf_counter()
+            list(runner.run(specs))
+            off_s = min(off_s, time.perf_counter() - start)
+
+            runner = SuiteRunner(
+                cache=ResultCache(directory=directory), verify="cached"
+            )
+            start = time.perf_counter()
+            list(runner.run(specs))
+            on_s = min(on_s, time.perf_counter() - start)
+            certificates = runner.engine.stats.verify_passed
+
+        # (2) fsync'd journal append throughput.
+        journal_s = float("inf")
+        rows = [dict(baseline[i % len(baseline)]) for i in range(journal_appends)]
+        for attempt in range(REPEATS):
+            journal = CheckpointJournal(
+                directory / f"bench-{attempt}.ndjson", fresh=True
+            )
+            start = time.perf_counter()
+            for row in rows:
+                journal.append(row)
+            journal_s = min(
+                journal_s, (time.perf_counter() - start) / journal_appends
+            )
+
+    implied_pct = 100.0 * certificates * cert_s / off_s
+
+    return {
+        "quick": QUICK,
+        "recovery_overhead": {
+            "scenarios": n_scenarios,
+            "certificates": certificates,
+            "certify_us": round(cert_s * 1e6, 2),
+            "disabled_seconds": round(off_s, 4),
+            "enabled_seconds": round(on_s, 4),
+            "implied_overhead_pct": round(implied_pct, 4),
+            "speedup": round(off_s / on_s, 3),
+        },
+        "recovery_journal": {
+            "appends": journal_appends,
+            "append_ms": round(journal_s * 1e3, 3),
+            "appends_per_second": round(1.0 / journal_s, 1),
+        },
+    }
 
 
 def test_recovery_verify_overhead_under_five_percent(measurements, report):
@@ -73,6 +174,11 @@ def test_recovery_verify_overhead_under_five_percent(measurements, report):
     assert overhead["certify_us"] < 1000.0, (
         f"a single solution certificate costs {overhead['certify_us']:.0f}us"
     )
+    if QUICK:
+        assert overhead["speedup"] >= 0.595, (
+            "verify='cached' must not slow the quick warm re-run below "
+            f"0.595x; measured {overhead['speedup']:.3f}x"
+        )
 
     out = os.environ.get("REPRO_BENCH_OUT")
     if out:

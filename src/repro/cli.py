@@ -3,8 +3,8 @@
 ``python -m repro <experiment>`` regenerates the text tables of the paper's
 artefacts without going through pytest — convenient for interactive
 exploration and for embedding the numbers in reports.  The heavy lifting is
-the same code the benchmark harness uses (:mod:`repro.analysis`), so the CLI
-and the benchmarks cannot drift apart.
+done by :mod:`repro.analysis` and the library's engine, scenario and serve
+layers; this module only parses arguments and prints tables.
 
 Available commands::
 
@@ -16,7 +16,6 @@ Available commands::
     isp          the Section 2 ISP application
     all          every experiment above, in order
     batch        run averaging jobs through the batch engine (parallel + cached)
-    bench        run a benchmark suite: views pipeline or batched LP solving
     cache        inspect, clear or prune the on-disk result cache
     canon        view-canonicalization statistics (orbit counts per family)
     suite        declarative scenario suites: run, list-families, show
@@ -90,6 +89,17 @@ def _parse_radii(text: str) -> List[int]:
     if not radii or min(radii) < 1:
         raise SystemExit("--radii must be a comma-separated list of integers >= 1")
     return radii
+
+
+def _positive_int(text: str) -> int:
+    """argparse ``type`` for counts that must be >= 1 (exit 2 otherwise)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
 
 
 def run_growth(seed: int) -> None:
@@ -398,892 +408,6 @@ def _run_cache_verify(
         )
         return 1
     print("all entries verified clean")
-    return 0
-
-
-def bench_measurements(quick: bool, repeats: int) -> Dict[str, object]:
-    """Measure the views-pipeline benchmark set (best-of-``repeats``).
-
-    The single source of truth for the benchmark protocol — shapes, radii,
-    fresh-engine discipline and best-of-N timing: ``repro bench`` (and its
-    CI regression gate) and ``benchmarks/test_bench_views.py`` (the
-    acceptance asserts) both call this function, so they can never
-    measure different things.
-    """
-    from .views import ball_membership
-    from .hypergraph.communication import communication_hypergraph
-
-    e2e_shape = (16, 16) if quick else (30, 30)
-    balls_shape = (24, 24) if quick else (48, 48)
-    balls_radius = 2 if quick else 3
-
-    problem = grid_instance(e2e_shape, torus=True)
-    scalar_s = vector_s = float("inf")
-    for _ in range(repeats):
-        for vectorized in (False, True):
-            engine = BatchSolver(cache=ResultCache())
-            start = time.perf_counter()
-            local_averaging_solution(
-                problem, 2, engine=engine, vectorized=vectorized
-            )
-            elapsed = time.perf_counter() - start
-            if vectorized:
-                vector_s = min(vector_s, elapsed)
-            else:
-                scalar_s = min(scalar_s, elapsed)
-
-    H = communication_hypergraph(grid_instance(balls_shape, torus=True))
-    H.adjacency_csr()
-    ball_scalar = ball_batch = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        for u in H.nodes:
-            H.ball(u, balls_radius)
-        ball_scalar = min(ball_scalar, time.perf_counter() - start)
-        start = time.perf_counter()
-        ball_membership(H, balls_radius)
-        ball_batch = min(ball_batch, time.perf_counter() - start)
-
-    return {
-        "quick": quick,
-        "e2e": {
-            "shape": list(e2e_shape),
-            "R": 2,
-            "scalar_seconds": round(scalar_s, 4),
-            "vectorized_seconds": round(vector_s, 4),
-            "speedup": round(scalar_s / vector_s, 2),
-        },
-        "balls": {
-            "shape": list(balls_shape),
-            "R": balls_radius,
-            "scalar_seconds": round(ball_scalar, 4),
-            "batch_seconds": round(ball_batch, 4),
-            "speedup": round(ball_scalar / ball_batch, 2),
-        },
-    }
-
-
-def lp_batch_measurements(quick: bool, repeats: int) -> Dict[str, object]:
-    """Measure the batched-LP-solving benchmark set (best-of-``repeats``).
-
-    The single source of truth for the lp.batch benchmark protocol, shared
-    by ``repro bench --suite lp-batch`` and
-    ``benchmarks/test_bench_lp_batch.py`` (which asserts the acceptance
-    floors against exactly these numbers):
-
-    * ``lp_batch_e2e`` — the 30×30 random-weight torus averaging run
-      (R=1; every view is a distinct canonical class, so the engine
-      really solves 900 local LPs) under ``lp_strategy="per-lp"`` vs
-      ``"stacked"``.  Both engines share one warmed
-      :class:`~repro.canon.labeling.CanonicalIndex` (labelings are pure
-      functions of the view, so sharing never changes a result) so the
-      comparison isolates the solve side.
-    * ``lp_batch_bisection`` — a 500-probe feasibility sweep
-      (:func:`repro.lp.maxmin._packing_feasible_for_targets`-shaped
-      geometric target grid) solved per-LP vs stacked in chunks.
-    """
-    import numpy as np
-
-    from .canon.labeling import CanonicalIndex
-    from .lp.backends import count_highs_calls
-    from .lp.batch import solve_lp_batch
-    from .lp.maxmin import _interpret_probe, _packing_probe_lp
-
-    e2e_shape = (16, 16) if quick else (30, 30)
-    n_probes = 120 if quick else 500
-
-    problem = grid_instance(e2e_shape, torus=True, weights="random", seed=0)
-    shared_index = CanonicalIndex()
-    warmup = BatchSolver(cache=ResultCache(), canon_index=shared_index)
-    local_averaging_solution(problem, 1, engine=warmup)
-
-    seconds = {"per-lp": float("inf"), "stacked": float("inf")}
-    for _ in range(repeats):
-        for strategy in ("per-lp", "stacked"):
-            engine = BatchSolver(
-                cache=ResultCache(),
-                lp_strategy=strategy,
-                lp_chunk_size=150,
-                canon_index=shared_index,
-            )
-            start = time.perf_counter()
-            local_averaging_solution(problem, 1, engine=engine)
-            seconds[strategy] = min(
-                seconds[strategy], time.perf_counter() - start
-            )
-
-    probe_problem = cycle_instance(16)
-    targets = np.linspace(0.05, 2.0, n_probes)
-    per_lp_s = stacked_s = float("inf")
-    stacked_calls = 0
-    for _ in range(repeats):
-        lps = [_packing_probe_lp(probe_problem, float(t)) for t in targets]
-        start = time.perf_counter()
-        per_lp = solve_lp_batch(lps, strategy="per-lp")
-        per_lp_s = min(per_lp_s, time.perf_counter() - start)
-        start = time.perf_counter()
-        with count_highs_calls() as highs:
-            stacked = solve_lp_batch(lps, strategy="stacked", chunk_size=50)
-        stacked_s = min(stacked_s, time.perf_counter() - start)
-        stacked_calls = highs.calls
-        if [_interpret_probe(r)[0] for r in per_lp] != [
-            _interpret_probe(r)[0] for r in stacked
-        ]:  # pragma: no cover - would indicate a solver bug
-            raise SystemExit("lp-batch bench: probe outcomes diverged")
-
-    return {
-        "quick": quick,
-        "lp_batch_e2e": {
-            "shape": list(e2e_shape),
-            "R": 1,
-            "per_lp_seconds": round(seconds["per-lp"], 4),
-            "stacked_seconds": round(seconds["stacked"], 4),
-            "speedup": round(seconds["per-lp"] / seconds["stacked"], 2),
-        },
-        "lp_batch_bisection": {
-            "probes": int(n_probes),
-            "per_lp_seconds": round(per_lp_s, 4),
-            "stacked_seconds": round(stacked_s, 4),
-            "highs_calls": int(stacked_calls),
-            "speedup": round(per_lp_s / stacked_s, 2),
-        },
-    }
-
-
-def serve_measurements(quick: bool, repeats: int) -> Dict[str, object]:
-    """Measure the serving-layer traffic replay (best-of-``repeats``).
-
-    The single source of truth for the serve benchmark protocol, shared by
-    ``repro bench --suite serve`` and ``benchmarks/test_bench_serve.py``:
-
-    * ``serve_replay`` — a Zipf-distributed trace of ``POST /solve``
-      requests (many requests over few distinct scenarios, the
-      repeated-query shape a long-lived service exists for) is replayed by
-      8 client threads against a real :class:`~repro.serve.ReproServer` on
-      an ephemeral port with a shared disk cache.  ``hit_rate`` is the
-      fraction of requests answered without a solve; ``speedup`` compares
-      the replay wall-clock against solving every request from scratch at
-      the measured per-solve cost (``solve_seconds`` × requests).
-    * ``serve_coalesce`` — 16 clients POST one brand-new scenario through
-      a barrier; the scheduler counters must show exactly **one** executed
-      solve, the single-flight acceptance invariant.
-
-    The trace is seeded, so the request sequence is identical across runs
-    and machines.
-    """
-    import random
-    import tempfile
-    import threading
-    import urllib.request
-
-    from .scenarios.spec import ScenarioSpec
-    from .serve import ReproServer, SolverService
-
-    distinct = 12 if quick else 24
-    n_requests = 720 if quick else 3000
-    client_threads = 8
-    burst_clients = 16
-
-    rng = random.Random(20080414)
-    specs = [
-        ScenarioSpec(
-            family=("cycle", "path")[i % 2],
-            params={"n": 6 + i},
-            seed=i,
-            radii=(1,),
-        )
-        for i in range(distinct)
-    ]
-    bodies = [spec.to_json().encode("utf-8") for spec in specs]
-    trace = rng.choices(
-        range(distinct),
-        weights=[1.0 / (rank + 1) for rank in range(distinct)],
-        k=n_requests,
-    )
-
-    with tempfile.TemporaryDirectory(prefix="repro-serve-bench-") as tmp:
-        service = SolverService(cache_dir=tmp)
-        with ReproServer(service, port=0) as server:
-            url = server.url + "/solve"
-
-            def post(body: bytes) -> Dict[str, object]:
-                request = urllib.request.Request(
-                    url,
-                    data=body,
-                    method="POST",
-                    headers={"Content-Type": "application/json"},
-                )
-                with urllib.request.urlopen(request) as response:
-                    return json.loads(response.read())
-
-            def replay() -> tuple:
-                envelopes: List[Optional[dict]] = [None] * n_requests
-                latencies: List[float] = [0.0] * n_requests
-                def worker(slot: int) -> None:
-                    for idx in range(slot, n_requests, client_threads):
-                        begin = time.perf_counter()
-                        envelopes[idx] = post(bodies[trace[idx]])
-                        latencies[idx] = time.perf_counter() - begin
-                workers = [
-                    threading.Thread(target=worker, args=(slot,))
-                    for slot in range(client_threads)
-                ]
-                start = time.perf_counter()
-                for thread in workers:
-                    thread.start()
-                for thread in workers:
-                    thread.join()
-                return time.perf_counter() - start, envelopes, latencies
-
-            # The first replay is the honest cold-start trace (its first
-            # hit on each distinct scenario is a real solve); later repeats
-            # re-time the same trace against the warm cache.
-            replay_s = float("inf")
-            first = None
-            for _ in range(max(1, repeats)):
-                elapsed, envelopes, latencies = replay()
-                if first is None:
-                    first = (envelopes, latencies)
-                replay_s = min(replay_s, elapsed)
-            envelopes, latencies = first
-            cached = sum(1 for env in envelopes if env["cached"])
-            solve_times = [
-                env["seconds"] for env in envelopes if env["source"] == "solved"
-            ]
-            solve_s = sum(solve_times) / max(1, len(solve_times))
-            ordered = sorted(latencies)
-            p50 = ordered[len(ordered) // 2]
-            p99 = ordered[min(len(ordered) - 1, int(len(ordered) * 0.99))]
-
-            # Single-flight burst: one brand-new scenario, 16 concurrent
-            # clients released together.
-            burst_spec = ScenarioSpec(
-                family="grid", params={"shape": (3, 3)}, seed=987, radii=(1,)
-            )
-            before = dict(service.scheduler.stats.as_dict())
-            barrier = threading.Barrier(burst_clients)
-            sources: List[str] = []
-            sources_lock = threading.Lock()
-
-            def burst() -> None:
-                body = burst_spec.to_json().encode("utf-8")
-                barrier.wait()
-                envelope = post(body)
-                with sources_lock:
-                    sources.append(envelope["source"])
-
-            clients = [
-                threading.Thread(target=burst) for _ in range(burst_clients)
-            ]
-            for thread in clients:
-                thread.start()
-            for thread in clients:
-                thread.join()
-            after = service.scheduler.stats.as_dict()
-
-    return {
-        "quick": quick,
-        "serve_replay": {
-            "requests": n_requests,
-            "distinct": distinct,
-            "client_threads": client_threads,
-            "hit_rate": round(cached / n_requests, 4),
-            "p50_ms": round(p50 * 1000, 3),
-            "p99_ms": round(p99 * 1000, 3),
-            "solve_seconds": round(solve_s, 4),
-            "replay_seconds": round(replay_s, 4),
-            "speedup": round(solve_s * n_requests / replay_s, 2),
-        },
-        "serve_coalesce": {
-            "clients": burst_clients,
-            "executed": after["executed"] - before["executed"],
-            "coalesced": after["coalesced"] - before["coalesced"],
-            "sources": {name: sources.count(name) for name in sorted(set(sources))},
-        },
-    }
-
-
-def obs_measurements(quick: bool, repeats: int) -> Dict[str, object]:
-    """Measure the observability subsystem's overhead and trace coverage.
-
-    The single source of truth for the obs benchmark protocol, shared by
-    ``repro bench --suite obs`` and ``benchmarks/test_bench_obs.py``:
-
-    * ``obs_overhead`` — a warm ``POST /solve`` replay (every request a
-      cache hit against a real :class:`~repro.serve.ReproServer`, the
-      serve replay benchmark's steady state) timed best-of-``repeats``
-      with tracing disabled and then enabled.  Because disabled-vs-enabled
-      wall-clock deltas over a socket drown in scheduler noise, the
-      headline number is the *implied* disabled overhead: the measured
-      cost of one no-op :func:`repro.obs.span` call (best-of-``repeats``
-      microbenchmark) times the spans one request records, as a fraction
-      of the warm per-request time.  ``speedup`` is disabled/enabled
-      wall-clock for the regression gate (≈1.0 when tracing is cheap).
-    * ``obs_trace`` — one traced suite run; ``coverage`` is the root
-      spans' total duration over the measured wall time (the acceptance
-      criterion wants stage totals within 10% of wall).
-    """
-    import urllib.request
-
-    from .obs import stage_summary, tracing
-    from .obs.trace import span as obs_span
-    from .scenarios.spec import ScenarioSpec
-    from .serve import ReproServer, SolverService
-
-    distinct = 8 if quick else 16
-    requests = 200 if quick else 1000
-    noop_calls = 100_000 if quick else 500_000
-
-    # (1) cost of one instrumentation point while tracing is disabled.
-    noop_s = float("inf")
-    for _ in range(max(1, repeats)):
-        start = time.perf_counter()
-        for _ in range(noop_calls):
-            with obs_span("bench.noop", agents=0):
-                pass
-        noop_s = min(noop_s, (time.perf_counter() - start) / noop_calls)
-
-    # (2) the warm serve-replay path: every request a cache hit over HTTP.
-    specs = [
-        ScenarioSpec(
-            family=("cycle", "path")[i % 2],
-            params={"n": 6 + i},
-            seed=i,
-            radii=(1,),
-        )
-        for i in range(distinct)
-    ]
-    bodies = [spec.to_json().encode("utf-8") for spec in specs]
-    order = [i % distinct for i in range(requests)]
-    service = SolverService()
-    with ReproServer(service, port=0) as server:
-        url = server.url + "/solve"
-
-        def post(body: bytes) -> None:
-            request = urllib.request.Request(
-                url,
-                data=body,
-                method="POST",
-                headers={"Content-Type": "application/json"},
-            )
-            with urllib.request.urlopen(request) as response:
-                response.read()
-
-        for body in bodies:
-            post(body)  # warm the scenario cache
-
-        def replay() -> float:
-            start = time.perf_counter()
-            for idx in order:
-                post(bodies[idx])
-            return time.perf_counter() - start
-
-        disabled_s = min(replay() for _ in range(max(1, repeats)))
-        enabled_s = float("inf")
-        spans = 0
-        for _ in range(max(1, repeats)):
-            with tracing() as tracer:
-                enabled_s = min(enabled_s, replay())
-            spans = len(tracer)
-    spans_per_request = spans / requests
-    implied_pct = 100.0 * spans_per_request * noop_s * requests / disabled_s
-
-    # (3) traced end-to-end suite run: stage totals vs wall time.
-    trace_specs = [
-        ScenarioSpec(family="cycle", params={"n": 8 + 2 * i}, radii=(1, 2))
-        for i in range(2 if quick else 4)
-    ]
-    runner = SuiteRunner(cache=ResultCache())
-    wall_start = time.perf_counter()
-    with tracing() as tracer:
-        runner.run_suite(trace_specs)
-    wall_s = time.perf_counter() - wall_start
-    trace_spans = tracer.spans()
-    root_total = sum(
-        s.duration for s in trace_spans if s.parent_id is None
-    )
-    stages = stage_summary(trace_spans)
-
-    return {
-        "quick": quick,
-        "obs_overhead": {
-            "requests": requests,
-            "distinct": distinct,
-            "noop_ns": round(noop_s * 1e9, 1),
-            "spans_per_request": round(spans_per_request, 2),
-            "disabled_seconds": round(disabled_s, 4),
-            "enabled_seconds": round(enabled_s, 4),
-            "implied_overhead_pct": round(implied_pct, 4),
-            "speedup": round(disabled_s / enabled_s, 3),
-        },
-        "obs_trace": {
-            "spans": len(trace_spans),
-            "stages": len(stages),
-            "wall_seconds": round(wall_s, 4),
-            "root_seconds": round(root_total, 4),
-            "coverage": round(root_total / wall_s, 4) if wall_s else 0.0,
-        },
-    }
-
-
-def faults_measurements(quick: bool, repeats: int) -> Dict[str, object]:
-    """Measure the fault-injection harness: idle overhead and chaos masking.
-
-    The single source of truth for the faults benchmark protocol, shared
-    by ``repro bench --suite faults`` and ``benchmarks/test_bench_faults.py``:
-
-    * ``faults_overhead`` — the warm ``POST /solve`` replay (every request
-      a cache hit over HTTP, the serve benchmark's steady state) timed
-      best-of-``repeats`` with no fault plan installed and then with an
-      installed-but-idle plan (one never-firing spec per seam).  As in the
-      obs benchmark, socket noise drowns the real delta, so the headline
-      is the *implied* overhead: the measured per-call cost of a consulted
-      seam (``checked_ns``, microbenchmark) times the seam consultations
-      one warm request performs (counted by the plan itself), as a
-      fraction of the plan-free per-request time.  ``inject_ns`` is the
-      uninstalled fast path — one module-global ``None`` check.
-      ``speedup`` is disabled/enabled wall-clock for the regression gate
-      (≈1.0 when the harness is cheap).
-    * ``faults_chaos`` — a small suite solved fault-free and again under a
-      seeded transient-only plan (every-Nth raises on the HiGHS seam, so
-      the retry layer must mask every injection).  ``identical`` asserts
-      the two runs' results match bit for bit; ``injected`` counts the
-      faults that actually fired (must be > 0 or the run proved nothing).
-    """
-    import urllib.request
-
-    from .faults import SEAMS, FaultPlan, FaultSpec, inject, install_plan
-    from .scenarios.spec import ScenarioSpec
-    from .serve import ReproServer, SolverService
-
-    distinct = 8 if quick else 16
-    requests = 200 if quick else 1000
-    inject_calls = 100_000 if quick else 500_000
-
-    # (1) cost of one seam hook while no plan is installed (the fast path
-    # every production run pays) ...
-    inject_s = float("inf")
-    for _ in range(max(1, repeats)):
-        start = time.perf_counter()
-        for _ in range(inject_calls):
-            inject("lp.highs.call")
-        inject_s = min(inject_s, (time.perf_counter() - start) / inject_calls)
-
-    # ... and of one consulted-but-silent seam with an idle plan installed
-    # (never fires: every-Nth with an astronomically large N).
-    idle = FaultPlan(
-        [FaultSpec(seam=seam, kind="raise", every=10**9) for seam in SEAMS],
-        seed=0,
-        name="bench-idle",
-    )
-    checked_s = float("inf")
-    with install_plan(idle):
-        for _ in range(max(1, repeats)):
-            start = time.perf_counter()
-            for _ in range(inject_calls):
-                inject("lp.highs.call")
-            checked_s = min(
-                checked_s, (time.perf_counter() - start) / inject_calls
-            )
-
-    # (2) the warm serve replay without and with the idle plan installed.
-    specs = [
-        ScenarioSpec(
-            family=("cycle", "path")[i % 2],
-            params={"n": 6 + i},
-            seed=i,
-            radii=(1,),
-        )
-        for i in range(distinct)
-    ]
-    bodies = [spec.to_json().encode("utf-8") for spec in specs]
-    order = [i % distinct for i in range(requests)]
-    service = SolverService()
-    with ReproServer(service, port=0) as server:
-        url = server.url + "/solve"
-
-        def post(body: bytes) -> None:
-            request = urllib.request.Request(
-                url,
-                data=body,
-                method="POST",
-                headers={"Content-Type": "application/json"},
-            )
-            with urllib.request.urlopen(request) as response:
-                response.read()
-
-        for body in bodies:
-            post(body)  # warm the scenario cache
-
-        def replay() -> float:
-            start = time.perf_counter()
-            for idx in order:
-                post(bodies[idx])
-            return time.perf_counter() - start
-
-        disabled_s = min(replay() for _ in range(max(1, repeats)))
-        idle.reset()
-        enabled_s = float("inf")
-        enabled_runs = max(1, repeats)
-        with install_plan(idle):
-            for _ in range(enabled_runs):
-                enabled_s = min(enabled_s, replay())
-            checks = idle.hits()
-    checks_per_request = checks / (requests * enabled_runs)
-    implied_pct = 100.0 * checks_per_request * checked_s * requests / disabled_s
-
-    # (3) chaos determinism: a transient-only plan must inject faults the
-    # retry layer masks completely -- results bit-identical to fault-free.
-    chaos_specs = [
-        ScenarioSpec(family="cycle", params={"n": 8 + 2 * i}, radii=(1, 2))
-        for i in range(2 if quick else 4)
-    ]
-    clean = [r.as_dict() for r in SuiteRunner(cache=ResultCache()).run(chaos_specs)]
-    # every=2 because the batched engine makes very few HiGHS calls (one
-    # stacked call per batch); every-Nth injection with N >= 2 is always
-    # masked by the 3-attempt retry (the retried hit lands on an off-beat).
-    plan = FaultPlan(
-        [FaultSpec(seam="lp.highs.call", kind="raise", every=2)],
-        seed=20080414,
-        name="bench-chaos",
-    )
-    with install_plan(plan):
-        chaos = [
-            r.as_dict()
-            for r in SuiteRunner(cache=ResultCache()).run(chaos_specs)
-        ]
-    for record in (*clean, *chaos):
-        record.pop("seconds")
-    identical = chaos == clean
-
-    return {
-        "quick": quick,
-        "faults_overhead": {
-            "requests": requests,
-            "distinct": distinct,
-            "inject_ns": round(inject_s * 1e9, 1),
-            "checked_ns": round(checked_s * 1e9, 1),
-            "checks_per_request": round(checks_per_request, 2),
-            "disabled_seconds": round(disabled_s, 4),
-            "enabled_seconds": round(enabled_s, 4),
-            "implied_overhead_pct": round(implied_pct, 4),
-            "speedup": round(disabled_s / enabled_s, 3),
-        },
-        "faults_chaos": {
-            "scenarios": len(chaos_specs),
-            "injected": plan.injected(),
-            "log_entries": len(plan.log),
-            "identical": identical,
-        },
-    }
-
-
-def recovery_measurements(quick: bool, repeats: int) -> Dict[str, object]:
-    """Measure the verification + durability layer's steady-state cost.
-
-    The single source of truth for the recovery benchmark protocol, shared
-    by ``repro bench --suite recovery`` and
-    ``benchmarks/test_bench_recovery.py``:
-
-    * ``recovery_overhead`` — a small suite is solved once to warm the
-      disk cache, then re-run from a cold memory tier (every LP answered
-      by a *disk* read) with ``verify="off"`` and again with
-      ``verify="cached"``, best-of-``repeats``.  Wall-clock noise drowns
-      the true delta on runs this short, so the headline is the *implied*
-      overhead: the measured per-certificate cost
-      (:func:`repro.lp.verify_solution`, microbenchmark) times the
-      certificates one warm run issues (counted by the engine's
-      ``verify_passed``), as a fraction of the verify-off wall time.
-      ``speedup`` (off/cached wall ratio, ≈1.0 when certification is
-      cheap) feeds the ``--compare`` regression gate.
-    * ``recovery_journal`` — checkpoint-journal append throughput: each
-      append is flushed **and fsynced** before the runner moves on, so
-      this measures the durability tax per completed scenario.
-    """
-    import tempfile
-
-    from .lp import verify_solution
-    from .scenarios.checkpoint import CheckpointJournal
-    from .scenarios.spec import ScenarioSpec
-
-    n_scenarios = 4 if quick else 8
-    cert_calls = 500 if quick else 2000
-    journal_appends = 50 if quick else 200
-
-    specs = [
-        ScenarioSpec(
-            family=("cycle", "path")[i % 2],
-            params={"n": 8 + 2 * i},
-            radii=(1, 2),
-        )
-        for i in range(n_scenarios)
-    ]
-
-    # (1) per-certificate cost, microbenchmarked on a real solved instance.
-    problem = grid_instance((8, 8), torus=True)
-    engine = BatchSolver(cache=ResultCache())
-    (reference,) = engine.solve_maxmin_batch([problem])
-    cert_s = float("inf")
-    for _ in range(max(1, repeats)):
-        start = time.perf_counter()
-        for _ in range(cert_calls):
-            verify_solution(problem, reference)
-        cert_s = min(cert_s, (time.perf_counter() - start) / cert_calls)
-
-    with tempfile.TemporaryDirectory(prefix="repro-bench-recovery-") as tmp:
-        directory = Path(tmp)
-        # Warm the disk tier once; all timed runs below are pure reads.
-        baseline = [
-            r.as_dict()
-            for r in SuiteRunner(
-                cache=ResultCache(directory=directory)
-            ).run(specs)
-        ]
-
-        off_s = on_s = float("inf")
-        certificates = 0
-        for _ in range(max(1, repeats)):
-            # A fresh ResultCache each run keeps the memory tier cold, so
-            # every hit is a disk read -- the tier verify="cached" certifies.
-            runner = SuiteRunner(
-                cache=ResultCache(directory=directory), verify="off"
-            )
-            start = time.perf_counter()
-            list(runner.run(specs))
-            off_s = min(off_s, time.perf_counter() - start)
-
-            runner = SuiteRunner(
-                cache=ResultCache(directory=directory), verify="cached"
-            )
-            start = time.perf_counter()
-            list(runner.run(specs))
-            on_s = min(on_s, time.perf_counter() - start)
-            certificates = runner.engine.stats.verify_passed
-
-        # (2) fsync'd journal append throughput.
-        journal_s = float("inf")
-        rows = [dict(baseline[i % len(baseline)]) for i in range(journal_appends)]
-        for attempt in range(max(1, repeats)):
-            journal = CheckpointJournal(
-                directory / f"bench-{attempt}.ndjson", fresh=True
-            )
-            start = time.perf_counter()
-            for row in rows:
-                journal.append(row)
-            journal_s = min(
-                journal_s, (time.perf_counter() - start) / journal_appends
-            )
-
-    implied_pct = 100.0 * certificates * cert_s / off_s
-
-    return {
-        "quick": quick,
-        "recovery_overhead": {
-            "scenarios": n_scenarios,
-            "certificates": certificates,
-            "certify_us": round(cert_s * 1e6, 2),
-            "disabled_seconds": round(off_s, 4),
-            "enabled_seconds": round(on_s, 4),
-            "implied_overhead_pct": round(implied_pct, 4),
-            "speedup": round(off_s / on_s, 3),
-        },
-        "recovery_journal": {
-            "appends": journal_appends,
-            "append_ms": round(journal_s * 1e3, 3),
-            "appends_per_second": round(1.0 / journal_s, 1),
-        },
-    }
-
-
-#: Sections of the bench JSON that carry a speedup the ``--compare`` gate
-#: judges, with their display labels.
-_BENCH_SECTIONS = {
-    "e2e": "local_averaging e2e",
-    "balls": "batch ball extraction",
-    "lp_batch_e2e": "batched LP solving e2e (averaging)",
-    "lp_batch_bisection": "batched feasibility-probe sweep",
-    "serve_replay": "serve traffic replay (cache + coalescing)",
-    "obs_overhead": "tracing overhead on the warm serve path",
-    "faults_overhead": "idle fault-harness overhead on the warm serve path",
-    "recovery_overhead": "cached-read verification overhead (warm suite re-run)",
-}
-
-
-def run_bench(args: argparse.Namespace) -> int:
-    """Run the selected benchmark suite(s); optionally gate on a baseline.
-
-    Regressions are judged on *speedups* (baseline strategy over batched
-    strategy), which transfer across machines where absolute wall-clock
-    numbers do not: the gate fails when a measured speedup falls more than
-    ``--max-regression`` below the committed baseline's.  The gate covers
-    every section present in both the baseline file and this run, so one
-    command serves the views suite (``benchmarks/BENCH_views_baseline.json``)
-    and the lp-batch suite (``benchmarks/BENCH_lp_batch_baseline.json``).
-    """
-    quick = not args.full
-    rows: Dict[str, object] = {"quick": quick}
-    display: List[Dict[str, object]] = []
-    if args.suite in ("views", "all"):
-        measured = bench_measurements(quick, args.repeats)
-        rows.update(measured)
-        e2e, balls = measured["e2e"], measured["balls"]
-        display.extend(
-            [
-                {
-                    "benchmark": _BENCH_SECTIONS["e2e"],
-                    "instance": f"torus {tuple(e2e['shape'])} R={e2e['R']}",
-                    "baseline_s": e2e["scalar_seconds"],
-                    "batched_s": e2e["vectorized_seconds"],
-                    "speedup": e2e["speedup"],
-                },
-                {
-                    "benchmark": _BENCH_SECTIONS["balls"],
-                    "instance": f"torus {tuple(balls['shape'])} R={balls['R']}",
-                    "baseline_s": balls["scalar_seconds"],
-                    "batched_s": balls["batch_seconds"],
-                    "speedup": balls["speedup"],
-                },
-            ]
-        )
-    if args.suite in ("lp-batch", "all"):
-        measured = lp_batch_measurements(quick, args.repeats)
-        rows.update({k: v for k, v in measured.items() if k != "quick"})
-        e2e = measured["lp_batch_e2e"]
-        probes = measured["lp_batch_bisection"]
-        display.extend(
-            [
-                {
-                    "benchmark": _BENCH_SECTIONS["lp_batch_e2e"],
-                    "instance": f"random torus {tuple(e2e['shape'])} R={e2e['R']}",
-                    "baseline_s": e2e["per_lp_seconds"],
-                    "batched_s": e2e["stacked_seconds"],
-                    "speedup": e2e["speedup"],
-                },
-                {
-                    "benchmark": _BENCH_SECTIONS["lp_batch_bisection"],
-                    "instance": f"cycle16 × {probes['probes']} probes",
-                    "baseline_s": probes["per_lp_seconds"],
-                    "batched_s": probes["stacked_seconds"],
-                    "speedup": probes["speedup"],
-                },
-            ]
-        )
-    if args.suite in ("serve", "all"):
-        measured = serve_measurements(quick, args.repeats)
-        rows.update({k: v for k, v in measured.items() if k != "quick"})
-        replay = measured["serve_replay"]
-        display.append(
-            {
-                "benchmark": _BENCH_SECTIONS["serve_replay"],
-                "instance": (
-                    f"{replay['requests']} reqs / {replay['distinct']} distinct "
-                    f"/ {replay['client_threads']} threads"
-                ),
-                "baseline_s": round(
-                    replay["solve_seconds"] * replay["requests"], 4
-                ),
-                "batched_s": replay["replay_seconds"],
-                "speedup": replay["speedup"],
-            }
-        )
-    if args.suite in ("obs", "all"):
-        measured = obs_measurements(quick, args.repeats)
-        rows.update({k: v for k, v in measured.items() if k != "quick"})
-        overhead = measured["obs_overhead"]
-        display.append(
-            {
-                "benchmark": _BENCH_SECTIONS["obs_overhead"],
-                "instance": (
-                    f"{overhead['requests']} warm reqs / "
-                    f"{overhead['spans_per_request']} spans each"
-                ),
-                "baseline_s": overhead["disabled_seconds"],
-                "batched_s": overhead["enabled_seconds"],
-                "speedup": overhead["speedup"],
-            }
-        )
-    if args.suite in ("faults", "all"):
-        measured = faults_measurements(quick, args.repeats)
-        rows.update({k: v for k, v in measured.items() if k != "quick"})
-        overhead = measured["faults_overhead"]
-        display.append(
-            {
-                "benchmark": _BENCH_SECTIONS["faults_overhead"],
-                "instance": (
-                    f"{overhead['requests']} warm reqs / "
-                    f"{overhead['checks_per_request']} seam checks each"
-                ),
-                "baseline_s": overhead["disabled_seconds"],
-                "batched_s": overhead["enabled_seconds"],
-                "speedup": overhead["speedup"],
-            }
-        )
-    if args.suite in ("recovery", "all"):
-        measured = recovery_measurements(quick, args.repeats)
-        rows.update({k: v for k, v in measured.items() if k != "quick"})
-        overhead = measured["recovery_overhead"]
-        display.append(
-            {
-                "benchmark": _BENCH_SECTIONS["recovery_overhead"],
-                "instance": (
-                    f"{overhead['scenarios']} warm scenarios / "
-                    f"{overhead['certificates']} certificates"
-                ),
-                "baseline_s": overhead["disabled_seconds"],
-                "batched_s": overhead["enabled_seconds"],
-                "speedup": overhead["speedup"],
-            }
-        )
-    _print(
-        f"BENCH: {args.suite} suite" + (" (quick mode)" if quick else ""),
-        render_rows(display),
-    )
-
-    if args.out:
-        Path(args.out).write_text(json.dumps(rows, indent=2))
-        print(f"\nwrote {args.out}")
-
-    if args.compare:
-        baseline_path = Path(args.compare)
-        if not baseline_path.is_file():
-            raise SystemExit(f"baseline file not found: {baseline_path}")
-        try:
-            baseline = json.loads(baseline_path.read_text())
-        except ValueError as exc:
-            raise SystemExit(f"invalid baseline JSON {baseline_path}: {exc}")
-        if "quick" in baseline and bool(baseline["quick"]) != rows["quick"]:
-            raise SystemExit(
-                "baseline/measurement mode mismatch: baseline is "
-                f"{'quick' if baseline['quick'] else 'full'} mode but this "
-                f"run is {'quick' if rows['quick'] else 'full'} mode — "
-                "speedups are only comparable at matching instance sizes"
-            )
-        failures = []
-        gated = False
-        for section in _BENCH_SECTIONS:
-            reference = baseline.get(section, {}).get("speedup")
-            if reference is None or section not in rows:
-                continue
-            gated = True
-            floor = reference * (1.0 - args.max_regression)
-            measured_speedup = rows[section]["speedup"]
-            status = "ok" if measured_speedup >= floor else "REGRESSION"
-            print(
-                f"{section}: speedup {measured_speedup:.2f}x vs baseline "
-                f"{reference:.2f}x (floor {floor:.2f}x) -> {status}"
-            )
-            if measured_speedup < floor:
-                failures.append(section)
-        if not gated:
-            raise SystemExit(
-                f"baseline {baseline_path} shares no benchmark sections with "
-                f"this run's suite ({args.suite}); pass the matching --suite"
-            )
-        if failures:
-            raise SystemExit(
-                f"benchmark regression (> {args.max_regression:.0%}) in: "
-                + ", ".join(failures)
-            )
     return 0
 
 
@@ -1622,7 +746,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default="serial",
         help="execution mode of the batch engine",
     )
-    sp.add_argument("--workers", type=int, default=None, help="pool size")
+    sp.add_argument("--workers", type=_positive_int, default=None, help="pool size")
     sp.add_argument(
         "--cache-dir",
         default=None,
@@ -1664,39 +788,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="verify: quarantine damaged entries (.corrupt sidecars) and "
         "sweep stale .tmp files instead of exiting non-zero",
-    )
-
-    sp = sub.add_parser(
-        "bench",
-        help="run a benchmark suite (views pipeline / batched LP solving)",
-    )
-    sp.add_argument(
-        "--suite",
-        choices=["views", "lp-batch", "serve", "obs", "faults", "recovery", "all"],
-        default="views",
-        help="which benchmark suite to measure (default views)",
-    )
-    sp.add_argument(
-        "--full",
-        action="store_true",
-        help="full-size instances (the acceptance-benchmark shapes)",
-    )
-    sp.add_argument(
-        "--repeats", type=int, default=3, help="best-of-N timing repeats"
-    )
-    sp.add_argument(
-        "--out", default=None, help="write measurements as JSON (BENCH_views.json)"
-    )
-    sp.add_argument(
-        "--compare",
-        default=None,
-        help="baseline BENCH_views.json to gate against (compares speedups)",
-    )
-    sp.add_argument(
-        "--max-regression",
-        type=float,
-        default=0.30,
-        help="allowed fractional speedup drop vs the baseline (default 0.30)",
     )
 
     sp = sub.add_parser(
@@ -1746,7 +837,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-workers",
         "--workers",
         dest="workers",
-        type=int,
+        type=_positive_int,
         default=None,
         help="worker pool size for thread/process mode",
     )
@@ -1763,7 +854,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sp_run.add_argument(
         "--lp-chunk-size",
-        type=int,
+        type=_positive_int,
         default=64,
         help="LPs per batched solver submission (default 64)",
     )
@@ -1835,7 +926,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-workers",
         "--workers",
         dest="workers",
-        type=int,
+        type=_positive_int,
         default=None,
         help="worker pool size for thread/process mode",
     )
@@ -1848,7 +939,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument(
         "--lp-chunk-size",
-        type=int,
+        type=_positive_int,
         default=64,
         help="LPs per batched solver submission (default 64)",
     )
@@ -1877,7 +968,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument(
         "--max-inflight",
-        type=int,
+        type=_positive_int,
         default=None,
         help="shed requests beyond this many concurrent solves "
         "(503 + Retry-After; default unlimited)",
@@ -1928,7 +1019,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-workers",
         "--workers",
         dest="workers",
-        type=int,
+        type=_positive_int,
         default=None,
         help="worker pool size for thread/process mode",
     )
@@ -1961,8 +1052,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return run_batch(args)
     if args.command == "cache":
         return run_cache(args)
-    if args.command == "bench":
-        return run_bench(args)
     if args.command == "canon":
         return run_canon(args)
     if args.command == "serve":

@@ -134,6 +134,8 @@ class RequestScheduler:
         self.stats = stats
         self.coalesce = coalesce
         self._flights: Dict[str, _Flight] = {}
+        #: Flights retired so far; a claim re-reads the cache if it moved.
+        self._landed = 0
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -225,17 +227,24 @@ class RequestScheduler:
         attached: List[Tuple[str, _Flight]] = []
         try:
             for key, idx in first_index.items():
-                cached, tier = (
-                    self.cache.get_with_tier(key, _MISSING)
-                    if self.cache is not None
-                    else (_MISSING, None)
-                )
-                if cached is not _MISSING and validate is not None:
-                    # Verification gate: a rejected hit is demoted to a
-                    # miss, so the key claims a flight and re-solves like
-                    # any cold request.
-                    if not validate(key, cached, tier, builders[idx]):
-                        cached = _MISSING
+                landed = self._landed
+                cached = self._lookup(key, builders[idx], validate)
+                if cached is _MISSING and self.coalesce:
+                    with self._lock:
+                        flight = self._flights.get(key)
+                        if flight is not None:
+                            attached.append((key, flight))
+                            continue
+                        flight = _Flight()
+                        self._flights[key] = flight
+                        owned.append((key, flight))
+                        raced = self._landed != landed
+                    if raced:
+                        # A flight landed since our miss; it may have been
+                        # this key's, cached just before it retired.
+                        cached = self._lookup(key, builders[idx], validate)
+                        if cached is not _MISSING:
+                            flight.publish(cached)
                 if cached is not _MISSING:
                     results[key] = cached
                     sources[key] = SOURCE_CACHE
@@ -243,17 +252,6 @@ class RequestScheduler:
                         record = self.registry.new_job(kind, key)
                         self.registry.finish_job(record, cached=True)
                     continue
-                flight: Optional[_Flight] = None
-                if self.coalesce:
-                    with self._lock:
-                        flight = self._flights.get(key)
-                        if flight is None:
-                            flight = _Flight()
-                            self._flights[key] = flight
-                            owned.append((key, flight))
-                        else:
-                            attached.append((key, flight))
-                            continue
                 # We own this key (or coalescing is off): build its unit.
                 pending.append((key, builders[idx]()))
 
@@ -275,6 +273,7 @@ class RequestScheduler:
                     )
                 with self._lock:
                     self._flights.pop(key, None)
+                    self._landed += 1
 
         # Only after our own work is published may we block on other
         # threads' flights (see the module docstring for why this ordering
@@ -299,6 +298,25 @@ class RequestScheduler:
                 self.registry.finish_job(record, cached=True)
 
         return results, sources
+
+    def _lookup(
+        self,
+        key: str,
+        builder: Callable[[], Any],
+        validate: Optional[Callable[[str, Any, str, Callable[[], Any]], bool]],
+    ) -> Any:
+        """The cached payload for ``key``, or ``_MISSING``.
+
+        Verification gate: a hit ``validate`` rejects is demoted to a miss,
+        so the key claims a flight and re-solves like any cold request.
+        """
+        if self.cache is None:
+            return _MISSING
+        cached, tier = self.cache.get_with_tier(key, _MISSING)
+        if cached is not _MISSING and validate is not None:
+            if not validate(key, cached, tier, builder):
+                return _MISSING
+        return cached
 
     def _solve_owned(
         self,

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import pytest
 
 from repro import (
@@ -97,15 +95,6 @@ class TestDeduplication:
         assert engine.stats.units == 8
         assert engine.stats.executed == 1
         assert engine.stats.dedup_saved == 7
-
-    def test_vacuous_local_lp_is_all_zero_with_inf_objective(self, cycle8):
-        # R = 1 on a cycle leaves some beneficiary supports incomplete only
-        # for tiny views; build a view of a single agent instead.
-        engine = serial_engine()
-        root = cycle8.agents[0]
-        outcome = engine.solve_local_lps(cycle8, {root: frozenset({root})})[root]
-        assert outcome.objective == math.inf
-        assert outcome.x == {root: 0.0}
 
 
 class TestSweepCaching:

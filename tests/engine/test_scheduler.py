@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
@@ -237,6 +238,75 @@ class TestSchedulerCoalescing:
         # attaching to the peer's flight, or — when the peer had already
         # published and cached — by a cache hit.
         assert scheduler.stats.coalesced + cache.stats.hits == 2
+
+    def test_flight_landing_between_miss_and_claim_is_not_solved_twice(self):
+        """A late caller whose cache miss predates the owner's publication.
+
+        The owner solves, caches and retires its flight after the late
+        caller has read the cache but before the late caller claims a
+        flight; the late caller must answer from the cache, not re-solve.
+        """
+        missed = threading.Event()
+        landed = threading.Event()
+
+        class LateCache(ResultCache):
+            def get_with_tier(self, key, default=None):
+                found = super().get_with_tier(key, default)
+                if threading.current_thread().name == "late" and not missed.is_set():
+                    missed.set()
+                    assert landed.wait(timeout=10), "owner never landed"
+                return found
+
+        scheduler = RequestScheduler(cache=LateCache())
+        solve = _counting_solve()
+        late_out = []
+
+        def late_request():
+            late_out.append(
+                scheduler.run(
+                    ["k"], [lambda: "late"], kind="t", solve=solve, details=True
+                )
+            )
+
+        late = threading.Thread(target=late_request, name="late")
+        late.start()
+        assert missed.wait(timeout=10)
+        owner_out = scheduler.run(["k"], [lambda: "owner"], kind="t", solve=solve)
+        landed.set()
+        late.join(timeout=30)
+        assert owner_out == ["answer:owner"]
+        assert late_out == [[("answer:owner", SOURCE_CACHE)]]
+        assert solve.calls == [["owner"]]
+        assert scheduler.stats.executed == 1
+
+    def test_concurrent_bursts_solve_each_key_once_under_stress(self):
+        # More threads than cores and a tiny switch interval, so a
+        # check-then-claim gap would show up as a second solve of a key.
+        scheduler = RequestScheduler(cache=ResultCache())
+        solve = _counting_solve()
+        rounds, n_threads = 20, 16
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_ in range(rounds):
+                barrier = threading.Barrier(n_threads)
+
+                def request(key=f"k{round_}"):
+                    barrier.wait(timeout=10)
+                    scheduler.run([key], [lambda: key], kind="t", solve=solve)
+
+                threads = [threading.Thread(target=request) for _ in range(n_threads)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(previous)
+        assert scheduler.stats.executed == rounds
+        assert sorted(call[0] for call in solve.calls) == sorted(
+            f"k{round_}" for round_ in range(rounds)
+        )
 
     def test_coalesce_disabled_solves_independently(self):
         scheduler = RequestScheduler(cache=None, coalesce=False)

@@ -71,6 +71,42 @@ class TestCLI:
         assert "delta_VI" in out
 
 
+def test_bench_subcommand_removed(capsys):
+    # The benchmark protocols live in benchmarks/test_bench_*.py, which
+    # assert on them directly; the CLI no longer has a second gate.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["bench"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["batch", "--workers"], id="batch-workers"),
+        pytest.param(["suite", "run", "paper", "--workers"], id="suite-workers"),
+        pytest.param(["serve", "--workers"], id="serve-workers"),
+        pytest.param(["trace", "run", "paper", "--workers"], id="trace-workers"),
+        pytest.param(
+            ["suite", "run", "paper", "--lp-chunk-size"], id="suite-lp-chunk-size"
+        ),
+        pytest.param(["serve", "--lp-chunk-size"], id="serve-lp-chunk-size"),
+        pytest.param(["serve", "--max-inflight"], id="serve-max-inflight"),
+    ],
+)
+def test_non_positive_counts_rejected(argv, capsys):
+    # Parsing alone must exit 2 with a one-line message, before any
+    # engine, suite or server is built.
+    from repro.cli import _build_parser
+
+    with pytest.raises(SystemExit) as excinfo:
+        _build_parser().parse_args([*argv, "0"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert argv[-1] in err
+    assert "must be an integer >= 1, got '0'" in err
+
+
 class TestBatchCommand:
     def test_batch_runs_and_reports_engine_counters(self, capsys, tmp_path):
         assert (
