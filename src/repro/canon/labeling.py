@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 from hashlib import sha256
 from itertools import repeat
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
@@ -676,17 +677,191 @@ def canonicalize_local_lp(
 # The canonical index: discrete views label themselves; symmetric views
 # search once per class and match every other member
 # ----------------------------------------------------------------------
+#: Fewest views matched against one class at once that go through the
+#: lockstep matcher.  Each lockstep step pays a fixed cost in numpy calls
+#: that only enough views amortise: on torus views of 42-197 nodes the
+#: lockstep pass overtook one-by-one matching at 8-10 views (2-core Xeon).
+LOCKSTEP_MIN_MEMBERS = 10
+
+#: Score of a placed node (or of the padding column) in the lockstep
+#: ordering: below any reachable score of an unplaced node.
+_PLACED = np.int64(-(1 << 62))
+
+
 @dataclass
 class _RegisteredForm:
-    """Per-class matching data kept by :class:`CanonicalIndex`."""
+    """Per-class matching data kept by :class:`CanonicalIndex`.
+
+    A class is kept as its incidence edges in canonical positions (both
+    directions, sorted by ``(src, dst)``) plus the stable colour of each
+    position.  The scalar matcher's per-position sets and the lockstep
+    matcher's dense tables are derived from them on first use, so a class
+    only ever matched one way builds one set of tables.
+    """
 
     form: CanonicalForm
-    stable_by_position: List[int]  # stable refinement colour per position
+    colour: np.ndarray  # stable refinement colour per position
     positions_by_color: List[Tuple[int, ...]]  # colour -> candidate positions
     pool_size_by_color: np.ndarray  # colour -> len(positions_by_color[colour])
-    edge_sets: List[frozenset]  # position -> {(nbr position, wid)}
-    adj_by_wc: List[Dict[Tuple[int, int], Tuple[int, ...]]]
-    n_edges: int
+    src: np.ndarray
+    dst: np.ndarray
+    wid: np.ndarray
+    max_degree: int
+
+    @property
+    def n_nodes(self) -> int:
+        return int(self.colour.size)
+
+    @property
+    def n_edges(self) -> int:
+        return int(self.src.size)
+
+    @cached_property
+    def scalar_tables(
+        self,
+    ) -> Tuple[List[frozenset], List[Dict[Tuple[int, int], Tuple[int, ...]]]]:
+        """Per position: ``{(nbr position, wid)}`` and ``(wid, colour) -> nbrs``."""
+        colour = self.colour.tolist()
+        edges: List[List[Tuple[int, int]]] = [[] for _ in range(self.n_nodes)]
+        grouped: List[Dict[Tuple[int, int], List[int]]] = [
+            {} for _ in range(self.n_nodes)
+        ]
+        for p, q, w in zip(self.src.tolist(), self.dst.tolist(), self.wid.tolist()):
+            edges[p].append((q, w))
+            grouped[p].setdefault((w, colour[q]), []).append(q)
+        return (
+            [frozenset(pairs) for pairs in edges],
+            [{wc: tuple(qs) for wc, qs in by_wc.items()} for by_wc in grouped],
+        )
+
+    @cached_property
+    def lockstep_tables(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Dense tables over ``n + 1`` positions (position ``n`` is padding).
+
+        ``adjacency`` is the flattened ``(n + 1) x (n + 1)`` matrix of edge
+        weight id + 1 (0: no edge).  Row ``q * n_colours + c`` of ``pools``
+        lists the form neighbours of ``q`` with stable colour ``c`` by
+        ascending position, padded with ``n``.
+        """
+        n = self.n_nodes
+        width = n + 1
+        adjacency = np.zeros((width, width), dtype=np.int32)
+        adjacency[self.src, self.dst] = self.wid + 1
+        n_colours = len(self.positions_by_color)
+        group = self.src * n_colours + self.colour[self.dst]
+        order = np.lexsort((self.dst, group))
+        group = group[order]
+        starts = np.searchsorted(group, group)
+        slot = np.arange(group.size) - starts
+        pools = np.full(
+            (width * n_colours, int(slot.max()) + 1 if slot.size else 1),
+            n,
+            dtype=np.int64,
+        )
+        pools[group, slot] = self.dst[order]
+        return adjacency.ravel(), pools
+
+
+def _lockstep_match(
+    members: Sequence[Tuple[_Canonicalizer, np.ndarray]],
+    registered: _RegisteredForm,
+) -> List[Optional[np.ndarray]]:
+    """The greedy path of :meth:`CanonicalIndex._match` for many views at once.
+
+    Every member must pass :meth:`CanonicalIndex._matchable` and the class
+    must have edges.  One step per node serves all members: each member
+    places the unplaced node with the most placed neighbours (ties: pool
+    size, stable colour, index -- the scalar order's key, as a row-wise
+    argmax over a members x nodes score) and gives it the lowest unused
+    position of its colour whose form edges to the images of its placed
+    neighbours are exactly the member's edges.  A scalar-matcher pool holds
+    the form neighbours of one placed neighbour's image, so every position
+    passing those checks lies in it, and the lowest passing position is the
+    one the scalar depth-first search takes.  A member whose every step
+    finds a position therefore gets exactly the scalar matcher's first
+    complete assignment; a member that dead-ends would need backtracking
+    and is returned as ``None``.  The caller keeps the scalar search's
+    budget out of play: a greedy path tries at most ``n x max_degree``
+    candidates.
+    """
+    adjacency, pools = registered.lockstep_tables
+    n_colours = len(registered.positions_by_color)
+    n = registered.n_nodes
+    width = n + 1
+    count = len(members)
+    rows = np.arange(count)
+    base = rows * width
+    # Member incidence as padded tables over n + 1 nodes per member (node n
+    # is padding): flat neighbour index and edge weight id + 1.  Matchable
+    # members all have the class's edge count, so they stack.
+    node = np.stack([canonicalizer.node for canonicalizer, _ in members])
+    starts = np.stack([canonicalizer.starts[:-1] for canonicalizer, _ in members])
+    slot = np.arange(node.shape[1]) - np.take_along_axis(starts, node, axis=1)
+    node += base[:, None]
+    degree = int(slot.max()) + 1
+    nbr = np.empty((count * width, degree), dtype=np.int64)
+    nbr[...] = np.repeat(base + n, width)[:, None]
+    nbr[node, slot] = (
+        np.stack([canonicalizer.nbr for canonicalizer, _ in members])
+        + base[:, None]
+    )
+    weight = np.zeros((count * width, degree), dtype=adjacency.dtype)
+    weight[node, slot] = (
+        np.stack([canonicalizer.wid for canonicalizer, _ in members]) + 1
+    )
+    colour = np.stack([stable for _, stable in members])
+
+    # Higher score first; argmax takes the lowest index among equal scores,
+    # which is the scalar order's last tie-break.
+    shift = max(n, 2)
+    tiebreak = registered.pool_size_by_color[colour] * shift + colour
+    step = np.int64((shift + 1) ** 2)  # one placed neighbour beats any tie-break
+    score = np.full((count, width), _PLACED, dtype=np.int64)
+    score[:, :n] = -tiebreak
+    score = score.ravel()
+    colour = np.concatenate((colour, np.zeros((count, 1), np.int64)), axis=1).ravel()
+    assign = np.full(count * width, n, dtype=np.int64)  # n: not yet placed
+    free = np.ones((count, width), dtype=bool)
+    free[:, n] = False  # padding candidates never fit
+    free = free.ravel()
+    alive = np.ones(count, dtype=bool)
+
+    for _ in range(n):
+        picked = base + score.reshape(count, width).argmax(axis=1)
+        score[picked] = _PLACED
+        nbrs = nbr[picked]
+        score[nbrs] += step
+        images = assign[nbrs]
+        placed = images < n
+        # Same-colour form neighbours of one placed neighbour's image (none
+        # placed: image n, whose pool rows hold padding only).
+        pool = pools[images.min(axis=1) * n_colours + colour[picked]]
+        fits = (
+            adjacency[pool[:, :, None] * width + images[:, None, :]]
+            == (weight[picked] * placed)[:, None, :]
+        ).all(axis=2)
+        fits &= free[base[:, None] + pool]
+        choice = fits.argmax(axis=1)
+        image = pool[rows, choice]
+        stuck = np.flatnonzero(~fits[rows, choice] & alive)
+        for m in stuck:
+            if placed[m].any():
+                alive[m] = False  # dead end: the scalar search backtracks
+                continue
+            # No placed neighbour: the lowest unused position of the colour.
+            seeds = np.asarray(registered.positions_by_color[colour[picked[m]]])
+            seeds = seeds[free[base[m] + seeds]]
+            if seeds.size:
+                image[m] = seeds[0]
+            else:
+                alive[m] = False
+        if stuck.size and not alive.any():
+            break
+        assign[picked] = image
+        free[base + image] = False
+    return [
+        assign[base[m]: base[m] + n].copy() if alive[m] else None for m in rows
+    ]
 
 
 class CanonicalIndex:
@@ -704,6 +879,18 @@ class CanonicalIndex:
     matter which member's search discovered it or whether a match or a
     search produced the labeling.  Two engines therefore stay bit-for-bit
     interchangeable even though each keeps its own index.
+
+    :meth:`canonical_forms_from_arrays` labels a whole batch of views (one
+    atlas call) at once.  Its symmetric views are bucketed by invariant;
+    each bucket tries the registered classes in registration order, then
+    searches its first unmatched view and matches the rest against the new
+    class.  When at least :data:`LOCKSTEP_MIN_MEMBERS` views are matched
+    against one class they go through the matcher in lockstep
+    (:func:`_lockstep_match`): one numpy step per node serves every view,
+    and a view whose greedy path completes gets exactly the scalar
+    matcher's labeling.  A view that dead-ends (its match needs
+    backtracking) reruns through the scalar :meth:`_match`;
+    ``stats["backtracked"]`` counts those.
 
     The index is an unguarded pure cache: concurrent use from several
     threads can at worst duplicate work or register a redundant equal-key
@@ -742,6 +929,7 @@ class CanonicalIndex:
             "literal": 0,
             "memoized": 0,
             "discrete": 0,
+            "backtracked": 0,
         }
 
     # ------------------------------------------------------------------
@@ -790,161 +978,187 @@ class CanonicalIndex:
         canonicalizer, agent_list, resource_list, beneficiary_list = (
             _build_canonicalizer(agents, consumption, benefit, self.branch_budget)
         )
-        return self._form_and_positions(
-            canonicalizer, agent_list, resource_list, beneficiary_list
-        )
+        return self._forms_and_positions(
+            [(canonicalizer, agent_list, resource_list, beneficiary_list, None)]
+        )[0]
 
-    def canonical_form_from_arrays(
-        self,
-        agent_list: Sequence[Agent],
-        resource_list: Sequence[Resource],
-        beneficiary_list: Sequence[Beneficiary],
-        cons_res: np.ndarray,
-        cons_agent: np.ndarray,
-        cons_wid: np.ndarray,
-        ben_row: np.ndarray,
-        ben_agent: np.ndarray,
-        ben_wid: np.ndarray,
-        weight_table: np.ndarray,
-        stable: Optional[np.ndarray] = None,
-    ) -> Tuple[CanonicalForm, np.ndarray]:
-        """Array fast path of :meth:`canonical_form_and_positions`.
+    def canonical_forms_from_arrays(
+        self, views: Sequence[Tuple]
+    ) -> List[Tuple[CanonicalForm, np.ndarray]]:
+        """Array fast path of :meth:`canonical_form_and_positions`, batched.
 
-        The identifier lists must already be ``_sort_key``-sorted and the
-        coefficient arrays expressed in the corresponding internal indices,
-        sorted by ``(row, agent)`` with weight ids ranking into the sorted
-        unique ``weight_table`` — the layout the vectorized view-extraction
-        pipeline emits.  Equal inputs produce byte-identical state to the
-        triple-list path, so both entries share the memo and the registered
-        classes, and their outputs are interchangeable bit for bit.
+        Each item is ``(agent_list, resource_list, beneficiary_list,
+        cons_res, cons_agent, cons_wid, ben_row, ben_agent, ben_wid,
+        weight_table, stable)``.  The identifier lists must already be
+        ``_sort_key``-sorted and the coefficient arrays expressed in the
+        corresponding internal indices, sorted by ``(row, agent)`` with
+        weight ids ranking into the sorted unique ``weight_table`` — the
+        layout the vectorized view-extraction pipeline emits.  Equal inputs
+        produce byte-identical state to the triple-list path, so both
+        entries share the memo and the registered classes, and their
+        outputs are interchangeable bit for bit.
 
         ``stable`` may carry the view's stable refinement colouring when the
         caller already computed it (the batch pipeline refines many views in
-        one shared sweep); it must equal what
+        one shared sweep), or be ``None``; it must equal what
         :meth:`_Canonicalizer.refine` would return — the batch refinement
         ranks signatures per view with the same comparisons, and the test
         suite asserts the equality.
-        """
-        canonicalizer = _Canonicalizer.from_arrays(
-            len(agent_list),
-            len(resource_list),
-            len(beneficiary_list),
-            cons_res,
-            cons_agent,
-            cons_wid,
-            ben_row,
-            ben_agent,
-            ben_wid,
-            weight_table,
-            self.branch_budget,
-        )
-        return self._form_and_positions(
-            canonicalizer, agent_list, resource_list, beneficiary_list,
-            stable=stable,
-        )
 
-    def _form_and_positions(
-        self,
-        canonicalizer: _Canonicalizer,
-        agent_list: Sequence[Agent],
-        resource_list: Sequence[Resource],
-        beneficiary_list: Sequence[Beneficiary],
-        stable: Optional[np.ndarray] = None,
-    ) -> Tuple[CanonicalForm, np.ndarray]:
-        memo_key = canonicalizer.structure_key()
+        The labelings equal what one call per view, in item order, returns.
+        The symmetric views of the batch are matched class by class, in
+        lockstep where a class has enough of them (see the class docstring).
+        Each literal structure should appear once — the atlas groups
+        byte-equal views first; a repeat gets the same labeling but counts
+        as ``matched`` where the one-by-one calls would count ``memoized``.
+        """
+        items = []
+        for agent_list, resource_list, beneficiary_list, *arrays, stable in views:
+            canonicalizer = _Canonicalizer.from_arrays(
+                len(agent_list),
+                len(resource_list),
+                len(beneficiary_list),
+                *arrays,
+                self.branch_budget,
+            )
+            items.append(
+                (canonicalizer, agent_list, resource_list, beneficiary_list, stable)
+            )
+        return self._forms_and_positions(items)
+
+    def _forms_and_positions(
+        self, items: Sequence[Tuple]
+    ) -> List[Tuple[CanonicalForm, np.ndarray]]:
+        """Label ``(canonicalizer, agents, resources, beneficiaries, stable)``s."""
+        results: List[Optional[Tuple[CanonicalForm, np.ndarray]]] = [None] * len(items)
+        memo_keys: List[Tuple] = []
+        stables: List[np.ndarray] = []
+        buckets: Dict[Tuple, List[int]] = {}
+
+        def settle(idx: int, positions: np.ndarray, template: CanonicalForm) -> None:
+            _canonicalizer, agent_list, resource_list, beneficiary_list, _ = items[idx]
+            self._structure_memo[memo_keys[idx]] = (positions, template)
+            results[idx] = (
+                self.templated_form(
+                    agent_list, resource_list, beneficiary_list, template, positions
+                ),
+                positions,
+            )
+
+        def match_all(
+            members: Sequence[int], registered: _RegisteredForm
+        ) -> List[Optional[np.ndarray]]:
+            return self._match_members(
+                [(items[idx][0], stables[idx]) for idx in members], registered
+            )
+
+        def settle_matches(
+            members: Sequence[int],
+            found: Sequence[Optional[np.ndarray]],
+            registered: _RegisteredForm,
+        ) -> List[int]:
+            """Settle the members ``found`` a labeling for; return the rest."""
+            unmatched = []
+            for idx, positions in zip(members, found):
+                if positions is None:
+                    unmatched.append(idx)
+                else:
+                    self.stats["matched"] += 1
+                    settle(idx, positions, registered.form)
+            return unmatched
+
         if len(self._structure_memo) > self.MAX_STRUCTURE_MEMO:
             self._structure_memo.clear()
-        memoized = self._structure_memo.get(memo_key)
-        if memoized is not None:
-            positions, template = memoized
-            self.stats["memoized"] += 1
-            return (
-                self.templated_form(
-                    agent_list, resource_list, beneficiary_list, template, positions
-                ),
-                positions,
-            )
-        if stable is None:
-            stable = canonicalizer.refine(canonicalizer.initial_colors())
-        if stable.size == 0 or int(stable.max()) + 1 == stable.size:
-            # Discrete stable colouring (refinement ranks colours 0..n-1,
-            # so the maximum reaches n - 1 exactly when every colour occurs
-            # once).  Refinement colours are canonical, so the colouring
-            # *is* the labeling: the search would stop at its root leaf
-            # with these colours, and every matcher pool would be a
-            # singleton handing them back.  Copied: the batch pipeline
-            # passes slices of one shared array, which the memo must not pin.
-            positions = np.array(stable, dtype=np.int64)
-            form_bytes = canonicalizer._form_bytes(positions)
-            key = _exact_key(form_bytes)
-            template = self._discrete_templates.get(key)
-            if template is None:
-                if len(self._discrete_templates) > self.MAX_STRUCTURE_MEMO:
-                    self._discrete_templates.clear()
-                template = _assemble_form(
-                    canonicalizer, agent_list, resource_list, beneficiary_list,
-                    form_bytes, positions, True,
+        for idx, (
+            canonicalizer, agent_list, resource_list, beneficiary_list, stable
+        ) in enumerate(items):
+            memo_keys.append(canonicalizer.structure_key())
+            memoized = self._structure_memo.get(memo_keys[idx])
+            if stable is None and memoized is None:
+                stable = canonicalizer.refine(canonicalizer.initial_colors())
+            stables.append(stable)
+            if memoized is not None:
+                self.stats["memoized"] += 1
+                settle(idx, *memoized)
+            elif stable.size == 0 or int(stable.max()) + 1 == stable.size:
+                # Discrete stable colouring (refinement ranks colours 0..n-1,
+                # so the maximum reaches n - 1 exactly when every colour
+                # occurs once).  Refinement colours are canonical, so the
+                # colouring *is* the labeling: the search would stop at its
+                # root leaf with these colours, and every matcher pool would
+                # be a singleton handing them back.  Copied: the batch
+                # pipeline passes slices of one shared array, which the memo
+                # must not pin.
+                positions = np.array(stable, dtype=np.int64)
+                form_bytes = canonicalizer._form_bytes(positions)
+                key = _exact_key(form_bytes)
+                template = self._discrete_templates.get(key)
+                if template is None:
+                    if len(self._discrete_templates) > self.MAX_STRUCTURE_MEMO:
+                        self._discrete_templates.clear()
+                    template = _assemble_form(
+                        canonicalizer, agent_list, resource_list, beneficiary_list,
+                        form_bytes, positions, True,
+                    )
+                    self._discrete_templates[key] = template
+                self.stats["discrete"] += 1
+                settle(idx, positions, template)
+            else:
+                invariant = self._invariant_key(canonicalizer, stable)
+                buckets.setdefault(invariant, []).append(idx)
+
+        for invariant, members in buckets.items():
+            # Registered classes first, in registration order ...
+            for registered in tuple(self._classes.get(invariant, ())):
+                members = settle_matches(
+                    members, match_all(members, registered), registered
                 )
-                self._discrete_templates[key] = template
-            self.stats["discrete"] += 1
-            self._structure_memo[memo_key] = (positions, template)
-            return (
-                self.templated_form(
-                    agent_list, resource_list, beneficiary_list, template, positions
-                ),
-                positions,
-            )
-        invariant = self._invariant_key(canonicalizer, stable)
-        for registered in self._classes.get(invariant, ()):
-            positions = self._match(canonicalizer, stable, registered)
-            if positions is not None:
-                self.stats["matched"] += 1
-                self._structure_memo[memo_key] = (positions, registered.form)
-                return (
-                    self.templated_form(
-                        agent_list, resource_list, beneficiary_list,
-                        registered.form, positions,
-                    ),
-                    positions,
+            # ... then the first unmatched view discovers a new class, which
+            # every remaining view is matched against.
+            while members:
+                first, rest = members[0], members[1:]
+                canonicalizer, agent_list, resource_list, beneficiary_list, _ = (
+                    items[first]
                 )
-        try:
-            with span("canon.search", nodes=int(stable.size)):
-                form_bytes, colors = canonicalizer.search_from(stable)
-        except _BudgetExhausted:
-            colors = canonicalizer.literal_colors()
-            form_bytes = canonicalizer._form_bytes(colors)
-            self.stats["literal"] += 1
-            return (
-                _assemble_form(
+                stable = stables[first]
+                try:
+                    with span("canon.search", nodes=int(stable.size)):
+                        form_bytes, colors = canonicalizer.search_from(stable)
+                except _BudgetExhausted:
+                    colors = canonicalizer.literal_colors()
+                    form_bytes = canonicalizer._form_bytes(colors)
+                    self.stats["literal"] += 1
+                    results[first] = (
+                        _assemble_form(
+                            canonicalizer, agent_list, resource_list,
+                            beneficiary_list, form_bytes, colors, False,
+                        ),
+                        colors,
+                    )
+                    members = rest
+                    continue
+                self.stats["searched"] += 1
+                form = _assemble_form(
                     canonicalizer, agent_list, resource_list, beneficiary_list,
-                    form_bytes, colors, False,
-                ),
-                colors,
-            )
-        self.stats["searched"] += 1
-        form = _assemble_form(
-            canonicalizer, agent_list, resource_list, beneficiary_list,
-            form_bytes, colors, True,
-        )
-        registered = self._register(
-            invariant, canonicalizer, stable, colors, form
-        )
-        # Re-derive the discoverer's own labeling through the matcher so it
-        # equals what any later (or warm-engine) canonicalisation of the
-        # same view would produce.  A self-match that exhausts the budget
-        # falls back to the search labeling — which is exactly what every
-        # other path computes for this view in that case.
-        positions = self._match(canonicalizer, stable, registered)
-        if positions is None:
-            self._structure_memo[memo_key] = (colors, registered.form)
-            return form, colors
-        self._structure_memo[memo_key] = (positions, registered.form)
-        return (
-            self.templated_form(
-                agent_list, resource_list, beneficiary_list, registered.form, positions
-            ),
-            positions,
-        )
+                    form_bytes, colors, True,
+                )
+                registered = self._register(
+                    invariant, canonicalizer, stable, colors, form
+                )
+                # Re-derive the discoverer's own labeling through the matcher
+                # so it equals what any later (or warm-engine)
+                # canonicalisation of the same view would produce.  A
+                # self-match that exhausts the budget falls back to the
+                # search labeling — which is exactly what every other path
+                # computes for this view in that case.
+                found = match_all([first] + rest, registered)
+                if found[0] is None:
+                    self._structure_memo[memo_keys[first]] = (colors, registered.form)
+                    results[first] = (form, colors)
+                else:
+                    settle(first, found[0], registered.form)
+                members = settle_matches(rest, found[1:], registered)
+        return results  # type: ignore[return-value]
 
     @staticmethod
     def templated_form(
@@ -1002,41 +1216,67 @@ class CanonicalIndex:
                 # ends up here); registering twice would only slow matches.
                 return registered
         n = canonicalizer.n_nodes
-        stable_arr = np.empty(n, dtype=np.int64)
-        stable_arr[positions] = stable
-        stable_by_position = [int(c) for c in stable_arr]
-        n_colors = int(stable_arr.max()) + 1 if n else 0
+        colour = np.empty(n, dtype=np.int64)
+        colour[positions] = stable
+        n_colors = int(colour.max()) + 1 if n else 0
         grouped_positions: List[List[int]] = [[] for _ in range(n_colors)]
-        for p in range(n):
-            grouped_positions[stable_by_position[p]].append(p)
-        positions_by_color = [tuple(ps) for ps in grouped_positions]
-        pool_size_by_color = np.asarray(
-            [len(ps) for ps in positions_by_color], dtype=np.int64
-        )
-        adjacency: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
-        for node, nbr, wid in zip(
-            canonicalizer.node.tolist(),
-            canonicalizer.nbr.tolist(),
-            canonicalizer.wid.tolist(),
-        ):
-            adjacency[int(positions[node])].append((int(positions[nbr]), wid))
-        adj_by_wc: List[Dict[Tuple[int, int], Tuple[int, ...]]] = []
-        for edges in adjacency:
-            grouped: Dict[Tuple[int, int], List[int]] = {}
-            for q, w in sorted(edges):
-                grouped.setdefault((w, stable_by_position[q]), []).append(q)
-            adj_by_wc.append({wc: tuple(qs) for wc, qs in grouped.items()})
+        for p, c in enumerate(colour.tolist()):
+            grouped_positions[c].append(p)
+        src = positions[canonicalizer.node]
+        dst = positions[canonicalizer.nbr]
+        order = np.lexsort((dst, src))
         entry = _RegisteredForm(
             form=form,
-            stable_by_position=stable_by_position,
-            positions_by_color=positions_by_color,
-            pool_size_by_color=pool_size_by_color,
-            edge_sets=[frozenset(edges) for edges in adjacency],
-            adj_by_wc=adj_by_wc,
-            n_edges=int(canonicalizer.node.size),
+            colour=colour,
+            positions_by_color=[tuple(ps) for ps in grouped_positions],
+            pool_size_by_color=np.bincount(colour, minlength=n_colors),
+            src=src[order],
+            dst=dst[order],
+            wid=canonicalizer.wid[order],
+            max_degree=int(canonicalizer.degrees.max()) if n else 0,
         )
         self._classes.setdefault(invariant, []).append(entry)
         return entry
+
+    @staticmethod
+    def _matchable(
+        canonicalizer: _Canonicalizer, stable: np.ndarray, registered: _RegisteredForm
+    ) -> bool:
+        """The size checks every match starts with (failing one: no match).
+
+        The invariant pre-check guarantees equal node counts and colour
+        histograms, so member colours index the registered pools directly.
+        """
+        if int(canonicalizer.node.size) != registered.n_edges:
+            return False
+        if stable.size and int(stable.max()) >= len(registered.positions_by_color):
+            return False
+        return not stable.size or int(registered.pool_size_by_color[stable].min()) > 0
+
+    def _match_members(
+        self,
+        members: Sequence[Tuple[_Canonicalizer, np.ndarray]],
+        registered: _RegisteredForm,
+    ) -> List[Optional[np.ndarray]]:
+        """:meth:`_match` of every ``(canonicalizer, stable)`` against a class."""
+        lockstep = [
+            idx for idx, (canonicalizer, stable) in enumerate(members)
+            if self._matchable(canonicalizer, stable, registered)
+        ]
+        if not (
+            len(lockstep) >= LOCKSTEP_MIN_MEMBERS
+            and registered.n_edges
+            and registered.n_nodes * registered.max_degree <= self.match_budget
+        ):
+            return [self._match(c, s, registered) for c, s in members]
+        found: List[Optional[np.ndarray]] = [None] * len(members)
+        greedy = _lockstep_match([members[idx] for idx in lockstep], registered)
+        for idx, positions in zip(lockstep, greedy):
+            if positions is None:
+                self.stats["backtracked"] += 1
+                positions = self._match(*members[idx], registered)
+            found[idx] = positions
+        return found
 
     def _match(
         self,
@@ -1051,22 +1291,18 @@ class CanonicalIndex:
         colour, and every incident edge to an already-assigned neighbour is
         checked immediately — a completed assignment is therefore a
         certified isomorphism (edge counts agree and every member edge maps
-        onto a form edge injectively).
+        onto a form edge injectively).  This is the reference the lockstep
+        matcher reproduces; it serves small classes and the views whose
+        match needs backtracking.
         """
-        n = canonicalizer.n_nodes
-        if int(canonicalizer.node.size) != registered.n_edges:
+        if not self._matchable(canonicalizer, stable, registered):
             return None
+        n = canonicalizer.n_nodes
         if n == 0:
             return np.empty(0, dtype=np.int64)
-        # Candidate pools per node: positions of the node's stable colour.
-        # The invariant pre-check guarantees equal colour histograms, so
-        # member colours index the registered pools directly.
-        if stable.size and int(stable.max()) >= len(registered.positions_by_color):
-            return None
         pool_sizes = registered.pool_size_by_color[stable]
-        if pool_sizes.size and int(pool_sizes.min()) == 0:
-            return None
         stable_list = stable.tolist()
+        # Candidate pools per node: positions of the node's stable colour.
         candidates: List[Tuple[int, ...]] = [
             registered.positions_by_color[c] for c in stable_list
         ]
@@ -1124,8 +1360,7 @@ class CanonicalIndex:
                     if count > top:
                         top = count
 
-        form_edge_sets = registered.edge_sets
-        adj_by_wc = registered.adj_by_wc
+        form_edge_sets, adj_by_wc = registered.scalar_tables
         assignment = [-1] * n
         used = [False] * n
         budget = self.match_budget

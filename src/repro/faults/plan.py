@@ -334,8 +334,8 @@ class FaultPlan:
     def hits(self) -> int:
         """Total seam consultations recorded (fired or not).
 
-        The idle-overhead benchmark uses this to count how many times the
-        warm serve path actually consults an instrumented seam.
+        The idle-overhead benchmark uses this to count how many times a
+        solving serve request consults an instrumented seam.
         """
         with self._lock:
             return sum(self._hits)

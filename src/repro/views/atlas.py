@@ -21,11 +21,13 @@ identifiers and rebuilds index arrays per agent inside the canonicaliser.
    exactly the internal-index arrays
    :class:`repro.canon.labeling._Canonicalizer` builds per view — but for
    the whole batch at once;
-4. views are bucketed by the byte content of those arrays; each group's
-   *representative* runs through
-   :meth:`~repro.canon.labeling.CanonicalIndex.canonical_form_from_arrays`
-   (one refinement + labeling per distinct literal structure) and every
-   member reuses the representative's position map verbatim — which is
+4. views are bucketed by the byte content of those arrays; the groups'
+   *representatives* are refined in one shared sweep and labelled in one
+   call to
+   :meth:`~repro.canon.labeling.CanonicalIndex.canonical_forms_from_arrays`
+   (one labeling per distinct literal structure; the representatives of a
+   symmetric class are matched against its form in lockstep), and every
+   member reuses its representative's position map verbatim — which is
    precisely what the index's internal structure memo would have computed
    for the member, so the batch result is bit-identical to calling
    :meth:`~repro.canon.labeling.CanonicalIndex.canonical_form` per view.
@@ -531,13 +533,12 @@ class ViewAtlas:
         forms: List[Optional["CanonicalForm"]] = [None] * n_rows
         group_rows = list(groups.values())
         reps = [rows[0] for rows in group_rows]
-        stable_by_rep = dict(zip(reps, self._batch_stable_colors(reps)))
-        for rows in group_rows:
-            rep = rows[0]
-            form, positions = self._canonicalize_row(
-                rep, index, stable=stable_by_rep[rep]
-            )
-            forms[rep] = form
+        stables = self._batch_stable_colors(reps)
+        labelled = index.canonical_forms_from_arrays(
+            [self._row_arrays(rep) + (stable,) for rep, stable in zip(reps, stables)]
+        )
+        for rows, stable, (form, positions) in zip(group_rows, stables, labelled):
+            forms[rows[0]] = form
             if form.exact:
                 for row in rows[1:]:
                     forms[row] = self._member_form(row, form, positions)
@@ -546,26 +547,31 @@ class ViewAtlas:
                 # every member must derive its own (still deterministic)
                 # labeling.  Same structure arrays, so the representative's
                 # stable colouring applies verbatim.
-                for row in rows[1:]:
-                    forms[row], _ = self._canonicalize_row(
-                        row, index, stable=stable_by_rep[rep]
-                    )
+                member_forms = index.canonical_forms_from_arrays(
+                    [self._row_arrays(row) + (stable,) for row in rows[1:]]
+                )
+                for row, (form, _positions) in zip(rows[1:], member_forms):
+                    forms[row] = form
 
         self._forms = dict(zip(self.roots, forms))
         self._forms_index = index
         return self._forms
 
-    def _canonicalize_row(
-        self, row: int, index, stable: Optional[np.ndarray] = None
-    ) -> Tuple["CanonicalForm", np.ndarray]:
-        """One view through the canonical index, via the array fast path."""
+    def _row_arrays(self, row: int) -> Tuple:
+        """One view's identifier lists and internal-index arrays.
+
+        An item of
+        :meth:`~repro.canon.labeling.CanonicalIndex.canonical_forms_from_arrays`
+        but for its ``stable`` colouring, sliced out of the batch structure
+        arrays.
+        """
         s0, s1 = self.membership.indptr[row], self.membership.indptr[row + 1]
         c0, c1 = self._cons_indptr[row], self._cons_indptr[row + 1]
         b0, b1 = self._ben_indptr[row], self._ben_indptr[row + 1]
         rg0, rg1 = self._res_group_indptr[row], self._res_group_indptr[row + 1]
         bg0, bg1 = self._ben_group_indptr[row], self._ben_group_indptr[row + 1]
         w0, w1 = self._w_indptr[row], self._w_indptr[row + 1]
-        return index.canonical_form_from_arrays(
+        return (
             self._agents_obj[self._sorted_cols[s0:s1]],
             self._resources_obj[self._res_group_rows[rg0:rg1]],
             self._bens_obj[self._ben_group_rows[bg0:bg1]],
@@ -576,7 +582,6 @@ class ViewAtlas:
             self._ben_packed[b0:b1, 1],
             self._ben_packed[b0:b1, 2],
             self._w_values[w0:w1],
-            stable=stable,
         )
 
     def _member_form(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from repro import (
@@ -14,7 +15,10 @@ from repro import (
     grid_instance,
 )
 from repro.canon.labeling import (
+    DEFAULT_BRANCH_BUDGET,
     CanonicalIndex,
+    _build_canonicalizer,
+    _lockstep_match,
     canonicalize_local_lp,
     view_local_structure,
 )
@@ -166,6 +170,33 @@ class TestCanonicalIndex:
         # One search, the rest answered by matching.
         assert shared.stats["searched"] == 1
         assert shared.stats["matched"] == len(structures) - 1
+
+    @pytest.mark.parametrize("shape,R", [((8, 10), 3), ((10, 10), 3), ((7, 9), 2)])
+    def test_lockstep_match_equals_scalar_match(self, shape, R):
+        """A completed lockstep labeling is the scalar matcher's, bit for bit."""
+        problem = grid_instance(shape, torus=True)
+        H = communication_hypergraph(problem)
+        structures = [
+            view_local_structure(problem, H.ball(u, R)) for u in problem.agents
+        ]
+        index = CanonicalIndex()
+        index.canonical_form(*structures[0])
+        [[registered]] = index._classes.values()
+        members = []
+        for structure in structures:
+            canonicalizer = _build_canonicalizer(*structure, DEFAULT_BRANCH_BUDGET)[0]
+            members.append(
+                (canonicalizer, canonicalizer.refine(canonicalizer.initial_colors()))
+            )
+        greedy = _lockstep_match(members, registered)
+        completed = 0
+        for (canonicalizer, stable), positions in zip(members, greedy):
+            scalar = index._match(canonicalizer, stable, registered)
+            assert scalar is not None  # torus views are all isomorphic
+            if positions is not None:
+                completed += 1
+                np.testing.assert_array_equal(positions, scalar)
+        assert completed > 0
 
     def test_cross_instance_sharing(self):
         """A small torus and a larger torus share canonical view keys.

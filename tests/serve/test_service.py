@@ -211,7 +211,9 @@ class TestObservability:
         spec = ScenarioSpec(family="path", params={"n": 8}, radii=(1,))
         service.solve_scenario_json(spec.to_json())
         canon = service.metrics()["canon"]
-        assert set(canon) >= {"searched", "matched", "memoized", "discrete"}
+        assert set(canon) >= {
+            "searched", "matched", "memoized", "discrete", "backtracked"
+        }
         # Path end views refine to discrete colourings: labelled, not searched.
         assert canon["discrete"] > 0
 

@@ -14,7 +14,11 @@ from repro import (
     local_averaging_solution,
     partition_views,
 )
-from repro.canon.labeling import CanonicalIndex, view_local_structure
+from repro.canon.labeling import (
+    LOCKSTEP_MIN_MEMBERS,
+    CanonicalIndex,
+    view_local_structure,
+)
 from repro.generators import random_bounded_degree_instance, unit_disk_instance
 from repro.scenarios.registry import build_instance
 from repro.scenarios.spec import ScenarioSpec
@@ -43,6 +47,17 @@ FAMILIES = [
         2,
     ),
     (_bipartite(8), 1),
+]
+
+
+#: Symmetric families whose views are matched against one class in
+#: lockstep; torus (10, 10) R3 sends most of its views down the
+#: backtracking fallback.
+LOCKSTEP_FAMILIES = [
+    (grid_instance((8, 10), torus=True), 3),
+    (grid_instance((10, 10), torus=True), 3),
+    (grid_instance((6, 8)), 3),
+    (unit_disk_instance(40, radius=0.25, max_support=5, seed=11), 2),
 ]
 
 
@@ -118,15 +133,27 @@ class TestAtlasStructures:
 
 
 class TestBatchCanonicalForms:
-    @pytest.mark.parametrize("problem,R", FAMILIES)
+    @pytest.mark.parametrize("problem,R", FAMILIES + LOCKSTEP_FAMILIES)
     def test_forms_equal_scalar_canonical_index(self, problem, R):
         H = communication_hypergraph(problem)
         atlas = ViewAtlas.from_problem(problem, R, hypergraph=H)
-        batch_forms = atlas.canonical_forms(CanonicalIndex())
+        batch_index = CanonicalIndex()
+        batch_forms = atlas.canonical_forms(batch_index)
         index = CanonicalIndex()
         for u in problem.agents:
             agents, cons, bens = view_local_structure(problem, H.ball(u, R))
             assert batch_forms[u] == index.canonical_form(agents, cons, bens)
+        # Byte-equal views share one labeling in the batch (no index call),
+        # so only the searched/matched counts are comparable.
+        for name in ("searched", "matched"):
+            assert batch_index.stats[name] == index.stats[name]
+
+    def test_lockstep_fallback_is_exercised(self):
+        problem, R = LOCKSTEP_FAMILIES[1]
+        index = CanonicalIndex()
+        ViewAtlas.from_problem(problem, R).canonical_forms(index)
+        assert index.stats["matched"] >= LOCKSTEP_MIN_MEMBERS
+        assert index.stats["backtracked"] >= 1
 
     @pytest.mark.parametrize("problem,R", FAMILIES[:3])
     def test_partition_vectorized_equals_scalar(self, problem, R):
