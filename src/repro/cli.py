@@ -339,13 +339,11 @@ def run_cache(args: argparse.Namespace) -> int:
     elif args.action == "prune":
         if args.max_bytes is None or args.max_bytes < 0:
             raise SystemExit("cache prune requires --max-bytes BYTES (>= 0)")
-        swept = cache.sweep_tmp()
         outcome = cache.prune(args.max_bytes)
         print(
             f"pruned {outcome['removed_entries']} entries "
             f"({outcome['removed_bytes']} bytes) under {directory}; "
             f"{outcome['remaining_bytes']} bytes remain"
-            + (f"; swept {swept} orphaned .tmp file(s)" if swept else "")
         )
     elif args.action == "verify":
         return _run_cache_verify(directory, cache, repair=args.repair)
@@ -357,14 +355,14 @@ def _run_cache_verify(
 ) -> int:
     """``repro cache verify [--repair]``: offline fsck of every disk tier.
 
-    Walks the engine tier (envelope checksums, key/shape integrity) and —
+    Walks the engine tier (every row's JSON and checksum) and —
     when a ``serve/`` scenario tier exists under the same directory — the
     scenario tier too, where each entry is additionally run through the
     full scenario certificate
     (:func:`~repro.scenarios.certify.certify_scenario_result`).  Damage is
-    reported per tier; with ``--repair`` damaged entries are quarantined
-    to ``.corrupt`` sidecars (and stale ``.tmp`` files swept), otherwise
-    the exit code is 1 so CI can gate on a clean cache.
+    reported per tier; with ``--repair`` damaged entries move to the
+    store's quarantine table, otherwise the exit code is 1 so CI can gate
+    on a clean cache.
     """
     from .exceptions import VerificationError
     from .scenarios.certify import certify_scenario_result
@@ -398,8 +396,8 @@ def _run_cache_verify(
     if damaged:
         if repair:
             print(
-                f"repaired: {quarantined} damaged {noun} quarantined to "
-                ".corrupt sidecars; re-solved on next use"
+                f"repaired: {quarantined} damaged {noun} moved to the "
+                "quarantine table; re-solved on next use"
             )
             return 0
         print(
@@ -786,8 +784,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--repair",
         action="store_true",
-        help="verify: quarantine damaged entries (.corrupt sidecars) and "
-        "sweep stale .tmp files instead of exiting non-zero",
+        help="verify: move damaged entries to the store's quarantine table "
+        "instead of exiting non-zero",
     )
 
     sp = sub.add_parser(

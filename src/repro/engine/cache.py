@@ -6,53 +6,47 @@ JSON-serialisable result payloads.  Two tiers:
 * an **in-memory LRU** bounded by ``max_memory_entries`` — fast path for
   repeated solves inside one process (e.g. a parameter sweep that re-solves
   the same local LPs for every radius);
-* an optional **on-disk store** (``directory``) laid out content-addressed
-  as ``<digest[:2]>/<digest>.json`` — survives process restarts, so a warm
-  re-run of a whole benchmark performs zero LP solves.
+* an optional **on-disk store** (``directory``): one SQLite database,
+  ``<directory>/cache.sqlite``, with one row per entry — survives process
+  restarts, so a warm re-run of a whole benchmark performs zero LP solves.
 
-Disk writes are atomic (temp file + :func:`os.replace`), so a crashed or
-interrupted run can never leave a torn entry behind.  Payloads must be
-JSON-serialisable; non-finite floats are permitted (Python's ``json`` module
-round-trips ``Infinity`` and ``NaN``), which matters because vacuous local
-LPs have objective ``inf``.
+Every ``put`` is one short transaction (WAL journal, ``synchronous=NORMAL``),
+so a killed writer leaves the whole row or nothing.  Payloads must be
+JSON-serialisable; non-finite floats are permitted, which matters because
+vacuous local LPs have objective ``inf``.  Every row stores the content fingerprint of its value (``sha256``, from
+:func:`repro.engine.fingerprint.fingerprint_data`), recomputed and compared
+on every read, so a value whose bytes were flipped — even one that still
+parses as JSON — is detected, moved to the ``quarantine`` table and treated
+as a miss instead of being served as truth.  Quarantined rows count toward
+the ``max_disk_bytes`` budget, so junk cannot pin the tier over its cap.  A
+database file that SQLite cannot read at all (garbage, a truncated copy) is
+renamed to ``cache.sqlite.corrupt`` with a warning and the tier carries on
+empty.  A directory in the older file-per-entry layout
+(``<digest[:2]>/<digest>.json``) is not read — it behaves as a cold cache —
+and :meth:`ResultCache.clear` removes its shard directories.
 
-Every disk entry is an **envelope** ``{"key", "sha256", "value"}``: the
-digest is the content fingerprint of the value
-(:func:`repro.engine.fingerprint.fingerprint_data`), recomputed and
-compared on every read, so an entry whose bytes were flipped on disk — even
-one that still parses as JSON — is detected, quarantined to ``*.corrupt``
-and treated as a miss instead of being served as truth.  Pre-envelope
-entries (no ``"sha256"`` field) are still readable; they simply don't get
-the checksum protection until rewritten.  A process killed between
-``mkstemp`` and ``os.replace`` strands a ``*.tmp`` file; construction
-sweeps stale ones (and :meth:`ResultCache.fsck` / ``repro cache prune``
-sweep unconditionally), and ``*.corrupt`` sidecars count toward the
-``max_disk_bytes`` budget so quarantined junk cannot pin the tier over
-its cap.
-
-Hit/miss/eviction counters are kept in :class:`CacheStats`; the acceptance
-tests use them to prove that warm re-runs are pure cache traffic.
-
-The cache is safe under concurrent access from a worker pool (the serving
-layer hits one instance from every request thread): the LRU and the
-counters are guarded by one lock, per-entry disk writes are atomic (temp
-file + rename), and the O(entries) disk scans — prune, clear, the lazy
-usage-counter initialisation — are serialised on a separate scan lock so
-they never block ``get``/``put`` and never race each other's bookkeeping.
+Hit/miss/eviction counters are kept in :class:`CacheStats`.  The cache is
+safe under a worker pool (serve hits one instance from every request
+thread): one lock guards the LRU and the counters, another the store's
+connection, so a memory hit never waits on disk I/O.  Each process opens
+its own connection on first use; a forked child never touches the one it
+inherited.  Processes sharing a directory wait out each other's locks for a
+busy timeout, and :data:`CACHE_RETRY` retries the rest.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
+import re
+import shutil
 import threading
 import time
 import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from ..faults import InjectedFault, RetryPolicy, apply_crash
 from ..faults import inject as _inject
@@ -63,14 +57,37 @@ __all__ = ["CacheStats", "ResultCache", "default_cache_dir"]
 
 _MISSING = object()
 
-#: A stranded ``*.tmp`` file younger than this is assumed to belong to a
-#: live concurrent writer and is left alone by the construction-time sweep
-#: (explicit sweeps — ``fsck``, ``repro cache prune`` — use age 0).
-_TMP_SWEEP_AGE_S = 60.0
+#: The disk tier's database file inside the cache directory.
+DB_NAME = "cache.sqlite"
+
+#: Seconds a connection waits on another process's lock before SQLite
+#: reports the database as locked (which :data:`CACHE_RETRY` then retries).
+_BUSY_TIMEOUT_S = 5.0
+
+#: Live entries and quarantined rows share one shape.
+_TABLE = (
+    "CREATE TABLE IF NOT EXISTS {} (key TEXT PRIMARY KEY, "
+    "sha256 TEXT NOT NULL, value BLOB NOT NULL, written REAL NOT NULL)"
+)
+
+#: The bytes a row accounts for against ``max_disk_bytes``: what it stores,
+#: not SQLite's page overhead (freed pages are reused, never returned).
+_ROW_BYTES = "length(key) + length(sha256) + length(value)"
+
+#: Shard directories of the older file-per-entry layout.
+_V1_SHARD = re.compile("[0-9a-f]{2}")
+
+#: Connections inherited across a fork.  The parent still owns them, so the
+#: child parks them here, where they are never used and never finalised
+#: (closing one could checkpoint the parent's WAL under its feet).
+_FORKED_CONNECTIONS: List[Any] = []
 
 #: Cache-I/O retry: transient disk errors (and the injected faults that
-#: stand in for them) are retried briefly; a missing file is a miss, not
-#: an error, and is never retried.
+#: stand in for them) are retried briefly; a missing entry is a miss, not
+#: an error, and is never retried.  The store raises every ``sqlite3``
+#: error as an ``OSError`` -- a database still locked after the busy
+#: timeout is the common one -- so this policy retries them without
+#: importing ``sqlite3`` before the disk tier is first used.
 CACHE_RETRY = RetryPolicy(
     attempts=3,
     base_delay=0.002,
@@ -92,6 +109,15 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "repro-maxminlp"
 
 
+def _torn(blob: bytes) -> bytes:
+    """What an injected ``corrupt`` fault makes of a stored value."""
+    return blob[: len(blob) // 2] + b"<torn by fault plan>"
+
+
+class _Unreadable(OSError):
+    """The database file itself is corrupt or not a database."""
+
+
 @dataclass
 class CacheStats:
     """Counters accumulated by a :class:`ResultCache`.
@@ -109,13 +135,14 @@ class CacheStats:
     evictions:
         Memory-tier entries dropped by the LRU bound.
     disk_evictions:
-        Disk-tier entries dropped by the ``max_disk_bytes`` cap or an
+        Disk-tier rows dropped by the ``max_disk_bytes`` cap or an
         explicit :meth:`ResultCache.prune`.
     invalidations:
         Entries removed by explicit :meth:`ResultCache.invalidate` calls.
     quarantined:
-        Corrupt disk entries renamed to ``*.corrupt`` and treated as
-        misses (a poisoned entry must never be re-parsed forever).
+        Corrupt disk entries moved to the store's ``quarantine`` table and
+        treated as misses (a poisoned entry must never be re-parsed
+        forever).
     write_errors:
         Disk writes that failed even after retries; the entry stays
         memory-only and the cache degrades rather than raising.
@@ -146,13 +173,13 @@ class ResultCache:
         Bound on the in-memory LRU tier; least-recently-used entries are
         evicted (they remain on disk when a directory is configured).
     directory:
-        Optional disk-tier location; created on first write.  ``None``
-        keeps the cache purely in-memory.
+        Optional disk-tier location; the directory and its database are
+        created on first write.  ``None`` keeps the cache purely in-memory.
     max_disk_bytes:
-        Optional cap on the disk tier's total size.  After every write the
-        oldest entries (by modification time) are deleted until the tier
-        fits; ``None`` leaves the tier unbounded, preserving the historical
-        behaviour.  :meth:`prune` applies the same policy on demand.
+        Optional cap on the disk tier's size (:meth:`disk_bytes`).  Every
+        write evicts the oldest rows (by write time, quarantined rows
+        included) until the tier fits; ``None`` leaves the tier unbounded.
+        :meth:`prune` applies the same policy on demand.
     """
 
     max_memory_entries: int = 4096
@@ -160,156 +187,239 @@ class ResultCache:
     max_disk_bytes: Optional[int] = None
     stats: CacheStats = field(default_factory=CacheStats)
 
-    #: Cap-triggered prunes shrink the tier to this fraction of the cap so
-    #: consecutive writes near the bound don't each pay a directory scan.
-    _PRUNE_LOW_WATER = 0.9
-
     def __post_init__(self) -> None:
         if self.max_memory_entries < 1:
             raise ValueError("max_memory_entries must be at least 1")
         if self.max_disk_bytes is not None and self.max_disk_bytes < 0:
             raise ValueError("max_disk_bytes must be non-negative")
-        self._disk_usage: Optional[int] = None
         self._memory: "OrderedDict[str, Any]" = OrderedDict()
         # Guards the LRU and the counters: the process-wide default engine is
         # shared, so concurrent callers (e.g. sweeps on a thread pool) must
-        # not interleave OrderedDict mutations.  Disk writes are already
-        # atomic per entry.
+        # not interleave OrderedDict mutations.
         self._lock = threading.RLock()
-        # Serialises the O(entries) disk scans (prune, clear, the lazy
-        # usage-counter initialisation) *without* blocking get/put on them:
-        # a server's worker pool must keep answering requests while one
-        # thread walks the tier.  Never taken while holding ``_lock``.
-        self._scan_lock = threading.Lock()
+        # Guards the store's connection.  May be held while taking
+        # ``_lock``, never the other way round.
+        self._db_lock = threading.Lock()
+        self._conn: Any = None
+        self._conn_pid = 0
         if self.directory is not None:
             self.directory = Path(self.directory)
-            # Crash hygiene: a process SIGKILLed between ``mkstemp`` and
-            # ``os.replace`` strands a ``*.tmp`` that no code path would
-            # ever touch again.  Stale ones (no live writer) are removed
-            # at construction so restarts start clean.
-            self.sweep_tmp(min_age_s=_TMP_SWEEP_AGE_S)
+            self._db = self.directory / DB_NAME
 
     # ------------------------------------------------------------------
-    # Disk-tier helpers
+    # The store
     # ------------------------------------------------------------------
-    def _entry_path(self, key: str) -> Path:
-        assert self.directory is not None
-        return Path(self.directory) / key[:2] / f"{key}.json"
+    def _connect(self, create: bool) -> Any:
+        """This process's connection, opened on first use; ``None`` when
+        there is no database yet and ``create`` is false."""
+        pid = os.getpid()
+        if self._conn is not None:
+            if self._conn_pid == pid:
+                return self._conn
+            _FORKED_CONNECTIONS.append(self._conn)
+            self._conn = None
+        if not create and not self._db.exists():
+            return None
+        import sqlite3
 
-    def _quarantine(self, path: Path) -> None:
-        """Move a corrupt entry out of the lookup namespace.
-
-        Renaming to ``*.corrupt`` takes it off the ``??/*.json`` glob (so
-        scans, prunes, and future reads never see it again) while keeping
-        the bytes around for a post-mortem.
-        """
+        self._db.parent.mkdir(parents=True, exist_ok=True)
+        conn = sqlite3.connect(
+            self._db, timeout=_BUSY_TIMEOUT_S, isolation_level=None, check_same_thread=False
+        )
         try:
-            os.replace(path, path.with_suffix(".corrupt"))
-        except OSError:
-            # Rename failed (e.g. read-only dir): best effort removal so
-            # the poisoned entry cannot be re-parsed on every lookup.
+            conn.execute("PRAGMA journal_mode=WAL")
+            conn.execute("PRAGMA synchronous=NORMAL")
+            conn.execute(_TABLE.format("entries"))
+            conn.execute(_TABLE.format("quarantine"))
+        except BaseException:
+            conn.close()
+            raise
+        self._conn, self._conn_pid = conn, pid
+        return conn
+
+    def _set_aside(self, exc: Exception) -> None:
+        """Move an unreadable database out of the way; the next use starts
+        an empty store."""
+        if self._conn is not None:
+            self._conn.close()
+            self._conn = None
+        path = self._db
+        for suffix in ("", "-wal", "-shm"):
             try:
-                path.unlink()
+                os.replace(f"{path}{suffix}", f"{path}.corrupt{suffix}")
             except OSError:
                 pass
-        with self._lock:
-            self.stats.quarantined += 1
-            self._disk_usage = None  # the tier shrank; recompute lazily
-        get_registry().counter(
-            "cache.quarantined", "corrupt cache entries quarantined"
-        ).inc()
+        warnings.warn(
+            f"cache store {path} is not a readable database ({exc}); moved "
+            f"it to {path.name}.corrupt and continuing on an empty store",
+            RuntimeWarning,
+            stacklevel=4,
+        )
 
-    def _disk_read(self, key: str) -> Any:
-        if self.directory is None:
-            return _MISSING
-        path = self._entry_path(key)
+    def _on_store(
+        self, op: Callable[[Any], Any], *, create: bool = False, default: Any = None,
+        set_aside: bool = True,
+    ) -> Any:
+        """Run ``op(conn)`` once under the store lock (``default`` without a
+        database, unless ``create``).  ``sqlite3`` errors are raised as
+        ``OSError``; an unreadable file is first set aside (unless told
+        otherwise), so a retry runs on a fresh store."""
+        import sqlite3
 
-        def _attempt() -> Optional[str]:
-            fault = _inject("cache.disk.read", key=key[:12])
+        with self._db_lock:
             try:
-                text = path.read_text()
-            except FileNotFoundError:
-                return None  # a plain miss, never retried
-            if fault is not None:  # kind == "corrupt"
-                text = text[: len(text) // 2] + "<torn by fault plan>"
-            return text
+                conn = self._connect(create)
+                return default if conn is None else op(conn)
+            except sqlite3.Error as exc:
+                message = f"cache store {self._db}: {exc}"
+                if type(exc) is not sqlite3.DatabaseError:
+                    raise OSError(message) from exc
+                # The base class itself: the file is corrupt or not a database.
+                if set_aside:
+                    self._set_aside(exc)
+                raise _Unreadable(message) from exc
 
+    def _store(
+        self, op: Callable[[Any], Any], *, default: Any = None, set_aside: bool = True
+    ) -> Any:
+        """:meth:`_on_store` on an existing database, with retries."""
+        if self.directory is None:
+            return default
+        return CACHE_RETRY.call(
+            lambda: self._on_store(op, default=default, set_aside=set_aside),
+            metric="cache.retries",
+        )
+
+    def _decode(self, sha256: str, blob: Any) -> Any:
+        """A row's value, or ``_MISSING`` when it does not parse or fails its
+        checksum (a flipped digit inside a number, which JSON cannot see)."""
         try:
-            text = CACHE_RETRY.call(_attempt, metric="cache.retries")
-        except (OSError, InjectedFault):
-            # Persistent I/O failure: serve a miss (the solve re-runs)
-            # rather than poisoning the lookup with an exception.
+            value = json.loads(blob)
+        except (TypeError, ValueError):
             return _MISSING
-        if text is None:
-            return _MISSING
-        try:
-            data = json.loads(text)
-        except ValueError:
-            self._quarantine(path)
-            return _MISSING
-        if not isinstance(data, dict) or data.get("key") != key:
-            self._quarantine(path)
-            return _MISSING
-        value = data.get("value")
-        if "sha256" in data and data["sha256"] != self._digest(value):
-            # Parses fine, but the content does not match its own checksum:
-            # silent corruption (a flipped byte inside a number, say) that
-            # the JSON parser cannot see.  Never serve it.
-            self._quarantine(path)
-            return _MISSING
-        return value
+        return value if sha256 == self._digest(value) else _MISSING
 
     @staticmethod
     def _digest(value: Any) -> str:
-        """Content digest of a payload (the envelope's ``sha256`` field).
-
-        Computed over the canonical JSON of the *parsed* value, not the
-        raw bytes, so it is stable across whitespace/key-order differences
-        and across the write/read round-trip (JSON floats parse back to
-        the exact double that was serialised).
-        """
+        """Content digest of a payload (the row's ``sha256``), over the
+        canonical JSON of the *parsed* value, so it survives the write/read
+        round-trip (JSON floats parse back to the exact double written)."""
         from .fingerprint import fingerprint_data
 
         return fingerprint_data(value)
 
-    def _disk_write(self, key: str, value: Any) -> int:
-        if self.directory is None:
-            return 0
-        path = self._entry_path(key)
-        payload = json.dumps(
-            {"key": key, "sha256": self._digest(value), "value": value}
-        )
+    def _quarantine(self, conn: Any, key: str) -> bool:
+        """Move ``key``'s row to the quarantine table (kept for a
+        post-mortem, never read again); returns whether it existed."""
+        conn.execute("BEGIN IMMEDIATE")
+        with conn:
+            moved = conn.execute(
+                "INSERT OR REPLACE INTO quarantine SELECT * FROM entries WHERE key = ?",
+                (key,),
+            ).rowcount
+            conn.execute("DELETE FROM entries WHERE key = ?", (key,))
+        if moved:
+            with self._lock:
+                self.stats.quarantined += 1
+            get_registry().counter(
+                "cache.quarantined", "corrupt cache entries quarantined"
+            ).inc()
+        return bool(moved)
 
-        def _attempt() -> int:
-            fault = _inject("cache.disk.write", key=key[:12])
-            # An injected corrupt write tears the payload mid-document --
-            # the atomic-rename machinery still runs, exercising the read
-            # side's quarantine path end-to-end.
-            text = (
-                payload[: len(payload) // 2] + "<torn by fault plan>"
-                if fault is not None and fault.kind == "corrupt"
-                else payload
-            )
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w") as handle:
-                    handle.write(text)
-                # The chaos harness's most hostile instruction: the entry
-                # exists only as a ``*.tmp``, the real path is untouched.
-                # A ``crash-process`` fault SIGKILLs exactly here.
-                apply_crash(fault)
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-            return len(text)
+    @staticmethod
+    def _accounted_bytes(conn: Any) -> int:
+        row = conn.execute(
+            f"SELECT (SELECT total({_ROW_BYTES}) FROM entries)"
+            f" + (SELECT total({_ROW_BYTES}) FROM quarantine)"
+        ).fetchone()
+        return int(row[0])
+
+    def _evict(self, conn: Any, budget: int) -> Tuple[int, int, int]:
+        """Delete the oldest rows, quarantined ones included, by write time
+        (ties by key) until the tier fits ``budget`` bytes; inside the
+        caller's transaction.  Returns ``(rows, bytes) removed, bytes left``."""
+        total = self._accounted_bytes(conn)
+        removed = removed_bytes = 0
+        if total <= budget:
+            return removed, removed_bytes, total
+        rows = conn.execute(
+            f"SELECT 'entries', key, written, {_ROW_BYTES} FROM entries"
+            f" UNION ALL SELECT 'quarantine', key, written, {_ROW_BYTES}"
+            " FROM quarantine ORDER BY 3, 2"
+        ).fetchall()
+        for table, key, _written, size in rows:
+            if total <= budget:
+                break
+            conn.execute(f"DELETE FROM {table} WHERE key = ?", (key,))
+            total -= size
+            removed += 1
+            removed_bytes += size
+        with self._lock:
+            self.stats.disk_evictions += removed
+        return removed, removed_bytes, total
+
+    def _disk_read(self, key: str) -> Any:
+        if self.directory is None:
+            return _MISSING
+
+        def _attempt() -> Any:
+            fault = _inject("cache.disk.read", key=key[:12])
+
+            def op(conn: Any) -> Any:
+                row = conn.execute(
+                    "SELECT sha256, value FROM entries WHERE key = ?", (key,)
+                ).fetchone()
+                if row is None:
+                    return _MISSING  # a plain miss, never retried
+                sha256, blob = row
+                if fault is not None:  # kind == "corrupt"
+                    blob = _torn(blob)
+                value = self._decode(sha256, blob)
+                if value is _MISSING:
+                    self._quarantine(conn, key)
+                return value
+
+            return self._on_store(op, default=_MISSING)
 
         try:
             return CACHE_RETRY.call(_attempt, metric="cache.retries")
+        except (OSError, InjectedFault):
+            # Persistent I/O failure: serve a miss (the solve re-runs)
+            # rather than poisoning the lookup with an exception.
+            return _MISSING
+
+    def _disk_write(self, key: str, value: Any) -> None:
+        payload = json.dumps(value).encode()
+        sha256 = self._digest(value)
+
+        def _attempt() -> None:
+            fault = _inject("cache.disk.write", key=key[:12])
+            # An injected corrupt write stores a torn value under the true
+            # checksum, exercising the read side's quarantine end-to-end.
+            blob = (
+                _torn(payload)
+                if fault is not None and fault.kind == "corrupt"
+                else payload
+            )
+
+            def op(conn: Any) -> None:
+                conn.execute("BEGIN IMMEDIATE")
+                with conn:
+                    conn.execute(
+                        "INSERT OR REPLACE INTO entries VALUES (?, ?, ?, ?)",
+                        (key, sha256, blob, time.time()),
+                    )
+                    # The chaos harness's most hostile instruction: the row
+                    # is inserted but not committed.  A ``crash-process``
+                    # fault SIGKILLs exactly here.
+                    apply_crash(fault)
+                    if self.max_disk_bytes is not None:
+                        self._evict(conn, self.max_disk_bytes)
+
+            self._on_store(op, create=True)
+
+        try:
+            CACHE_RETRY.call(_attempt, metric="cache.retries")
         except (OSError, InjectedFault) as exc:
             # The disk tier is an optimisation; losing one write degrades
             # to memory-only for this entry instead of failing the solve.
@@ -319,52 +429,8 @@ class ResultCache:
                 f"cache disk write failed for {key[:12]}...: {exc}; "
                 "entry stays memory-only",
                 RuntimeWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
-            return 0
-
-    def _iter_disk_paths(self) -> Iterator[Path]:
-        if self.directory is None:
-            return
-        root = Path(self.directory)
-        if not root.is_dir():
-            return
-        yield from root.glob("??/*.json")
-
-    def _iter_accounted_paths(self) -> Iterator[Path]:
-        """Everything that counts toward the disk budget: live entries
-        plus quarantined ``*.corrupt`` sidecars (junk must not pin the
-        tier over its cap)."""
-        yield from self._iter_disk_paths()
-        if self.directory is None:
-            return
-        root = Path(self.directory)
-        if root.is_dir():
-            yield from root.glob("??/*.corrupt")
-
-    def sweep_tmp(self, *, min_age_s: float = 0.0) -> int:
-        """Remove stranded ``*.tmp`` files; returns how many were removed.
-
-        A temp file only exists between ``mkstemp`` and ``os.replace`` in
-        :meth:`_disk_write`; anything older than ``min_age_s`` seconds is a
-        leftover from a killed process, not a live writer.
-        """
-        if self.directory is None:
-            return 0
-        root = Path(self.directory)
-        if not root.is_dir():
-            return 0
-        cutoff = time.time() - min_age_s
-        removed = 0
-        for path in root.glob("??/*.tmp"):
-            try:
-                if path.stat().st_mtime > cutoff:
-                    continue
-                path.unlink()
-            except OSError:
-                continue
-            removed += 1
-        return removed
 
     # ------------------------------------------------------------------
     # Core operations
@@ -403,84 +469,28 @@ class ResultCache:
         with self._lock:
             self.stats.puts += 1
             self._memory_store(key, value)
-        written = self._disk_write(key, value)
-        if self.max_disk_bytes is not None and self.directory is not None:
-            # Track usage approximately (overwrites double-count, which only
-            # triggers an occasional extra scan) and do the exact, O(entries)
-            # prune scan only when the tier may actually be over the cap.
-            with self._lock:
-                if self._disk_usage is not None:
-                    self._disk_usage += written
-                usage = self._disk_usage
-            if usage is None:
-                # One thread performs the full walk; racers wait on the
-                # scan lock and then reuse its result instead of each
-                # re-walking the tier.
-                with self._scan_lock:
-                    with self._lock:
-                        usage = self._disk_usage
-                    if usage is None:
-                        scanned = self.disk_bytes()  # full walk
-                        with self._lock:
-                            if self._disk_usage is None:
-                                self._disk_usage = scanned
-                            usage = self._disk_usage
-            if usage > self.max_disk_bytes:
-                # Prune to a low-water mark, not the cap itself: landing a
-                # hair under the cap would re-trigger the O(entries) scan on
-                # every subsequent write.
-                self.prune(int(self.max_disk_bytes * self._PRUNE_LOW_WATER))
+        if self.directory is not None:
+            self._disk_write(key, value)
 
     def prune(self, max_bytes: Optional[int] = None) -> Dict[str, int]:
-        """Shrink the disk tier to ``max_bytes``, oldest entries first.
-
-        ``max_bytes`` defaults to the configured :attr:`max_disk_bytes`
-        cap; entries are removed in modification-time order (ties broken by
-        path for determinism) until the remaining total fits.  Returns
-        ``{"removed_entries", "removed_bytes", "remaining_bytes"}``.  A
-        no-op without a disk tier or when neither bound is given.
-        """
+        """Shrink the disk tier to ``max_bytes`` (default: the configured
+        cap), oldest rows first.  Returns ``{"removed_entries",
+        "removed_bytes", "remaining_bytes"}``; a no-op without a disk tier
+        or when neither bound is given."""
         if max_bytes is None:
             max_bytes = self.max_disk_bytes
         if self.directory is None or max_bytes is None:
             return {"removed_entries": 0, "removed_bytes": 0,
                     "remaining_bytes": self.disk_bytes()}
-        # One prune at a time: concurrent cap-triggered prunes would each
-        # walk the tier and the losers would clobber ``_disk_usage`` with a
-        # stale total.  The serialised follow-up prune re-scans the already
-        # shrunk tier and removes nothing.
-        with self._scan_lock:
-            entries = []
-            total = 0
-            for path in self._iter_accounted_paths():
-                try:
-                    stat = path.stat()
-                except OSError:
-                    continue
-                entries.append((stat.st_mtime, str(path), stat.st_size, path))
-                total += stat.st_size
-            entries.sort(key=lambda item: (item[0], item[1]))
-            removed_entries = 0
-            removed_bytes = 0
-            for _mtime, _name, size, path in entries:
-                if total <= max_bytes:
-                    break
-                try:
-                    path.unlink()
-                except OSError:
-                    # Concurrently invalidated/cleared: its bytes are gone
-                    # either way, but credit the eviction to that caller.
-                    total -= size
-                    continue
-                total -= size
-                removed_entries += 1
-                removed_bytes += size
-            with self._lock:
-                if removed_entries:
-                    self.stats.disk_evictions += removed_entries
-                self._disk_usage = total
+
+        def op(conn: Any) -> Tuple[int, int, int]:
+            conn.execute("BEGIN IMMEDIATE")
+            with conn:
+                return self._evict(conn, max_bytes)
+
+        removed, removed_bytes, total = self._store(op, default=(0, 0, 0))
         return {
-            "removed_entries": removed_entries,
+            "removed_entries": removed,
             "removed_bytes": removed_bytes,
             "remaining_bytes": total,
         }
@@ -496,34 +506,43 @@ class ResultCache:
         """Remove ``key`` from both tiers; returns whether anything existed."""
         with self._lock:
             existed = self._memory.pop(key, _MISSING) is not _MISSING
-        if self.directory is not None:
-            path = self._entry_path(key)
-            with self._lock:
-                self._disk_usage = None  # recomputed lazily on next capped put
-            try:
-                path.unlink()
-                existed = True
-            except OSError:
-                pass
+        try:
+            deleted = self._store(
+                lambda conn: conn.execute(
+                    "DELETE FROM entries WHERE key = ?", (key,)
+                ).rowcount,
+                default=0,
+            )
+        except OSError:
+            deleted = 0
+        existed = existed or deleted > 0
         if existed:
             with self._lock:
                 self.stats.invalidations += 1
         return existed
 
     def clear(self, *, disk: bool = True) -> None:
-        """Drop the memory tier and (by default) every disk entry."""
+        """Drop the memory tier and (by default) every disk row.
+
+        Also removes the shard directories of the older file-per-entry
+        layout, which this tier never reads.
+        """
         with self._lock:
             self._memory.clear()
-        if disk:
-            with self._scan_lock:
-                with self._lock:
-                    self._disk_usage = None
-                for path in list(self._iter_accounted_paths()):
-                    try:
-                        path.unlink()
-                    except OSError:
-                        pass
-            self.sweep_tmp(min_age_s=0.0)
+        if not disk or self.directory is None:
+            return
+
+        def op(conn: Any) -> None:
+            conn.execute("DELETE FROM entries")
+            conn.execute("DELETE FROM quarantine")
+            conn.execute("VACUUM")
+
+        self._store(op)
+        root = Path(self.directory)
+        if root.is_dir():
+            for shard in root.iterdir():
+                if shard.is_dir() and _V1_SHARD.fullmatch(shard.name):
+                    shutil.rmtree(shard, ignore_errors=True)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -539,43 +558,34 @@ class ResultCache:
         with self._lock:
             return len(self._memory)
 
+    def _count(self, table: str) -> int:
+        return self._store(
+            lambda conn: conn.execute(f"SELECT count(*) FROM {table}").fetchone()[0],
+            default=0,
+        )
+
     def disk_entries(self) -> int:
         """Number of entries in the disk tier (0 without a directory)."""
-        return sum(1 for _ in self._iter_disk_paths())
+        return self._count("entries")
 
     def disk_bytes(self) -> int:
-        """Total size of the disk tier in bytes (0 without a directory).
-
-        Includes quarantined ``*.corrupt`` sidecars: they occupy real disk
-        and must count against ``max_disk_bytes`` (the prune policy can
-        reclaim them like any cold entry).
-        """
-        total = 0
-        for path in self._iter_accounted_paths():
-            try:
-                total += path.stat().st_size
-            except OSError:
-                pass
-        return total
+        """Size of the disk tier in bytes (0 without a directory): each
+        row's key, checksum and value, quarantined rows included (they
+        count against ``max_disk_bytes`` and are pruned like any entry)."""
+        return self._store(self._accounted_bytes, default=0)
 
     def quarantine_key(self, key: str) -> bool:
         """Quarantine ``key``'s disk entry and evict it from memory.
 
-        The verification layer calls this when a *parseable, checksum-clean*
-        entry fails its solution certificate (the strongest check): the
-        entry is renamed to ``*.corrupt`` for post-mortem, dropped from the
-        memory tier, and the next lookup is a true miss that re-solves.
-        Returns whether a disk entry existed.
-        """
+        The verification layer calls this when a checksum-clean entry fails
+        its solution certificate: the next lookup is a true miss that
+        re-solves.  Returns whether a disk entry existed."""
         with self._lock:
             self._memory.pop(key, None)
-        if self.directory is None:
+        try:
+            return self._store(lambda conn: self._quarantine(conn, key), default=False)
+        except OSError:
             return False
-        path = self._entry_path(key)
-        if not path.exists():
-            return False
-        self._quarantine(path)
-        return True
 
     def fsck(
         self,
@@ -585,64 +595,53 @@ class ResultCache:
     ) -> Dict[str, int]:
         """Offline integrity walk of the disk tier (``repro cache verify``).
 
-        Every entry is re-read and validated: JSON parse, envelope key
-        match, checksum recomputation, and — when ``certify`` is given —
-        a full solution-certificate check of the payload (``certify(key,
-        value)`` returns ``False`` or raises to flag damage).  With
-        ``repair`` the damaged entries are quarantined to ``*.corrupt``
-        and stranded ``*.tmp`` files are swept; without it the walk is
-        read-only.  Returns counters::
+        Every entry is re-read and validated: JSON parse, checksum
+        recomputation, and — when ``certify`` is given — a full
+        solution-certificate check of the payload (``certify(key, value)``
+        returns ``False`` or raises to flag damage).  With ``repair`` the
+        damaged entries move to the quarantine table (an unreadable
+        database file counts as one damaged entry and is set aside);
+        without it the walk is read-only.  Returns counters::
 
-            {"scanned", "ok", "legacy", "damaged", "quarantined",
-             "tmp_swept", "corrupt_sidecars"}
+            {"scanned", "ok", "damaged", "quarantined", "in_quarantine"}
 
-        ``legacy`` counts healthy pre-envelope entries (no checksum field);
-        they are not damage, merely unprotected until rewritten.
+        ``in_quarantine`` is the quarantine table's size after the walk.
         """
-        report = {
-            "scanned": 0, "ok": 0, "legacy": 0, "damaged": 0,
-            "quarantined": 0, "tmp_swept": 0, "corrupt_sidecars": 0,
-        }
-        for path in list(self._iter_disk_paths()):
+        report = dict.fromkeys(
+            ("scanned", "ok", "damaged", "quarantined", "in_quarantine"), 0
+        )
+        try:
+            rows = self._store(
+                lambda conn: conn.execute(
+                    "SELECT key, sha256, value FROM entries ORDER BY key"
+                ).fetchall(),
+                default=[],
+                set_aside=False,
+            )
+        except _Unreadable as exc:  # the whole file is one damaged entry
+            report["damaged"] = 1
+            if repair:
+                with self._db_lock:
+                    self._set_aside(exc)
+                report["quarantined"] = 1
+            return report
+        for key, sha256, blob in rows:
             report["scanned"] += 1
-            damaged = False
-            data: Any = None
-            try:
-                data = json.loads(path.read_text())
-            except (OSError, ValueError):
-                damaged = True
+            value = self._decode(sha256, blob)
+            damaged = value is _MISSING
+            if not damaged and certify is not None:
+                try:
+                    damaged = not certify(key, value)
+                except Exception:
+                    damaged = True
             if not damaged:
-                key = path.stem
-                if not isinstance(data, dict) or data.get("key") != key:
-                    damaged = True
-                elif "sha256" in data and data["sha256"] != self._digest(
-                    data.get("value")
-                ):
-                    damaged = True
-                else:
-                    value = data.get("value")
-                    if certify is not None:
-                        try:
-                            damaged = not certify(key, value)
-                        except Exception:
-                            damaged = True
-            if damaged:
-                report["damaged"] += 1
-                if repair:
-                    self._quarantine(path)
-                    with self._lock:
-                        self._memory.pop(path.stem, None)
-                    report["quarantined"] += 1
-            else:
                 report["ok"] += 1
-                if isinstance(data, dict) and "sha256" not in data:
-                    report["legacy"] += 1
-        if repair:
-            report["tmp_swept"] = self.sweep_tmp(min_age_s=0.0)
-        if self.directory is not None:
-            root = Path(self.directory)
-            if root.is_dir():
-                report["corrupt_sidecars"] = sum(
-                    1 for _ in root.glob("??/*.corrupt")
-                )
+                continue
+            report["damaged"] += 1
+            if repair:
+                with self._lock:
+                    self._memory.pop(key, None)
+                if self._store(lambda conn: self._quarantine(conn, key), default=False):
+                    report["quarantined"] += 1
+        report["in_quarantine"] = self._count("quarantine")
         return report

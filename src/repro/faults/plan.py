@@ -96,7 +96,7 @@ _CRASH_SEAMS = ("engine.worker",)
 
 #: Seams where ``crash-process`` (SIGKILL of the whole process, applied by
 #: the call site at its most damaging instruction) makes sense: mid
-#: cache-entry write (between ``mkstemp`` and ``os.replace``) and mid
+#: cache-entry write (row inserted, not yet committed) and mid
 #: checkpoint-journal append (after a partial line).
 _CRASH_PROCESS_SEAMS = ("cache.disk.write", "suite.checkpoint")
 
@@ -457,8 +457,8 @@ def apply_crash(fault: Optional[ActiveFault]) -> None:
     """Kill the process *now* if ``fault`` is a fired ``crash-process``.
 
     Call sites place this at the exact instruction the chaos test wants to
-    die at -- e.g. between a cache entry's ``mkstemp`` and its
-    ``os.replace``, or halfway through a checkpoint-journal line -- so the
+    die at -- e.g. between a cache row's INSERT and its COMMIT, or
+    halfway through a checkpoint-journal line -- so the
     SIGKILL lands deterministically mid-write.  ``SIGKILL`` (not
     ``sys.exit``) because the whole point is that *no* cleanup handler,
     ``finally`` block or ``atexit`` hook runs: the recovery machinery must

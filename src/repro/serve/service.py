@@ -380,10 +380,10 @@ class SolverService:
         """The scheduler ``validate`` hook certifying cached scenario hits.
 
         A cache hit that fails :func:`certify_scenario_result` is
-        quarantined (``.corrupt`` sidecar on disk, evicted from memory) and
-        rejected — the scheduler then falls through to the normal miss
-        path, so the caller transparently gets a verified re-solve instead
-        of damaged bytes.
+        quarantined (moved to the store's quarantine table, evicted from
+        memory) and rejected — the scheduler then falls through to the
+        normal miss path, so the caller transparently gets a verified
+        re-solve instead of damaged bytes.
         """
 
         def validate(

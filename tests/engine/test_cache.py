@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+import cache_rows
 from repro.engine import ResultCache
 
 KEY = "ab" + "0" * 62
@@ -67,9 +68,9 @@ class TestDiskTier:
     def test_content_addressed_layout(self, tmp_path):
         cache = ResultCache(directory=tmp_path)
         cache.put(KEY, 1)
-        path = tmp_path / KEY[:2] / f"{KEY}.json"
-        assert path.is_file()
-        assert json.loads(path.read_text())["key"] == KEY
+        # One row per entry, keyed by the request fingerprint.
+        assert set(cache_rows.rows(tmp_path)) == {KEY}
+        assert cache_rows.value(tmp_path, KEY) == 1
 
     def test_non_finite_floats_round_trip(self, tmp_path):
         cache = ResultCache(directory=tmp_path)
@@ -80,7 +81,7 @@ class TestDiskTier:
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(directory=tmp_path)
         cache.put(KEY, 1)
-        (tmp_path / KEY[:2] / f"{KEY}.json").write_text("{not json")
+        cache_rows.write_raw(tmp_path, KEY, value=b"{not json")
         reader = ResultCache(directory=tmp_path)
         assert reader.get(KEY) is None
         assert reader.stats.misses == 1
@@ -89,7 +90,7 @@ class TestDiskTier:
         cache = ResultCache(directory=tmp_path)
         cache.put(KEY, 1)
         assert cache.invalidate(KEY)
-        assert not (tmp_path / KEY[:2] / f"{KEY}.json").exists()
+        assert KEY not in cache_rows.rows(tmp_path)
         assert ResultCache(directory=tmp_path).get(KEY) is None
 
     def test_clear_and_introspection(self, tmp_path):
@@ -128,15 +129,6 @@ class TestDiskTier:
 class TestDiskEviction:
     """The disk tier's max-bytes cap and the explicit prune policy."""
 
-    @staticmethod
-    def _age_entries(cache, tmp_path, keys):
-        """Give entries strictly increasing mtimes (filesystem-tick safe)."""
-        import os
-
-        for offset, key in enumerate(keys):
-            path = tmp_path / key[:2] / f"{key}.json"
-            os.utime(path, (1_000_000 + offset, 1_000_000 + offset))
-
     def test_rejects_negative_cap(self):
         with pytest.raises(ValueError, match="max_disk_bytes"):
             ResultCache(max_disk_bytes=-1)
@@ -146,13 +138,13 @@ class TestDiskEviction:
         keys = ["a" * 64, "b" * 64, "c" * 64]
         for key in keys:
             cache.put(key, {"payload": key})
-        self._age_entries(cache, tmp_path, keys)
+        cache_rows.age(tmp_path, keys)
         entry_bytes = cache.disk_bytes() // 3
 
         capped = ResultCache(directory=tmp_path, max_disk_bytes=2 * entry_bytes + 2)
         capped.put("d" * 64, {"payload": "d" * 64})
         # The two oldest entries fall out; the newest survive.
-        remaining = {path.stem for path in tmp_path.glob("??/*.json")}
+        remaining = set(cache_rows.rows(tmp_path))
         assert "a" * 64 not in remaining
         assert "d" * 64 in remaining
         assert capped.disk_bytes() <= 2 * entry_bytes + 2
@@ -163,7 +155,7 @@ class TestDiskEviction:
         keys = ["a" * 64, "b" * 64, "c" * 64]
         for key in keys:
             cache.put(key, {"payload": key})
-        self._age_entries(cache, tmp_path, keys)
+        cache_rows.age(tmp_path, keys)
         total = cache.disk_bytes()
         outcome = cache.prune(total // 3)
         assert outcome["removed_entries"] == 2
@@ -210,6 +202,7 @@ class TestConcurrency:
 
     def _stress(self, cache, *, n_threads=8, n_ops=200, n_keys=48):
         import random
+        import sys
         import threading
 
         keys = [f"{i:02x}" * 32 for i in range(n_keys)]
@@ -242,10 +235,18 @@ class TestConcurrency:
             threading.Thread(target=worker, args=(seed,))
             for seed in range(n_threads)
         ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        # Switch threads far more often than the default 5 ms, so lost
+        # updates and torn reads get a chance to show.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
         assert not problems, problems
         return counts
 
@@ -274,9 +275,8 @@ class TestConcurrency:
         entry_bytes = 300
         assert cache.disk_bytes() <= cap + entry_bytes
         # Every surviving disk entry is readable and intact.
-        for path in tmp_path.glob("??/*.json"):
-            data = json.loads(path.read_text())
-            assert data["value"]["payload"] == data["key"]
+        for key, row in cache_rows.rows(tmp_path).items():
+            assert json.loads(row["value"])["payload"] == key
 
     def test_threaded_eviction_counters_are_consistent(self, tmp_path):
         """puts == survivors + memory evictions, per tier bookkeeping."""

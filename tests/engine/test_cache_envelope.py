@@ -1,13 +1,10 @@
-"""Checksummed disk entries, quarantine, tmp hygiene and fsck."""
+"""Checksummed disk entries, quarantine and fsck."""
 
 from __future__ import annotations
 
 import json
-import os
-import time
 
-import pytest
-
+import cache_rows
 from repro.engine import ResultCache
 from repro.engine.fingerprint import fingerprint_data
 
@@ -15,18 +12,13 @@ KEY = "ab" + "0" * 62
 OTHER = "cd" + "1" * 62
 
 
-def entry_path(tmp_path, key):
-    return tmp_path / key[:2] / f"{key}.json"
-
-
 class TestEnvelope:
     def test_disk_entry_carries_checksum(self, tmp_path):
         cache = ResultCache(directory=tmp_path)
         cache.put(KEY, {"objective": 1.5})
-        data = json.loads(entry_path(tmp_path, KEY).read_text())
-        assert set(data) == {"key", "sha256", "value"}
-        assert data["key"] == KEY
-        assert data["sha256"] == fingerprint_data({"objective": 1.5})
+        row = cache_rows.rows(tmp_path)[KEY]
+        assert json.loads(row["value"]) == {"objective": 1.5}
+        assert row["sha256"] == fingerprint_data({"objective": 1.5})
 
     def test_round_trip_promotes_disk_to_memory(self, tmp_path):
         ResultCache(directory=tmp_path).put(KEY, [1, 2.5])
@@ -47,33 +39,24 @@ class TestEnvelope:
 class TestChecksumValidation:
     def test_bit_flip_is_detected_and_quarantined(self, tmp_path):
         ResultCache(directory=tmp_path).put(KEY, {"objective": 1.5})
-        path = entry_path(tmp_path, KEY)
         # Flip one digit inside the value: still perfectly parseable JSON.
-        path.write_text(path.read_text().replace("1.5", "2.5"))
+        cache_rows.flip(tmp_path, KEY, "1.5", "2.5")
 
         cache = ResultCache(directory=tmp_path)
         assert cache.get(KEY) is None
         assert cache.stats.quarantined == 1
-        assert not path.exists()
-        assert path.with_suffix(".corrupt").exists()
+        assert KEY not in cache_rows.rows(tmp_path)
+        assert KEY in cache_rows.rows(tmp_path, "quarantine")
         # The quarantined entry is a miss forever after, not an error.
         assert cache.get(KEY) is None
 
-    def test_legacy_entry_without_checksum_still_reads(self, tmp_path):
-        path = entry_path(tmp_path, KEY)
-        path.parent.mkdir(parents=True)
-        path.write_text(json.dumps({"key": KEY, "value": 41}))
-        cache = ResultCache(directory=tmp_path)
-        assert cache.get(KEY) == 41
-        assert cache.stats.quarantined == 0
-
     def test_wrong_key_envelope_quarantined(self, tmp_path):
-        path = entry_path(tmp_path, KEY)
-        path.parent.mkdir(parents=True)
-        path.write_text(
-            json.dumps(
-                {"key": OTHER, "sha256": fingerprint_data(7), "value": 7}
-            )
+        writer = ResultCache(directory=tmp_path)
+        writer.put(KEY, 41)
+        writer.put(OTHER, 7)
+        # KEY's row now holds OTHER's value: misfiled, not torn.
+        cache_rows.write_raw(
+            tmp_path, KEY, value=cache_rows.rows(tmp_path)[OTHER]["value"]
         )
         cache = ResultCache(directory=tmp_path)
         assert cache.get(KEY) is None
@@ -82,22 +65,21 @@ class TestChecksumValidation:
     def test_corrupt_sidecars_count_toward_disk_bytes(self, tmp_path):
         ResultCache(directory=tmp_path).put(KEY, {"objective": 1.5})
         clean_bytes = ResultCache(directory=tmp_path).disk_bytes()
-        path = entry_path(tmp_path, KEY)
-        path.write_text(path.read_text().replace("1.5", "9.5"))
+        cache_rows.flip(tmp_path, KEY, "1.5", "9.5")
         cache = ResultCache(directory=tmp_path)  # cold memory: forces disk read
         cache.get(KEY)  # quarantines
         assert cache.disk_entries() == 0
-        assert cache.disk_bytes() >= clean_bytes  # sidecar still accounted
+        assert cache.disk_bytes() >= clean_bytes  # quarantined row still accounted
 
     def test_prune_reclaims_corrupt_sidecars(self, tmp_path):
         ResultCache(directory=tmp_path).put(KEY, {"objective": 1.5})
-        path = entry_path(tmp_path, KEY)
-        path.write_text(path.read_text().replace("1.5", "9.5"))
+        cache_rows.flip(tmp_path, KEY, "1.5", "9.5")
         cache = ResultCache(directory=tmp_path)
         cache.get(KEY)
+        assert cache_rows.rows(tmp_path, "quarantine")
         outcome = cache.prune(0)
         assert outcome["remaining_bytes"] == 0
-        assert not path.with_suffix(".corrupt").exists()
+        assert not cache_rows.rows(tmp_path, "quarantine")
 
 
 class TestQuarantineKey:
@@ -106,7 +88,7 @@ class TestQuarantineKey:
         cache.put(KEY, 1)
         assert cache.quarantine_key(KEY) is True
         assert cache.get(KEY) is None
-        assert entry_path(tmp_path, KEY).with_suffix(".corrupt").exists()
+        assert KEY in cache_rows.rows(tmp_path, "quarantine")
 
     def test_quarantine_key_absent_entry(self, tmp_path):
         cache = ResultCache(directory=tmp_path)
@@ -119,39 +101,12 @@ class TestQuarantineKey:
         assert cache.get(KEY) is None  # still evicted from memory
 
 
-class TestTmpHygiene:
-    def test_startup_sweeps_stale_tmp(self, tmp_path):
-        shard = tmp_path / KEY[:2]
-        shard.mkdir(parents=True)
-        stale = shard / "deadbeef.tmp"
-        stale.write_text("half a write")
-        old = time.time() - 3600
-        os.utime(stale, (old, old))
-        fresh = shard / "cafef00d.tmp"
-        fresh.write_text("live writer")
-
-        ResultCache(directory=tmp_path)
-        assert not stale.exists(), "stale tmp survived the startup sweep"
-        assert fresh.exists(), "a live writer's tmp was swept"
-
-    def test_explicit_sweep_removes_everything(self, tmp_path):
-        shard = tmp_path / KEY[:2]
-        shard.mkdir(parents=True)
-        (shard / "x.tmp").write_text("x")
-        cache = ResultCache(directory=tmp_path)
-        assert cache.sweep_tmp() == 1
-
-
 class TestFsck:
     def seed(self, tmp_path):
         cache = ResultCache(directory=tmp_path)
         cache.put(KEY, {"objective": 1.5})
         cache.put(OTHER, {"objective": 2.0})
-        # one legacy (pre-envelope) entry
-        legacy_key = "ef" + "2" * 62
-        path = entry_path(tmp_path, legacy_key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps({"key": legacy_key, "value": 3}))
+        cache.put("ef" + "2" * 62, 3)
         return cache
 
     def test_clean_tier(self, tmp_path):
@@ -159,22 +114,22 @@ class TestFsck:
         report = cache.fsck()
         assert report["scanned"] == 3
         assert report["ok"] == 3
-        assert report["legacy"] == 1
         assert report["damaged"] == 0
 
     def test_damage_detected_readonly_then_repaired(self, tmp_path):
         cache = self.seed(tmp_path)
-        path = entry_path(tmp_path, KEY)
-        path.write_text(path.read_text().replace("1.5", "7.5"))
+        cache_rows.flip(tmp_path, KEY, "1.5", "7.5")
 
         report = cache.fsck()
         assert report["damaged"] == 1
         assert report["quarantined"] == 0
-        assert path.exists(), "read-only fsck must not modify the tier"
+        assert KEY in cache_rows.rows(tmp_path), (
+            "read-only fsck must not modify the tier"
+        )
 
         report = cache.fsck(repair=True)
         assert report["quarantined"] == 1
-        assert not path.exists()
+        assert KEY not in cache_rows.rows(tmp_path)
         assert cache.fsck()["damaged"] == 0
 
     def test_certify_hook_flags_semantic_damage(self, tmp_path):
@@ -195,11 +150,9 @@ class TestFsck:
 
         assert cache.fsck(certify=certify)["damaged"] == 3
 
-    def test_repair_sweeps_tmp_and_counts_sidecars(self, tmp_path):
+    def test_repair_counts_quarantine_rows(self, tmp_path):
         cache = self.seed(tmp_path)
-        (tmp_path / KEY[:2] / "orphan.tmp").write_text("x")
-        path = entry_path(tmp_path, KEY)
-        path.write_text(path.read_text().replace("1.5", "7.5"))
+        cache_rows.flip(tmp_path, KEY, "1.5", "7.5")
         report = cache.fsck(repair=True)
-        assert report["tmp_swept"] == 1
-        assert report["corrupt_sidecars"] == 1
+        assert report["in_quarantine"] == 1
+        assert cache.fsck()["in_quarantine"] == 1

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
+import cache_rows
 from repro.engine import VERIFY_MODES, BatchSolver, ResultCache
 from repro.generators import cycle_instance, path_instance
 
@@ -17,18 +16,15 @@ def problems():
 def corrupt_disk_entries(directory, *, bump=0.25):
     """Perturb every disk entry's objective, keeping it checksum-valid.
 
-    The rewritten entry drops the ``sha256`` field, so it reads as a
-    legitimate legacy (pre-envelope) entry: the checksum layer waves it
-    through and only a solution certificate can tell it is wrong.
+    The checksum is recomputed over the tampered value, so the checksum
+    layer waves it through and only a solution certificate can tell it is
+    wrong.
     """
-    n = 0
-    for path in directory.rglob("*.json"):
-        data = json.loads(path.read_text())
-        value = data["value"]
+
+    def change(value):
         value["objective"] = value["objective"] + bump
-        path.write_text(json.dumps({"key": data["key"], "value": value}))
-        n += 1
-    return n
+
+    return cache_rows.rewrite_values(directory, change)
 
 
 class TestConstruction:
@@ -60,7 +56,7 @@ class TestCachedMode:
         assert engine.stats.executed == 2, "corrupt hits must be re-solved"
         # The poisoned entries were quarantined, not left to bite again.
         assert engine.cache.stats.quarantined == 2
-        assert list(tmp_path.rglob("*.corrupt"))
+        assert len(cache_rows.rows(tmp_path, "quarantine")) == 2
 
     def test_clean_disk_entries_pass(self, tmp_path):
         BatchSolver(cache=ResultCache(directory=tmp_path)).solve_maxmin_batch(

@@ -14,6 +14,7 @@ import time
 
 import pytest
 
+import cache_rows
 from repro import BatchSolver, ResultCache, UnboundedError, cycle_instance
 from repro.engine.scheduler import RequestScheduler
 from repro.faults import (
@@ -264,9 +265,8 @@ class TestCacheChaos:
             assert fresh.get(self.KEY) is None  # corrupt -> miss, not error
         assert fresh.stats.quarantined == 1
         assert quarantined.value == before + 1
-        entry = fresh._entry_path(self.KEY)
-        assert not entry.exists()
-        assert entry.with_suffix(".corrupt").exists(), (
+        assert self.KEY not in cache_rows.rows(tmp_path)
+        assert self.KEY in cache_rows.rows(tmp_path, "quarantine"), (
             "the poisoned bytes must survive for post-mortems"
         )
         # The slot is usable again: re-put and read back cleanly.

@@ -2,8 +2,8 @@
 
 Each test launches the actual CLI in a subprocess with a ``crash-process``
 fault plan installed, which SIGKILLs the process at a durability seam --
-mid checkpoint append (``suite.checkpoint``) or between a cache entry's
-tmp-file write and its atomic rename (``cache.disk.write``).  The process
+mid checkpoint append (``suite.checkpoint``) or between a cache row's
+INSERT and its COMMIT (``cache.disk.write``).  The process
 dies with no cleanup of any kind; the tests then prove the recovery
 story end to end:
 
@@ -12,8 +12,8 @@ story end to end:
   :func:`repro.scenarios.canonical_report`);
 * a fully-checkpointed resume performs **zero** re-solves;
 * the torn journal tail is tolerated, never counted as damage;
-* the stranded ``.tmp`` of a torn cache write is swept by
-  ``repro cache prune``.
+* a cache write killed before its COMMIT leaves no entry behind, and
+  ``repro cache verify`` finds the store clean.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from pathlib import Path
 
 import pytest
 
+import cache_rows
 from repro.scenarios import CheckpointJournal, canonical_report
 
 REPO = Path(__file__).resolve().parents[2]
@@ -164,7 +165,7 @@ class TestCheckpointSeamKill:
 
 
 class TestCacheWriteSeamKill:
-    def test_kill_between_tmp_write_and_rename(self, workdir):
+    def test_kill_between_insert_and_commit(self, workdir):
         crashed = run_suite(
             workdir, fault_plan=kill_plan("cache.disk.write", every=1)
         )
@@ -173,33 +174,19 @@ class TestCacheWriteSeamKill:
             f"stdout: {crashed.stdout}\nstderr: {crashed.stderr}"
         )
 
+        # The process died on its first cache write, after the INSERT and
+        # before the COMMIT: the store exists but holds no entry at all.
         cache_dir = workdir / "cache"
-        stranded = list(cache_dir.rglob("*.tmp"))
-        assert stranded, "the crash should strand exactly the torn .tmp"
-        # The half-written entry never got its atomic rename: no .json
-        # ever becomes visible torn.
-        assert all(
-            json.loads(p.read_text()) for p in cache_dir.rglob("*.json")
-        )
+        assert cache_rows.db_path(cache_dir).exists()
+        assert cache_rows.rows(cache_dir) == {}
 
-        # Offline hygiene: prune sweeps the orphan regardless of age.
-        pruned = repro(
-            "cache",
-            "prune",
-            "--cache-dir",
-            str(cache_dir),
-            "--max-bytes",
-            "1000000000",
-        )
-        assert pruned.returncode == 0, pruned.stderr
-        assert "swept 1 orphaned .tmp file(s)" in pruned.stdout
-        assert not list(cache_dir.rglob("*.tmp"))
+        verified = repro("cache", "verify", "--cache-dir", str(cache_dir))
+        assert verified.returncode == 0, verified.stdout + verified.stderr
+        assert "all entries verified clean" in verified.stdout
 
         resumed = run_suite(workdir, "--resume", "--out", str(workdir / "out"))
         assert resumed.returncode == 0, resumed.stderr
-        assert not list(cache_dir.rglob("*.tmp")), (
-            "the resumed run must not inherit stranded tmp files"
-        )
+        assert cache_rows.rows(cache_dir), "the resumed run fills the cache"
 
         report = canonical_report(
             json.loads((workdir / "out" / "results.json").read_text())

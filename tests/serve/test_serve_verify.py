@@ -8,7 +8,7 @@ import urllib.request
 
 import pytest
 
-from repro.engine.fingerprint import fingerprint_data
+import cache_rows
 from repro.scenarios.spec import ScenarioSpec, SuiteSpec
 from repro.serve import ReproServer, SolverService
 
@@ -31,19 +31,16 @@ def _post(url: str, body: bytes):
 def poison_serve_entry(cache_dir, *, bump=1.0):
     """Silently corrupt every scenario cache entry, refreshing its checksum.
 
-    Recomputing the envelope digest over the tampered value models the
+    Recomputing the row's checksum over the tampered value models the
     adversary the checksum layer *cannot* catch (rewrite-with-valid-sum);
     only re-deriving the scenario's arithmetic — the solution certificate —
     can reject it.
     """
-    poisoned = 0
-    for path in (cache_dir / "serve").rglob("*.json"):
-        data = json.loads(path.read_text())
-        data["value"]["optimum"] = data["value"]["optimum"] + bump
-        data["sha256"] = fingerprint_data(data["value"])
-        path.write_text(json.dumps(data))
-        poisoned += 1
-    return poisoned
+
+    def change(value):
+        value["optimum"] = value["optimum"] + bump
+
+    return cache_rows.rewrite_values(cache_dir / "serve", change)
 
 
 def serve(tmp_path, **kwargs):
@@ -117,7 +114,7 @@ class TestCorruptionEndToEnd:
                 assert verified["source"] == "solved"
                 assert verified["verify"] == "passed"
                 assert verified["result"] == clean["result"]
-                assert list((tmp_path / "serve").rglob("*.corrupt"))
+                assert cache_rows.rows(tmp_path / "serve", "quarantine")
                 assert service._requests["verify_failed"] == 1
 
                 # The re-solve republished a good entry: the next verified

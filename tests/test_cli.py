@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+import cache_rows
 import repro
 from repro.cli import EXPERIMENTS, main
 
@@ -164,7 +165,7 @@ class TestBatchCommand:
         assert main(["cache", "stats"]) == 0
         out = capsys.readouterr().out
         assert str(tmp_path) in out
-        assert any(path.suffix == ".json" for path in tmp_path.rglob("*"))
+        assert cache_rows.rows(tmp_path)
 
 
 class TestSuiteCommand:
@@ -341,24 +342,28 @@ class TestSuiteShareOrbits:
 
 class TestCacheCommand:
     def test_cache_prune_drops_oldest_entries(self, capsys, tmp_path):
-        import os
-
         main(["batch", "--family", "cycle", "--radii", "1",
               "--cache-dir", str(tmp_path)])
         capsys.readouterr()
-        entries = sorted(tmp_path.glob("??/*.json"))
+        rows = cache_rows.rows(tmp_path)
+        entries = sorted(rows)
         assert entries
-        for offset, path in enumerate(entries):
-            os.utime(path, (1_000_000 + offset, 1_000_000 + offset))
-        total = sum(path.stat().st_size for path in entries)
-        keep = entries[-1].stat().st_size
+        cache_rows.age(tmp_path, entries)
+        # A row accounts for its key, checksum and value.
+        size = {
+            key: len(key) + len(row["sha256"]) + len(row["value"])
+            for key, row in rows.items()
+        }
+        keep = size[entries[-1]]
         assert main(["cache", "prune", "--cache-dir", str(tmp_path),
                      "--max-bytes", str(keep)]) == 0
         out = capsys.readouterr().out
         assert "pruned" in out
-        remaining = list(tmp_path.glob("??/*.json"))
+        remaining = cache_rows.rows(tmp_path)
         assert 0 < len(remaining) < len(entries)
-        assert sum(path.stat().st_size for path in remaining) <= max(keep, total // len(entries))
+        # The newest entry survives; the oldest went first.
+        assert entries[-1] in remaining and entries[0] not in remaining
+        assert sum(size[key] for key in remaining) <= keep
 
     def test_cache_prune_requires_max_bytes(self, tmp_path):
         with pytest.raises(SystemExit):
