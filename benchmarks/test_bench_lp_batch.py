@@ -2,7 +2,7 @@
 
 With view extraction vectorized, the Section 5 pipeline's time sits
 inside ``solve_lp``: one HiGHS call (:func:`repro.lp.backends.call_highs`,
-about 0.7 ms on a local LP, roughly 0.3 ms of it per-call setup) per
+about 0.5 ms on a local LP, 0.2-0.3 ms of it HiGHS's own solve) per
 canonical-representative local LP, per bisection feasibility probe, per
 baseline optimum.  The :mod:`repro.lp.batch` layer amortises the per-call
 part by stacking whole batches into one block-diagonal sparse LP per chunk
@@ -34,11 +34,17 @@ and 0.37-0.50 s for the sweep; the speedups measured 1.70-2.14x (median
 lowest run.  They are lower than when each per-LP call also paid
 ``scipy.optimize.linprog``'s input cleaning (torus per-LP 3.3-4.5 s then):
 that overhead was most of what stacking saved.  A stacked path that
-degrades toward one HiGHS call per LP still lands near 1x and fails.  Set
-``REPRO_BENCH_QUICK=1`` for the CI smoke variant: a 16x16 torus and 120
-probes, floored at **1.33x** and **1.75x** (12 quick-mode runs on the same
-box measured 1.73-2.26x and 2.31-3.88x).  Set ``REPRO_BENCH_OUT=<path>``
-to write the measured rows as JSON.
+degrades toward one HiGHS call per LP still lands near 1x and fails.
+Inside HiGHS a stack is barely faster than its blocks solved one by one
+(about 1.1x for a 150-block torus stack, 1.0x for a 50-probe stack), so
+both speed-ups are per-call costs saved.  Reusing one HiGHS instance per
+thread removes 0.1-0.2 ms of those per call; measured that way (best of
+10) the two speed-ups were 1.35-1.44x and 1.56-1.92x, below both floors,
+so each call still builds its own instance.  Set ``REPRO_BENCH_QUICK=1``
+for the CI smoke variant: a 16x16 torus and 120 probes, floored at
+**1.33x** and **1.75x** (12 quick-mode runs on the same box measured
+1.73-2.26x and 2.31-3.88x).  Set ``REPRO_BENCH_OUT=<path>`` to write the
+measured rows as JSON.
 
 This is an ablation of this reproduction's infrastructure, not a figure of
 the paper.

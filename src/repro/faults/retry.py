@@ -82,13 +82,16 @@ class RetryPolicy:
         counter in the global registry, so ``/metrics`` exposes how often
         the resilience layer is actually working.
         """
-        last: Optional[BaseException] = None
-        for attempt, delay in enumerate(self._delays_padded()):
+        # A delay is drawn only once an attempt has failed: successful
+        # calls never touch the jitter RNG, so a seeded policy's retry
+        # delays do not depend on how many calls succeeded before them.
+        delays = self.delays()
+        while True:
             try:
                 return fn()
-            except self.retry_on as exc:
-                last = exc
-                if attempt + 1 >= self.attempts:
+            except self.retry_on:
+                delay = next(delays, None)
+                if delay is None:
                     raise
                 if metric:
                     get_registry().counter(
@@ -96,9 +99,3 @@ class RetryPolicy:
                     ).inc()
                 if delay > 0:
                     sleep(delay)
-        raise last if last is not None else RuntimeError("unreachable")
-
-    def _delays_padded(self) -> Iterator[float]:
-        """``delays()`` plus a trailing 0 so ``call`` can zip attempts."""
-        yield from self.delays()
-        yield 0.0

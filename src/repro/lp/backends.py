@@ -24,9 +24,18 @@ per batch" contract is asserted against the shim in the test suite.
 ``scipy.optimize.linprog(method="highs")`` and applies the same post-solve
 status check, so ``x``, ``fun`` and ``status`` are bit-identical to
 ``linprog``'s (``tests/lp/test_highs_binding.py`` holds the parity sweep).
-Skipping ``linprog``'s input cleaning and result packaging cuts a call on
-the registry families' local LPs from about 3.1 ms to about 0.7 ms
-(Intel Xeon, 2 cores, SciPy 1.17.1); the solve itself is about 0.4 ms.
+The model is a :class:`RowwiseLP`: :func:`lower_lp` makes one of a
+:class:`LinearProgram`, the engine's max-min reductions are assembled in
+that form directly (:mod:`repro.lp.maxmin`), and it reaches HiGHS through
+the binding's array overload of ``passModel``.  On the 267 local LPs of
+perfbench's ``suite_random`` (seed 1), solved per LP in chunks of 64 as the
+engine does, assembly plus solve is about 0.5 ms a call, of which HiGHS's
+own ``run`` is 0.2-0.3 ms (Intel Xeon, 2 cores, SciPy 1.17.1).  Each call
+builds a fresh HiGHS instance, as ``linprog`` does.  Reusing one instance
+per thread would save 0.1-0.2 ms a call, but per-call savings are what
+the stacked strategy of :mod:`repro.lp.batch` lives on: with reuse the
+LP-BATCH speed-up floors in ``benchmarks/test_bench_lp_batch.py`` no
+longer hold.
 """
 
 from __future__ import annotations
@@ -39,7 +48,7 @@ import sys
 import threading
 import time
 from types import ModuleType
-from typing import Iterator, List, NamedTuple, Optional
+from typing import Iterator, List, NamedTuple, Optional, Union
 
 import numpy as np
 import scipy
@@ -56,9 +65,11 @@ __all__ = [
     "DEFAULT_BACKEND",
     "HIGHS_RETRY",
     "HiGHSResult",
+    "RowwiseLP",
     "call_highs",
     "check_backend",
     "count_highs_calls",
+    "lower_lp",
     "solve_lp",
 ]
 
@@ -184,6 +195,13 @@ _LINPROG_STATUS = {
     _highs.HighsModelStatus.kUnbounded: 3,
 }
 
+#: HiGHS's infinity: ``linprog`` hands infinite bounds over as ``±HIGHS_INF``.
+HIGHS_INF = float(_highs.kHighsInf)
+
+#: Matrix format and objective sense, as the array ``passModel`` takes them.
+_ROWWISE = int(_highs.MatrixFormat.kRowwise)
+_MINIMIZE = int(_highs.ObjSense.kMinimize)
+
 #: ``linprog``'s post-solve feasibility tolerance: ``sqrt(tol) * 10`` for
 #: its default ``tol = 1e-9``.
 _CHECK_TOL = float(np.sqrt(1e-9) * 10)
@@ -199,6 +217,30 @@ class HiGHSResult(NamedTuple):
     x: Optional[np.ndarray]
     fun: Optional[float]
     message: str
+
+
+class RowwiseLP(NamedTuple):
+    """One LP exactly as HiGHS takes it: the model :func:`_run_highs` solves.
+
+    Minimise ``cost @ x`` subject to ``col_lower <= x <= col_upper`` and
+    ``row_lower <= A x <= row_upper``, with ``A`` given row-wise by
+    ``start``/``index``/``value`` (``start`` and ``index`` are 32-bit, as
+    HiGHS's integers are).  Infinite bounds are ``±HIGHS_INF``.  As
+    in ``linprog``'s model every row is an inequality (lower bound
+    ``-HIGHS_INF``) or an equality (lower bound equal to the upper one).
+
+    :func:`lower_lp` builds one from a :class:`LinearProgram`; the max-min
+    reduction of :mod:`repro.lp.maxmin` builds its rows directly.
+    """
+
+    cost: np.ndarray
+    col_lower: np.ndarray
+    col_upper: np.ndarray
+    row_lower: np.ndarray
+    row_upper: np.ndarray
+    start: np.ndarray
+    index: np.ndarray
+    value: np.ndarray
 
 
 def _csr_buffers(matrix):
@@ -220,25 +262,22 @@ def _csr_buffers(matrix):
 
 
 def _replace_inf(values: np.ndarray) -> np.ndarray:
-    """``±inf`` -> ``±kHighsInf`` in place, as ``linprog`` hands bounds over."""
+    """``±inf`` -> ``±HIGHS_INF`` in place, as ``linprog`` hands bounds over."""
     infinite = np.isinf(values)
-    values[infinite] = np.sign(values[infinite]) * _highs.kHighsInf
+    values[infinite] = np.sign(values[infinite]) * HIGHS_INF
     return values
 
 
-def _run_highs(lp: LinearProgram) -> HiGHSResult:
-    """Solve ``lp`` in a fresh HiGHS instance, as ``linprog`` would.
+def lower_lp(lp: LinearProgram) -> RowwiseLP:
+    """The row-wise model ``linprog(method="highs")`` builds for ``lp``.
 
     Rows are ``A_ub`` (bounds ``[-inf, b_ub]``) then ``A_eq`` (bounds
-    ``[b_eq, b_eq]``), passed row-wise straight from the CSR buffers.  A
-    solution outside ``linprog``'s tolerance is demoted from status 0 to
-    4, as ``linprog``'s post-solve check does.
+    ``[b_eq, b_eq]``), taken straight from the CSR buffers; ``None``
+    bounds become ``±inf`` as ``linprog`` cleans them.
     """
-    n = lp.n_variables
     n_ub, n_eq = lp.n_inequalities, lp.n_equalities
     b_ub = lp.b_ub if n_ub else np.empty(0)
     b_eq = lp.b_eq if n_eq else np.empty(0)
-    row_upper = np.concatenate((b_ub, b_eq))
     values, index, start = np.empty(0), np.empty(0, np.int64), np.zeros(1, np.int64)
     for matrix, rows in ((lp.A_ub, n_ub), (lp.A_eq, n_eq)):
         if rows:
@@ -246,39 +285,66 @@ def _run_highs(lp: LinearProgram) -> HiGHSResult:
             values = np.concatenate((values, block_values))
             index = np.concatenate((index, block_index))
             start = np.concatenate((start, block_start[1:] + start[-1]))
+    # None -> nan -> ±inf, as linprog cleans its bounds.
+    bounds = np.array(lp.bounds, dtype=np.float64).reshape(-1, 2)
+    bounds[np.isnan(bounds[:, 0]), 0] = -np.inf
+    bounds[np.isnan(bounds[:, 1]), 1] = np.inf
+    lower, upper = _replace_inf(bounds.T.copy())
+    return RowwiseLP(
+        cost=lp.c,
+        col_lower=lower,
+        col_upper=upper,
+        row_lower=_replace_inf(np.concatenate((np.full(n_ub, -np.inf), b_eq))),
+        row_upper=np.concatenate((b_ub, b_eq)),
+        start=start.astype(np.int32),
+        index=index.astype(np.int32),
+        value=values,
+    )
+
+
+def _run_highs(model: RowwiseLP) -> HiGHSResult:
+    """Solve ``model`` in a fresh HiGHS instance, as ``linprog`` would.
+
+    A solution outside ``linprog``'s tolerance is demoted from status 0 to
+    4, as ``linprog``'s post-solve check does.
+    """
+    n = model.cost.size
     if not (
         n
-        and np.isfinite(lp.c).all()
-        and np.isfinite(row_upper).all()
-        and np.isfinite(values).all()
+        and np.isfinite(model.cost).all()
+        and np.isfinite(model.row_upper).all()
+        and np.isfinite(model.value).all()
     ):
         raise ValueError(
             "LP needs at least one variable and finite c, A_ub, b_ub, A_eq "
             "and b_eq"
         )
-    # None -> nan -> ±inf, as linprog cleans its bounds.
-    bounds = np.array(lp.bounds, dtype=np.float64)
-    bounds[np.isnan(bounds[:, 0]), 0] = -np.inf
-    bounds[np.isnan(bounds[:, 1]), 1] = np.inf
-    lower, upper = _replace_inf(bounds.T.copy())
-
-    model = _highs.HighsLp()
-    model.num_col_ = model.a_matrix_.num_col_ = n
-    model.num_row_ = model.a_matrix_.num_row_ = n_ub + n_eq
-    model.col_cost_ = lp.c
-    model.col_lower_ = lower
-    model.col_upper_ = upper
-    model.row_lower_ = _replace_inf(np.concatenate((np.full(n_ub, -np.inf), b_eq)))
-    model.row_upper_ = row_upper
-    model.a_matrix_.format_ = _highs.MatrixFormat.kRowwise
-    model.a_matrix_.start_ = start
-    model.a_matrix_.index_ = index
-    model.a_matrix_.value_ = values
-
+    # The array overload of passModel reads the buffers directly; a HighsLp
+    # would copy every field element by element (about 8x slower on a
+    # 50-block stack).  Every column is continuous.
     highs = _highs._Highs()
     if highs.passOptions(_HIGHS_OPTIONS) == _highs.HighsStatus.kError:
         model_status = highs.getModelStatus()
-    elif highs.passModel(model) == _highs.HighsStatus.kError:
+    elif (
+        highs.passModel(
+            n,
+            model.row_upper.size,
+            model.value.size,
+            _ROWWISE,
+            _MINIMIZE,
+            0.0,
+            model.cost,
+            model.col_lower,
+            model.col_upper,
+            model.row_lower,
+            model.row_upper,
+            model.start,
+            model.index,
+            model.value,
+            np.zeros(n, dtype=np.int32),
+        )
+        == _highs.HighsStatus.kError
+    ):
         model_status = _highs.HighsModelStatus.kModelError
     else:
         highs.run()
@@ -293,17 +359,17 @@ def _run_highs(lp: LinearProgram) -> HiGHSResult:
 
     solution = highs.getSolution()
     x = np.array(solution.col_value)
-    fun = highs.getInfo().objective_function_value
-    residual = row_upper - np.array(solution.row_value)
-    slack, con = residual[:n_ub], residual[n_ub:]
+    fun = highs.getObjectiveValue()
+    residual = model.row_upper - np.array(solution.row_value)
+    equality = model.row_lower == model.row_upper
     violated = (
         np.isnan(x).any()
         or np.isnan(fun)
         or np.isnan(residual).any()
-        or np.any(x < lower - _CHECK_TOL)
-        or np.any(x > upper + _CHECK_TOL)
-        or np.any(slack < -_CHECK_TOL)
-        or np.any(np.abs(con) > _CHECK_TOL)
+        or np.any(x < model.col_lower - _CHECK_TOL)
+        or np.any(x > model.col_upper + _CHECK_TOL)
+        or np.any(residual[~equality] < -_CHECK_TOL)
+        or np.any(np.abs(residual[equality]) > _CHECK_TOL)
     )
     if violated:
         return HiGHSResult(
@@ -316,30 +382,29 @@ def _run_highs(lp: LinearProgram) -> HiGHSResult:
     return HiGHSResult(0, x, fun, message)
 
 
-def call_highs(lp: LinearProgram) -> HiGHSResult:
+def call_highs(lp: Union[LinearProgram, RowwiseLP]) -> HiGHSResult:
     """One HiGHS solve of ``lp``; the single entry point.
 
     Returns the raw :class:`HiGHSResult` -- callers interpret the status.
-    Dense and sparse ``A_ub``/``A_eq`` become the identical row-wise model,
-    so the two storage forms produce bit-identical solver output.
+    A :class:`LinearProgram` is lowered with :func:`lower_lp` first; dense
+    and sparse ``A_ub``/``A_eq`` become the identical row-wise model, so
+    the two storage forms produce bit-identical solver output.
     """
+    model = lp if isinstance(lp, RowwiseLP) else lower_lp(lp)
+    n_variables, n_rows = model.cost.size, model.row_upper.size
     registry = get_registry()
 
     def _attempt():
         # The fault seam fires *before* the call counters: an injected
         # transient never reaches HiGHS, so the batch layer's
         # one-call-per-batch contract counts real invocations only.
-        _inject("lp.highs.call", variables=lp.n_variables)
+        _inject("lp.highs.call", variables=n_variables)
         for counter in _active_counters():
             counter.calls += 1
         registry.counter("lp.highs.calls", "HiGHS invocations").inc()
         start = time.perf_counter()
-        with _span(
-            "lp.highs",
-            variables=lp.n_variables,
-            constraints=lp.n_inequalities + lp.n_equalities,
-        ):
-            result = _run_highs(lp)
+        with _span("lp.highs", variables=n_variables, constraints=n_rows):
+            result = _run_highs(model)
         registry.histogram("lp.highs.seconds", "HiGHS call latency").observe(
             time.perf_counter() - start
         )
@@ -356,8 +421,10 @@ def check_backend(backend: str) -> None:
         )
 
 
-def _solve_scipy(lp: LinearProgram) -> LPResult:
-    result = call_highs(lp)
+def solve_lp(lp: Union[LinearProgram, RowwiseLP]) -> LPResult:
+    """Solve a :class:`LinearProgram` (or an already lowered model) with HiGHS."""
+    model = lp if isinstance(lp, RowwiseLP) else lower_lp(lp)
+    result = call_highs(model)
     if result.status == 0:
         return LPResult(
             LPStatus.OPTIMAL,
@@ -372,14 +439,10 @@ def _solve_scipy(lp: LinearProgram) -> LPResult:
     # Statuses beyond {optimal, infeasible, unbounded} (iteration limit,
     # numerical difficulties, future additions) must not be silently
     # collapsed into a result object callers might ignore.
+    n_eq = int(np.count_nonzero(model.row_lower == model.row_upper))
     raise SolverError(
         f"backend 'scipy' returned unexpected status {result.status} "
         f"({getattr(result, 'message', '')!r}) for LP with "
-        f"{lp.n_variables} variables, {lp.n_inequalities} inequality and "
-        f"{lp.n_equalities} equality constraints"
+        f"{model.cost.size} variables, {model.row_upper.size - n_eq} "
+        f"inequality and {n_eq} equality constraints"
     )
-
-
-def solve_lp(lp: LinearProgram) -> LPResult:
-    """Solve a :class:`LinearProgram` with HiGHS."""
-    return _solve_scipy(lp)

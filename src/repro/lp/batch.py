@@ -3,11 +3,11 @@
 The reproduction's hot path is no longer one big LP but *many tiny ones*:
 every canonical-representative local LP of the Section 5 averaging
 algorithm, every bisection feasibility probe and every baseline optimum is
-an independent :class:`~repro.lp.standard.LinearProgram`, and for
-radius-``R`` local LPs each HiGHS call costs about 0.7 ms, of which model
-setup and the fresh solver instance are about 0.3 ms and the solve about
-0.4 ms (:func:`~repro.lp.backends.call_highs`; Intel Xeon, SciPy 1.17.1).
-This module amortises the per-call part by solving whole batches at once.
+an independent linear program, and for radius-``R`` local LPs each HiGHS
+call costs about 0.5 ms, of which HiGHS's own solve is 0.2-0.3 ms and the
+fresh solver instance and the Python around it the rest
+(:func:`~repro.lp.backends.call_highs`; Intel Xeon, SciPy 1.17.1).  This
+module amortises the per-call part by solving whole batches at once.
 Two strategies:
 
 ``"stacked"``

@@ -31,6 +31,7 @@ buffers that fan out to worker processes without pickling
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -38,8 +39,8 @@ import scipy.sparse as sp
 
 from ..core.problem import Agent, MaxMinLP
 from ..exceptions import InfeasibleError, SolverError, UnboundedError
-from .backends import DEFAULT_BACKEND, call_highs, solve_lp
-from .batch import BatchSolveStats, solve_lp_batch
+from .backends import DEFAULT_BACKEND, HIGHS_INF, RowwiseLP, call_highs, solve_lp
+from .batch import BATCH_STRATEGIES, BatchSolveStats, solve_lp_batch
 from .standard import LinearProgram, LPResult, LPStatus
 
 __all__ = [
@@ -137,26 +138,39 @@ def maxmin_to_lp(problem: MaxMinLP) -> LinearProgram:
     return _maxmin_lp_from_matrices(problem.A, problem.C, problem.n_agents)
 
 
-@dataclass(frozen=True)
+#: One CSR matrix as raw buffers: ``(data, indices, indptr, n_rows)``.
+CSRBuffers = Tuple[np.ndarray, np.ndarray, np.ndarray, int]
+
+
+def _csr_of(matrix: sp.csr_matrix) -> CSRBuffers:
+    return matrix.data, matrix.indices, matrix.indptr, int(matrix.shape[0])
+
+
+@dataclass(frozen=True, eq=False)
 class CompiledMaxMin:
     """One max-min instance compiled to raw solver inputs.
 
     The transport form the batch engine fans out to worker processes: the
-    CSR buffers of ``A`` and ``C`` plus the agent count -- no identifier
-    maps, support sets or Python coefficient dictionaries, so pickling one
-    costs a handful of array buffers instead of a whole
-    :class:`~repro.core.problem.MaxMinLP`.  The parent process keeps the
-    original instance (or canonical form) and pulls identifiers back in
-    after the solve.
+    CSR buffers of ``A`` and ``C`` (sorted column indices in every row)
+    plus the agent count -- no identifier maps, support sets or Python
+    coefficient dictionaries, and no sparse matrix object unless a caller
+    asks for :attr:`A` or :attr:`C`.  Pickling one costs a handful of
+    array buffers instead of a whole :class:`~repro.core.problem.MaxMinLP`.
+    The parent process keeps the original instance (or canonical form) and
+    pulls identifiers back in after the solve.
     """
 
     n_agents: int
-    A: sp.csr_matrix
-    C: sp.csr_matrix
+    consumption: CSRBuffers
+    benefit: CSRBuffers
 
     @classmethod
     def from_problem(cls, problem: MaxMinLP) -> "CompiledMaxMin":
-        return cls(n_agents=problem.n_agents, A=problem.A, C=problem.C)
+        return cls(
+            n_agents=problem.n_agents,
+            consumption=_csr_of(problem.A),
+            benefit=_csr_of(problem.C),
+        )
 
     @classmethod
     def from_triples(
@@ -172,50 +186,69 @@ class CompiledMaxMin:
         This is the canonical-form fast path: a
         :class:`~repro.canon.labeling.CanonicalForm` stores its relabelled
         coefficients as ``(row, column, value)`` triples sorted by (row,
-        column), which is exactly CSR buffer order -- the matrices are
-        assembled straight from the triple arrays (indptr via a row
-        bincount), with no COO round-trip and no
-        :class:`~repro.core.problem.MaxMinLP` (identifier dictionaries,
-        support sets, validation) ever existing.
+        column), which is exactly CSR buffer order -- the buffers are
+        taken straight from the triple arrays (indptr via a row bincount),
+        with no sparse matrix and no :class:`~repro.core.problem.MaxMinLP`
+        (identifier dictionaries, support sets, validation) ever existing.
         """
 
-        def build(rows_cols_vals, n_rows: int) -> sp.csr_matrix:
-            if rows_cols_vals:
-                arr = np.asarray(rows_cols_vals, dtype=np.float64)
-                rows = arr[:, 0].astype(np.int64)
-                indices = arr[:, 1].astype(np.int64)
-                data = np.ascontiguousarray(arr[:, 2])
-                indptr = np.concatenate(
-                    ([0], np.cumsum(np.bincount(rows, minlength=n_rows)))
-                ).astype(np.int64)
-                matrix = sp.csr_matrix(
-                    (data, indices, indptr),
-                    shape=(n_rows, n_agents),
-                    dtype=np.float64,
-                )
-                matrix.has_sorted_indices = True  # triples are (row, col) sorted
-                return matrix
-            return sp.csr_matrix((n_rows, n_agents), dtype=np.float64)
+        def build(rows_cols_vals, n_rows: int) -> CSRBuffers:
+            indptr = np.zeros(n_rows + 1, dtype=np.int32)
+            if not rows_cols_vals:
+                return np.empty(0), np.empty(0, dtype=np.int32), indptr, n_rows
+            arr = np.asarray(rows_cols_vals, dtype=np.float64)
+            rows = arr[:, 0].astype(np.int64)
+            np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
+            indices = arr[:, 1].astype(np.int32)
+            return np.ascontiguousarray(arr[:, 2]), indices, indptr, n_rows
 
         return cls(
             n_agents=n_agents,
-            A=build(list(consumption), n_resources),
-            C=build(list(benefit), n_beneficiaries),
+            consumption=build(list(consumption), n_resources),
+            benefit=build(list(benefit), n_beneficiaries),
         )
+
+    def _matrix(self, buffers: CSRBuffers) -> sp.csr_matrix:
+        data, indices, indptr, n_rows = buffers
+        return sp.csr_matrix(
+            (data, indices, indptr), shape=(n_rows, self.n_agents), dtype=np.float64
+        )
+
+    @cached_property
+    def A(self) -> sp.csr_matrix:
+        """The consumption matrix, built on first access."""
+        return self._matrix(self.consumption)
+
+    @cached_property
+    def C(self) -> sp.csr_matrix:
+        """The benefit matrix, built on first access."""
+        return self._matrix(self.benefit)
 
     @property
     def n_beneficiaries(self) -> int:
-        return int(self.C.shape[0])
+        return self.benefit[3]
 
     def lp(self) -> LinearProgram:
         """The (sparse) Section 1.3 LP reduction of this instance."""
         return _maxmin_lp_from_matrices(self.A, self.C, self.n_agents)
 
     def objective(self, x: np.ndarray) -> float:
-        """``min_k (C x)_k`` -- ``inf`` for the empty minimum."""
-        if self.n_beneficiaries == 0:
+        """``min_k (C x)_k`` -- ``inf`` for the empty minimum.
+
+        Summed from the buffers with scipy's CSR product order (each row
+        left to right from 0), so the value is the one ``C @ x`` gives
+        without building ``C``.
+        """
+        data, indices, indptr, n_rows = self.benefit
+        if n_rows == 0:
             return float("inf")
-        return float((self.C @ x).min())
+        products = data * np.asarray(x, dtype=np.float64)[indices]
+        starts, counts = indptr[:-1], np.diff(indptr)
+        sums = np.zeros(n_rows)
+        for k in range(int(counts.max(initial=0))):
+            live = counts > k
+            sums[live] += products[starts[live] + k]
+        return float(sums.min())
 
     def to_buffers(self) -> Tuple:
         """Raw-array form for zero-copy process fan-out.
@@ -223,99 +256,100 @@ class CompiledMaxMin:
         :func:`_stack_maxmin_buffers` builds the reduction straight from
         these buffers, no sparse matrix is rebuilt on the far side.
         """
-        return (
-            self.n_agents,
-            self.A.data,
-            self.A.indices,
-            self.A.indptr,
-            int(self.A.shape[0]),
-            self.C.data,
-            self.C.indices,
-            self.C.indptr,
-            int(self.C.shape[0]),
-        )
+        return (self.n_agents, *self.consumption, *self.benefit)
 
 
-def _stack_maxmin_buffers(buffers_list: Sequence[Tuple]) -> Tuple[LinearProgram, np.ndarray]:
-    """Block-diagonally stack many reductions straight from raw buffers.
+def _stack_maxmin_buffers(
+    buffers_list: Sequence[Tuple],
+) -> Tuple[RowwiseLP, np.ndarray, np.ndarray]:
+    """Block-diagonally stack many reductions straight into HiGHS's rows.
 
-    The batched counterpart of :func:`_maxmin_lp_from_matrices`: for each
-    unit the block is ``[[A | 0], [-C | 1]]``, and the whole chunk's
-    stacked CSR is assembled with plain array concatenations -- no
-    intermediate per-unit sparse objects at all, which is what makes the
-    engine's stacked fan-out cheap for chunks of hundreds of tiny local
-    LPs.  Returns the stacked LP plus each block's variable offset
-    (``offsets[i] : offsets[i+1]`` slices unit ``i``'s ``(x, ω)`` out of a
-    stacked solution).  A one-unit list builds that unit's own reduction
-    (same rows, order and values as :meth:`CompiledMaxMin.lp`), which is
-    how the per-LP strategies and the stacked fallback get their LPs.
+    The batched counterpart of :func:`_maxmin_lp_from_matrices`, emitting
+    the row-wise model :func:`~repro.lp.backends.call_highs` solves: for
+    each unit the rows are ``A``'s (upper bound 1) then ``[-C | 1]``'s
+    (upper bound 0), every column is bounded to ``[0, inf)`` and each ω
+    costs -1.  The whole chunk is a fixed number of array operations -- no
+    per-unit loop, no sparse matrix and no
+    :class:`~repro.lp.standard.LinearProgram` -- which is what keeps the
+    engine's hundreds of tiny local LPs cheap.
+
+    Returns the model plus each unit's first column and first row
+    (``columns[u] : columns[u+1]`` slices unit ``u``'s ``(x, ω)`` out of a
+    stacked solution; :func:`_unit_model` cuts out its own model).  A
+    one-unit list gives the model :func:`~repro.lp.backends.lower_lp`
+    makes of that unit's :meth:`CompiledMaxMin.lp`.
     """
+    (
+        n_agents,
+        a_data,
+        a_indices,
+        a_indptr,
+        n_i,
+        c_data,
+        c_indices,
+        c_indptr,
+        n_k,
+    ) = zip(*buffers_list)
     n_units = len(buffers_list)
-    widths = np.empty(n_units, dtype=np.int64)
-    data_parts: List[np.ndarray] = []
-    indices_parts: List[np.ndarray] = []
-    row_count_parts: List[np.ndarray] = []
-    b_parts: List[np.ndarray] = []
-    offsets = np.zeros(n_units + 1, dtype=np.int64)
-    for u, buffers in enumerate(buffers_list):
-        (
-            n_agents,
-            a_data,
-            a_indices,
-            a_indptr,
-            n_i,
-            c_data,
-            c_indices,
-            c_indptr,
-            n_k,
-        ) = buffers
-        base = offsets[u]
-        widths[u] = n_agents + 1
-        offsets[u + 1] = base + n_agents + 1
-        if n_i:
-            data_parts.append(np.asarray(a_data, dtype=np.float64))
-            indices_parts.append(np.asarray(a_indices, dtype=np.int64) + base)
-            row_count_parts.append(np.diff(np.asarray(a_indptr, dtype=np.int64)))
-            b_parts.append(np.ones(n_i))
-        if n_k:
-            c_indptr = np.asarray(c_indptr, dtype=np.int64)
-            counts = np.diff(c_indptr)
-            nnz = int(c_indptr[-1])
-            row_data = np.empty(nnz + n_k, dtype=np.float64)
-            row_indices = np.empty(nnz + n_k, dtype=np.int64)
-            omega_slots = np.cumsum(counts + 1) - 1
-            keep = np.ones(nnz + n_k, dtype=bool)
-            keep[omega_slots] = False
-            row_data[keep] = -np.asarray(c_data, dtype=np.float64)
-            row_indices[keep] = np.asarray(c_indices, dtype=np.int64) + base
-            row_data[omega_slots] = 1.0
-            row_indices[omega_slots] = base + n_agents
-            data_parts.append(row_data)
-            indices_parts.append(row_indices)
-            row_count_parts.append(counts + 1)
-            b_parts.append(np.zeros(n_k))
-    n_total = int(offsets[-1])
-    c = np.zeros(n_total)
-    c[offsets[1:] - 1] = -1.0  # maximise every block's ω
-    if row_count_parts:
-        data = np.concatenate(data_parts)
-        indices = np.concatenate(indices_parts)
-        indptr = np.concatenate(
-            ([0], np.cumsum(np.concatenate(row_count_parts)))
-        ).astype(np.int64)
-        A_ub = sp.csr_matrix(
-            (data, indices, indptr),
-            shape=(indptr.size - 1, n_total),
-            dtype=np.float64,
-        )
-        b_ub = np.concatenate(b_parts)
-    else:
-        A_ub = None
-        b_ub = None
-    lp = LinearProgram(
-        c=c, A_ub=A_ub, b_ub=b_ub, bounds=[(0.0, None)] * n_total
+    columns = np.zeros(n_units + 1, dtype=np.int64)
+    np.cumsum(np.add(n_agents, 1), out=columns[1:])
+    rows = np.zeros(n_units + 1, dtype=np.int64)
+    np.cumsum(np.add(n_i, n_k), out=rows[1:])
+    # Row groups unit by unit: A's rows, then C's.  Each group's indptr
+    # starts from 0, so the differences across group boundaries are dropped.
+    group_rows = np.ravel(np.column_stack((n_i, n_k)))
+    pointers = np.concatenate(
+        [part for pair in zip(a_indptr, c_indptr) for part in pair]
     )
-    return lp, offsets
+    group_ends = np.cumsum(group_rows + 1) - 1
+    counts = np.delete(np.diff(pointers), group_ends[:-1])
+    group_nnz = pointers[group_ends]
+    benefit_row = np.repeat(np.tile((False, True), n_units), group_rows)
+    value = np.concatenate(
+        [part for pair in zip(a_data, c_data) for part in pair]
+    ) * np.repeat(np.tile((1.0, -1.0), n_units), group_nnz)
+    index = np.concatenate(
+        [part for pair in zip(a_indices, c_indices) for part in pair]
+    ) + np.repeat(np.repeat(columns[:-1], 2), group_nnz)
+    # ω's +1 closes every benefit row.
+    omega_at = np.cumsum(counts)[benefit_row]
+    value = np.insert(value, omega_at, 1.0)
+    index = np.insert(index, omega_at, np.repeat(columns[1:] - 1, n_k))
+    start = np.zeros(counts.size + 1, dtype=np.int32)
+    np.cumsum(counts + benefit_row, out=start[1:])
+    n_total = int(columns[-1])
+    cost = np.zeros(n_total)
+    cost[columns[1:] - 1] = -1.0  # maximise every unit's ω
+    model = RowwiseLP(
+        cost=cost,
+        col_lower=np.zeros(n_total),
+        col_upper=np.full(n_total, HIGHS_INF),
+        row_lower=np.full(counts.size, -HIGHS_INF),
+        row_upper=np.where(benefit_row, 0.0, 1.0),
+        start=start,
+        index=index.astype(np.int32),
+        value=value,
+    )
+    return model, columns, rows
+
+
+def _unit_model(
+    stacked: RowwiseLP, columns: np.ndarray, rows: np.ndarray, u: int
+) -> RowwiseLP:
+    """Unit ``u``'s own model, sliced out of :func:`_stack_maxmin_buffers`'s."""
+    c0, c1 = int(columns[u]), int(columns[u + 1])
+    r0, r1 = int(rows[u]), int(rows[u + 1])
+    e0, e1 = int(stacked.start[r0]), int(stacked.start[r1])
+    return RowwiseLP(
+        cost=stacked.cost[c0:c1],
+        col_lower=stacked.col_lower[c0:c1],
+        col_upper=stacked.col_upper[c0:c1],
+        row_lower=stacked.row_lower[r0:r1],
+        row_upper=stacked.row_upper[r0:r1],
+        start=stacked.start[r0: r1 + 1] - np.int32(e0),
+        index=stacked.index[e0:e1] - np.int32(c0),
+        value=stacked.value[e0:e1],
+    )
 
 
 def solve_maxmin_buffer_batch(
@@ -327,27 +361,39 @@ def solve_maxmin_buffer_batch(
     """Solve a chunk of reductions given as raw buffers; status + vector each.
 
     The engine's chunk worker: ``buffers_list`` entries are
-    :meth:`CompiledMaxMin.to_buffers` output.  Under the stacked strategy
-    the whole chunk becomes **one** HiGHS call assembled directly from the
-    buffers (:func:`_stack_maxmin_buffers`); a non-optimal stack falls back
-    to exact per-unit solves.  Under ``"per-lp"`` the per-unit LPs are
-    built from the buffers the same way and handed to
-    :func:`repro.lp.batch.solve_lp_batch`.
+    :meth:`CompiledMaxMin.to_buffers` output, stacked once straight into
+    HiGHS's row-wise model by :func:`_stack_maxmin_buffers`.  Under the
+    stacked strategy the whole chunk becomes **one** HiGHS call; a
+    non-optimal stack falls back to exact per-unit solves.  Under
+    ``"per-lp"`` each unit's block of the stack is one call, bit-identical
+    to :func:`solve_max_min` on it.
     Returns ``(status_name, x_vector)`` pairs -- exceptions and identifier
     work belong to the caller.  ``stats`` receives the same counters
     :func:`~repro.lp.batch.solve_lp_batch` reports, so the engine can
     surface stacked-call and fallback counts even when the chunk ran in a
     worker process.
+
+    Raises
+    ------
+    SolverError
+        Unknown strategy, or an unexpected HiGHS status on a per-unit solve
+        (exactly as :func:`repro.lp.backends.solve_lp`).
     """
     if stats is None:
         stats = BatchSolveStats()
     if not buffers_list:
         return []
+    if strategy not in BATCH_STRATEGIES:
+        raise SolverError(
+            f"unknown batch strategy {strategy!r}; expected one of "
+            f"{BATCH_STRATEGIES}"
+        )
+    stats.batches += 1
+    stats.lps += len(buffers_list)
+    stacked, columns, rows = _stack_maxmin_buffers(buffers_list)
+    units = range(len(buffers_list))
     if strategy == "stacked":
-        stats.batches += 1
-        stats.lps += len(buffers_list)
         stats.stacked_calls += 1
-        stacked, offsets = _stack_maxmin_buffers(buffers_list)
         try:
             result = call_highs(stacked)
             status = int(result.status)
@@ -356,21 +402,12 @@ def solve_maxmin_buffer_batch(
         if status == 0:
             x = np.asarray(result.x, dtype=np.float64)
             return [
-                (
-                    LPStatus.OPTIMAL.value,
-                    x[offsets[u]: offsets[u + 1]],
-                )
-                for u in range(len(buffers_list))
+                (LPStatus.OPTIMAL.value, x[columns[u]: columns[u + 1]])
+                for u in units
             ]
         # Exact-status fallback: re-solve each block alone.
         stats.fallback_solves += len(buffers_list)
-        results = [
-            solve_lp(_stack_maxmin_buffers([buffers])[0])
-            for buffers in buffers_list
-        ]
-    else:
-        lps = [_stack_maxmin_buffers([buffers])[0] for buffers in buffers_list]
-        results = solve_lp_batch(lps, strategy=strategy, stats=stats)
+    results = [solve_lp(_unit_model(stacked, columns, rows, u)) for u in units]
     return [(result.status.value, result.x) for result in results]
 
 

@@ -79,6 +79,23 @@ class TestCall:
         policy.call(Flaky(failures=2), sleep=seen.append)
         assert seen == [0.01, 0.02]
 
+    def test_successful_calls_leave_the_rng_untouched(self):
+        policy = RetryPolicy(attempts=3, jitter=0.5, seed=3)
+        state = policy._rng.getstate()
+        for _ in range(50):
+            assert policy.call(Flaky(failures=0), sleep=_no_sleep) == "ok"
+        assert policy._rng.getstate() == state
+
+    def test_retry_delays_ignore_earlier_successes(self):
+        kwargs = dict(attempts=4, base_delay=0.1, jitter=0.9, seed=7)
+        policy = RetryPolicy(**kwargs)
+        for _ in range(25):
+            policy.call(Flaky(failures=0), sleep=_no_sleep)
+        seen = []
+        with pytest.raises(ValueError):
+            policy.call(Flaky(failures=10), sleep=seen.append)
+        assert seen == list(RetryPolicy(**kwargs).delays())
+
 
 class TestDelays:
     def test_yields_attempts_minus_one_values(self):

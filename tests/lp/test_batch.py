@@ -23,8 +23,20 @@ from repro.lp import (
     solve_max_min_bisection,
     stack_block_diagonal,
 )
+from repro.lp.backends import RowwiseLP, lower_lp
 from repro.lp.batch import BatchSolveStats
-from repro.lp.maxmin import _stack_maxmin_buffers, solve_maxmin_buffer_batch
+from repro.lp.maxmin import (
+    _stack_maxmin_buffers,
+    _unit_model,
+    solve_maxmin_buffer_batch,
+)
+
+
+def assert_same_model(got: RowwiseLP, expected: RowwiseLP) -> None:
+    for field in RowwiseLP._fields:
+        np.testing.assert_array_equal(
+            getattr(got, field), getattr(expected, field), err_msg=field
+        )
 
 
 def _optimal_lp(k: float = 1.0) -> LinearProgram:
@@ -252,17 +264,31 @@ class TestCompiledMaxMin:
         ids=["cycle", "grid", "random_bounded_degree"],
     )
     def test_single_unit_stack_equals_lp(self, problem):
+        # The buffers go straight to HiGHS's rows: the model must be the
+        # one linprog would build from the unit's own LinearProgram.
         compiled = CompiledMaxMin.from_problem(problem)
-        expected = compiled.lp()
-        stacked, offsets = _stack_maxmin_buffers([compiled.to_buffers()])
-        assert offsets.tolist() == [0, compiled.n_agents + 1]
-        assert stacked.A_ub.shape == expected.A_ub.shape
-        np.testing.assert_array_equal(stacked.A_ub.indptr, expected.A_ub.indptr)
-        np.testing.assert_array_equal(stacked.A_ub.indices, expected.A_ub.indices)
-        np.testing.assert_array_equal(stacked.A_ub.data, expected.A_ub.data)
-        np.testing.assert_array_equal(stacked.b_ub, expected.b_ub)
-        np.testing.assert_array_equal(stacked.c, expected.c)
-        assert list(stacked.bounds) == list(expected.bounds)
+        expected = lower_lp(compiled.lp())
+        stacked, columns, rows = _stack_maxmin_buffers([compiled.to_buffers()])
+        assert columns.tolist() == [0, compiled.n_agents + 1]
+        assert rows.tolist() == [0, expected.row_upper.size]
+        assert_same_model(stacked, expected)
+
+    def test_unit_blocks_of_a_stack_are_the_units_own_models(self):
+        # The per-LP strategy solves each unit's block of one stack; every
+        # block must be exactly the model the unit stacks to on its own,
+        # units without resources or without beneficiaries included.
+        units = [
+            CompiledMaxMin.from_problem(cycle_instance(6)),
+            CompiledMaxMin.from_triples(1, 0, 1, [], [(0, 0, 1.0)]),
+            CompiledMaxMin.from_problem(random_bounded_degree_instance(12, seed=3)),
+            CompiledMaxMin.from_triples(2, 1, 0, [(0, 1, 1.0)], []),
+            CompiledMaxMin.from_problem(grid_instance((3, 4))),
+        ]
+        buffers = [unit.to_buffers() for unit in units]
+        stacked, columns, rows = _stack_maxmin_buffers(buffers)
+        for u, unit_buffers in enumerate(buffers):
+            alone, _, _ = _stack_maxmin_buffers([unit_buffers])
+            assert_same_model(_unit_model(stacked, columns, rows, u), alone)
 
     def test_objective(self):
         from repro import cycle_instance
@@ -273,6 +299,36 @@ class TestCompiledMaxMin:
         assert compiled.objective(x) == pytest.approx(problem.objective(x))
         empty = CompiledMaxMin.from_triples(2, 1, 0, [(0, 0, 1.0)], [])
         assert math.isinf(empty.objective(np.zeros(2)))
+
+    @pytest.mark.parametrize("family", ["sidon_bipartite", "sensor", "isp", "torus"])
+    def test_objective_is_bit_identical_to_the_matrix_product(self, family):
+        # objective() sums C x from the buffers without building C; it must
+        # give exactly what scipy's C @ x gives, long benefit rows included.
+        from repro.scenarios.registry import build_instance
+        from repro.scenarios.spec import ScenarioSpec
+
+        params = {
+            "sidon_bipartite": {"degree": 5},
+            "sensor": {"n_sensors": 10, "n_relays": 4, "n_areas": 3},
+            "isp": {"n_customers": 5, "n_routers": 3},
+            "torus": {"shape": (4, 4)},
+        }[family]
+        problem = build_instance(ScenarioSpec(family, params=params, seed=3, radii=(1,)))
+        compiled = CompiledMaxMin.from_problem(problem)
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            x = rng.random(compiled.n_agents) * 10.0 ** rng.integers(-3, 3)
+            assert compiled.objective(x) == float((compiled.C @ x).min())
+
+    def test_objective_on_long_benefit_rows(self):
+        rng = np.random.default_rng(1)
+        benefit = [(k, j, float(rng.random())) for k in range(3) for j in range(25)]
+        compiled = CompiledMaxMin.from_triples(
+            25, 1, 3, [(0, j, 1.0) for j in range(25)], benefit
+        )
+        for _ in range(50):
+            x = rng.random(25) * 10.0 ** rng.integers(-3, 3)
+            assert compiled.objective(x) == float((compiled.C @ x).min())
 
 
 class TestMaxMinBatch:
@@ -312,6 +368,26 @@ class TestMaxMinBatch:
         )
         assert out[0][0] == LPStatus.OPTIMAL.value
         assert out[1][0] == LPStatus.UNBOUNDED.value
+
+    @pytest.mark.parametrize("strategy", ["per-lp", "stacked"])
+    def test_buffer_batch_builds_no_matrix_object(self, monkeypatch, strategy):
+        # The engine's local LPs go from buffers straight to HiGHS's rows:
+        # no scipy matrix and no LinearProgram, fallback path included.
+        from repro import cycle_instance
+
+        good = CompiledMaxMin.from_problem(cycle_instance(6)).to_buffers()
+        bad = CompiledMaxMin.from_triples(1, 0, 1, [], [(0, 0, 1.0)]).to_buffers()
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("built on the local-LP path")
+
+        monkeypatch.setattr(sp.csr_matrix, "__init__", forbidden)
+        monkeypatch.setattr(LinearProgram, "__post_init__", forbidden)
+        out = solve_maxmin_buffer_batch([good, bad], strategy=strategy)
+        assert [status for status, _ in out] == [
+            LPStatus.OPTIMAL.value,
+            LPStatus.UNBOUNDED.value,
+        ]
 
 
 class TestBatchedBisection:

@@ -4,8 +4,8 @@
 going through ``linprog``.  It must build the same model with the same
 options and apply the same post-solve status check, so on every LP the
 status, the solution vector and the objective are *bit*-identical to
-``linprog``'s.  This file is the only place ``linprog`` is still used: as
-the oracle.
+``linprog``'s, whatever was solved before.  This file is the only place
+``linprog`` is still used: as the oracle.
 """
 
 from __future__ import annotations
@@ -15,13 +15,16 @@ import pytest
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
+import repro.faults.plan as plan_module
 from repro import SolverError
+from repro.faults import FaultPlan, FaultSpec, InjectedFault
 from repro.hypergraph.communication import communication_hypergraph
 from repro.lp import LinearProgram, maxmin_to_lp, solve_lp
 from repro.lp import backends
-from repro.lp.backends import call_highs
+from repro.lp.backends import HIGHS_RETRY, call_highs
 from repro.lp.batch import stack_block_diagonal
 from repro.scenarios.registry import build_instance, list_families
+from repro.scenarios.runner import SuiteRunner
 from repro.scenarios.spec import ScenarioSpec
 
 #: One small scenario per registered family.
@@ -39,8 +42,8 @@ FAMILY_PARAMS = {
 }
 
 
-def assert_matches_linprog(lp: LinearProgram) -> None:
-    expected = linprog(
+def linprog_reference(lp: LinearProgram):
+    return linprog(
         c=lp.c,
         A_ub=lp.A_ub,
         b_ub=lp.b_ub,
@@ -49,13 +52,20 @@ def assert_matches_linprog(lp: LinearProgram) -> None:
         bounds=lp.bounds,
         method="highs",
     )
-    got = call_highs(lp)
+
+
+def assert_same_result(got, expected) -> None:
+    """``call_highs``'s ``got`` is bit-identical to ``linprog``'s ``expected``."""
     assert got.status == expected.status
     if expected.x is None:
         assert got.x is None and got.fun is None
     else:
         assert np.array_equal(got.x, expected.x)
         assert got.fun == expected.fun
+
+
+def assert_matches_linprog(lp: LinearProgram) -> None:
+    assert_same_result(call_highs(lp), linprog_reference(lp))
 
 
 def _problem(family: str, R: int):
@@ -193,3 +203,90 @@ def test_non_finite_input_raises_like_linprog(lp):
         linprog(c=lp.c, A_ub=lp.A_ub, b_ub=lp.b_ub, A_eq=lp.A_eq, b_eq=lp.b_eq)
     with pytest.raises(ValueError):
         call_highs(lp)
+
+
+# ----------------------------------------------------------------------
+# Solve order, failures and execution modes
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def family_lps():
+    """Every registry family's distinct local LPs (R = 1, 2) with linprog's answers."""
+    lps = [
+        lp
+        for R in (1, 2)
+        for family in sorted(FAMILY_PARAMS)
+        for lp in _local_lps(_problem(family, R), R)
+    ]
+    return [(lp, linprog_reference(lp)) for lp in lps]
+
+
+@pytest.fixture
+def no_fault_plan(monkeypatch):
+    """No active fault plan, and none loaded from ``REPRO_FAULT_PLAN``."""
+    monkeypatch.setattr(plan_module, "_active_plan", None)
+    monkeypatch.setattr(plan_module, "_env_checked", True)
+
+
+def _solve_all(pairs) -> None:
+    for lp, expected in pairs:
+        assert_same_result(call_highs(lp), expected)
+
+
+class TestSolveOrder:
+    """No solve may depend on what was solved before it."""
+
+    def test_forward_order(self, family_lps):
+        _solve_all(family_lps)
+
+    def test_reversed_order(self, family_lps):
+        _solve_all(reversed(family_lps))
+
+    def test_interleaved_with_failing_lps(self, family_lps, monkeypatch):
+        for i, pair in enumerate(family_lps):
+            if i % 10 == 0:
+                assert call_highs(EDGE_LPS["infeasible"]).status == 2
+            elif i % 10 == 4:
+                assert call_highs(EDGE_LPS["unbounded"]).status == 3
+            elif i % 10 == 7:
+                with monkeypatch.context() as patch:
+                    patch.setattr(backends, "_CHECK_TOL", -1.0)
+                    assert call_highs(EDGE_LPS["dense"]).status == 4
+            _solve_all([pair])
+
+    def test_after_an_injected_fault(self, family_lps, no_fault_plan):
+        # Every attempt of one call fails at the seam, so the fault escapes.
+        plan = FaultPlan(
+            [
+                FaultSpec(
+                    seam="lp.highs.call",
+                    probability=1.0,
+                    max_injections=HIGHS_RETRY.attempts,
+                )
+            ],
+            seed=1,
+        )
+        with plan.install():
+            with pytest.raises(InjectedFault):
+                call_highs(family_lps[0][0])
+        assert plan.injected() == HIGHS_RETRY.attempts
+        _solve_all(family_lps)
+
+
+class TestExecutionModes:
+    SPEC = ScenarioSpec(
+        family="random_bounded_degree",
+        params=FAMILY_PARAMS["random_bounded_degree"],
+        seed=11,
+        radii=(1,),
+    )
+
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    def test_pooled_suite_matches_serial(self, mode):
+        serial = SuiteRunner().run_suite([self.SPEC]).results[0].as_dict()
+        runner = SuiteRunner(mode=mode, max_workers=2, lp_chunk_size=1)
+        pooled = runner.run_suite([self.SPEC]).results[0].as_dict()
+        stats = runner.engine.stats
+        assert stats.executed > 1 and stats.pool_fallbacks == 0
+        serial.pop("seconds")
+        pooled.pop("seconds")
+        assert pooled == serial

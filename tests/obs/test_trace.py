@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from repro.obs.metrics import get_registry
 from repro.obs.trace import (
     _NULL_SPAN,
     Tracer,
@@ -18,6 +19,8 @@ from repro.obs.trace import (
     stage_summary,
     tracing,
 )
+from repro.scenarios.runner import SuiteRunner
+from repro.scenarios.spec import ScenarioSpec
 
 
 class TestDisabledPath:
@@ -232,3 +235,34 @@ class TestExports:
             assert set(row) == {
                 "stage", "count", "total_s", "self_s", "p50_ms", "p99_ms"
             }
+
+
+class TestHighsSpans:
+    """perfbench's ``lp.highs.*`` layer metrics read one span per HiGHS call."""
+
+    #: Randomly weighted scenarios whose local LPs are nearly all distinct.
+    SPECS = [
+        ScenarioSpec(
+            "random_bounded_degree",
+            params={
+                "n_agents": 16,
+                "max_resource_support": 4,
+                "max_beneficiary_support": 3,
+            },
+            seed=3,
+            radii=(1,),
+        ),
+        ScenarioSpec(
+            "isp", params={"n_customers": 6, "n_routers": 3}, seed=5, radii=(1,)
+        ),
+    ]
+
+    @pytest.mark.parametrize("strategy", ["per-lp", "stacked"])
+    def test_one_span_per_call(self, strategy):
+        calls = get_registry().counter("lp.highs.calls", "HiGHS invocations")
+        before = calls.value
+        with tracing() as tracer:
+            SuiteRunner(lp_strategy=strategy).run_suite(self.SPECS)
+        made = calls.value - before
+        assert made > 0
+        assert sum(s.name == "lp.highs" for s in tracer.spans()) == made
