@@ -1,22 +1,20 @@
 """Experiment LP-BATCH -- block-diagonal batched solving vs per-LP calls.
 
 With view extraction vectorized, the Section 5 pipeline's time sits
-inside ``solve_lp``: one HiGHS call (:func:`repro.lp.backends.call_highs`,
+inside the LP solver: one HiGHS call (:func:`repro.lp.backends.call_highs`,
 about 0.5 ms on a local LP, 0.2-0.3 ms of it HiGHS's own solve) per
-canonical-representative local LP, per bisection feasibility probe, per
-baseline optimum.  The :mod:`repro.lp.batch` layer amortises the per-call
-part by stacking whole batches into one block-diagonal sparse LP per chunk
-and splitting the solution back per block.  This benchmark pins the
-acceptance criteria:
+canonical-representative local LP and per baseline optimum.  The engine's
+stacked strategy (:func:`repro.lp.maxmin.solve_maxmin_buffer_batch`)
+amortises the per-call part by stacking each chunk into one
+block-diagonal LP and splitting the solution back per block.  This
+benchmark pins the acceptance criteria:
 
-* **one HiGHS call**: ``solve_lp_batch`` on an all-feasible batch must
-  register exactly one call on the :func:`repro.lp.count_highs_calls`
-  shim, however many LPs it carries;
+* **one HiGHS call**: a stacked chunk of feasible local LPs must register
+  exactly one call on the :func:`repro.lp.count_highs_calls` shim, however
+  many LPs it carries;
 * **end-to-end**: the 30x30 random-weight torus averaging run (R=1, 900
   distinct canonical local LPs) must be at least **1.4x** faster under
   ``BatchSolver(lp_strategy="stacked")`` than under the per-LP engine;
-* **probe sweep**: a 500-probe feasibility sweep (10 stacked HiGHS calls)
-  must be at least **1.8x** faster stacked than per-LP;
 * **value equality**: on every scenario family in the registry the
   stacked strategy returns the same statuses and the same optimal values
   as the per-LP path (to solver tolerance; degenerate LPs may pick a
@@ -27,24 +25,22 @@ Timings take the best of three runs per strategy (fresh engine and cache
 each run; the canonical index is shared because labelings are pure
 functions of the views, so the comparison isolates the solve side).
 
-The floors are set from 16 fresh-process runs on a 2-core Intel Xeon
-(SciPy 1.17.1).  The per-LP base there is 1.5-2.0 s for the torus run
-and 0.37-0.50 s for the sweep; the speedups measured 1.70-2.14x (median
-1.9x) and 2.34-3.21x (median 2.7x).  The floors sit about 20% below the
-lowest run.  They are lower than when each per-LP call also paid
-``scipy.optimize.linprog``'s input cleaning (torus per-LP 3.3-4.5 s then):
-that overhead was most of what stacking saved.  A stacked path that
-degrades toward one HiGHS call per LP still lands near 1x and fails.
+The floor is set from 16 fresh-process runs on a 2-core Intel Xeon
+(SciPy 1.17.1).  The per-LP base there is 1.5-2.0 s for the torus run,
+and the speedup measured 1.70-2.14x (median 1.9x).  The floor sits about
+20% below the lowest run.  It is lower than when each per-LP call also
+paid ``scipy.optimize.linprog``'s input cleaning (torus per-LP 3.3-4.5 s
+then): that overhead was most of what stacking saved.  A stacked path
+that degrades toward one HiGHS call per LP still lands near 1x and fails.
 Inside HiGHS a stack is barely faster than its blocks solved one by one
-(about 1.1x for a 150-block torus stack, 1.0x for a 50-probe stack), so
-both speed-ups are per-call costs saved.  Reusing one HiGHS instance per
-thread removes 0.1-0.2 ms of those per call; measured that way (best of
-10) the two speed-ups were 1.35-1.44x and 1.56-1.92x, below both floors,
-so each call still builds its own instance.  Set ``REPRO_BENCH_QUICK=1``
-for the CI smoke variant: a 16x16 torus and 120 probes, floored at
-**1.33x** and **1.75x** (12 quick-mode runs on the same box measured
-1.73-2.26x and 2.31-3.88x).  Set ``REPRO_BENCH_OUT=<path>`` to write the
-measured rows as JSON.
+(about 1.1x for a 150-block torus stack), so the speed-up is per-call
+costs saved.  Reusing one HiGHS instance per thread removes 0.1-0.2 ms of
+those per call; measured that way (best of 10) the speed-up was
+1.35-1.44x, below the floor, so each call still builds its own instance.
+Set ``REPRO_BENCH_QUICK=1`` for the CI smoke variant: a 16x16 torus,
+floored at **1.33x** (12 quick-mode runs on the same box measured
+1.73-2.26x).  Set ``REPRO_BENCH_OUT=<path>`` to write the measured rows
+as JSON.
 
 This is an ablation of this reproduction's infrastructure, not a figure of
 the paper.
@@ -58,20 +54,18 @@ import os
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro import (
     BatchSolver,
     ResultCache,
-    cycle_instance,
     grid_instance,
     local_averaging_solution,
 )
 from repro.canon.labeling import CanonicalIndex
 from repro.hypergraph.communication import communication_hypergraph
-from repro.lp import count_highs_calls, maxmin_to_lp, solve_lp, solve_lp_batch
-from repro.lp.maxmin import _interpret_probe, _packing_probe_lp
+from repro.lp import CompiledMaxMin, LPStatus, count_highs_calls
+from repro.lp.maxmin import solve_maxmin_buffer_batch
 from repro.scenarios.registry import build_instance, list_families
 from repro.scenarios.spec import ScenarioSpec
 
@@ -95,20 +89,16 @@ FAMILY_PARAMS = {
 
 @pytest.fixture(scope="session")
 def measurements():
-    """Best-of-N timings for both acceptance benchmarks.
+    """Best-of-N timings for the end-to-end acceptance benchmark.
 
-    * ``lp_batch_e2e`` -- the random-weight torus averaging run (R=1; every
-      view is a distinct canonical class, so the engine really solves one
-      local LP per agent) under ``lp_strategy="per-lp"`` vs ``"stacked"``.
-      Both engines share one warmed
-      :class:`~repro.canon.labeling.CanonicalIndex`, so the comparison
-      isolates the solve side.
-    * ``lp_batch_bisection`` -- a feasibility sweep over a geometric target
-      grid (:func:`repro.lp.maxmin._packing_probe_lp`) solved per-LP vs
-      stacked in chunks of 50.
+    ``lp_batch_e2e`` -- the random-weight torus averaging run (R=1; every
+    view is a distinct canonical class, so the engine really solves one
+    local LP per agent) under ``lp_strategy="per-lp"`` vs ``"stacked"``.
+    Both engines share one warmed
+    :class:`~repro.canon.labeling.CanonicalIndex`, so the comparison
+    isolates the solve side.
     """
     e2e_shape = (16, 16) if QUICK else (30, 30)
-    n_probes = 120 if QUICK else 500
 
     problem = grid_instance(e2e_shape, torus=True, weights="random", seed=0)
     shared_index = CanonicalIndex()
@@ -130,24 +120,6 @@ def measurements():
                 seconds[strategy], time.perf_counter() - start
             )
 
-    probe_problem = cycle_instance(16)
-    targets = np.linspace(0.05, 2.0, n_probes)
-    per_lp_s = stacked_s = float("inf")
-    stacked_calls = 0
-    for _ in range(REPEATS):
-        lps = [_packing_probe_lp(probe_problem, float(t)) for t in targets]
-        start = time.perf_counter()
-        per_lp = solve_lp_batch(lps, strategy="per-lp")
-        per_lp_s = min(per_lp_s, time.perf_counter() - start)
-        start = time.perf_counter()
-        with count_highs_calls() as highs:
-            stacked = solve_lp_batch(lps, strategy="stacked", chunk_size=50)
-        stacked_s = min(stacked_s, time.perf_counter() - start)
-        stacked_calls = highs.calls
-        assert [_interpret_probe(r)[0] for r in per_lp] == [
-            _interpret_probe(r)[0] for r in stacked
-        ], "stacked and per-LP probe outcomes diverged"
-
     return {
         "quick": QUICK,
         "lp_batch_e2e": {
@@ -157,17 +129,10 @@ def measurements():
             "stacked_seconds": round(seconds["stacked"], 4),
             "speedup": round(seconds["per-lp"] / seconds["stacked"], 2),
         },
-        "lp_batch_bisection": {
-            "probes": int(n_probes),
-            "per_lp_seconds": round(per_lp_s, 4),
-            "stacked_seconds": round(stacked_s, 4),
-            "highs_calls": int(stacked_calls),
-            "speedup": round(per_lp_s / stacked_s, 2),
-        },
     }
 
 
-def _family_local_lps(family: str, R: int = 1):
+def _family_local_units(family: str, R: int = 1):
     """The distinct local LPs of one registry family's small scenario."""
     spec = ScenarioSpec(
         family=family, params=FAMILY_PARAMS[family], seed=11, radii=(R,)
@@ -178,38 +143,35 @@ def _family_local_lps(family: str, R: int = 1):
     for u in problem.agents:
         sub = problem.local_subproblem(H.ball(u, R))
         if sub.n_beneficiaries and sub.n_agents:
-            seen.setdefault(sub, maxmin_to_lp(sub))
+            seen.setdefault(sub, CompiledMaxMin.from_problem(sub))
     return list(seen.values())
 
 
 def test_single_highs_call_for_all_feasible_batch():
     """Acceptance: one stacked batch of feasible LPs = exactly one HiGHS call."""
-    lps = _family_local_lps("torus")
-    assert len(lps) > 1
+    units = _family_local_units("torus")
+    assert len(units) > 1
     with count_highs_calls() as counter:
-        results = solve_lp_batch(lps, strategy="stacked")
+        results = solve_maxmin_buffer_batch(
+            [unit.to_buffers() for unit in units], strategy="stacked"
+        )
     assert counter.calls == 1, (
-        f"an all-feasible stacked batch of {len(lps)} LPs must cost exactly "
+        f"an all-feasible stacked batch of {len(units)} LPs must cost exactly "
         f"one HiGHS call; counted {counter.calls}"
     )
-    assert all(result.is_optimal for result in results)
+    assert all(status == LPStatus.OPTIMAL.value for status, _ in results)
 
 
 def test_lp_batch_speedups(measurements, report):
-    """Acceptance: >= 1.4x e2e on the 30x30 torus run, >= 1.8x on 500 probes."""
+    """Acceptance: >= 1.4x e2e on the 30x30 torus run."""
     e2e = measurements["lp_batch_e2e"]
-    probes = measurements["lp_batch_bisection"]
     report(
         "LP-BATCH: block-diagonal batched solving vs per-LP calls"
         + (" (quick mode)" if QUICK else ""),
         (
             f"averaging e2e, random torus {tuple(e2e['shape'])} R={e2e['R']}: "
             f"{e2e['per_lp_seconds']:.3f}s -> {e2e['stacked_seconds']:.3f}s "
-            f"({e2e['speedup']:.2f}x)\n"
-            f"feasibility sweep, {probes['probes']} probes: "
-            f"{probes['per_lp_seconds'] * 1000:.0f}ms -> "
-            f"{probes['stacked_seconds'] * 1000:.0f}ms "
-            f"({probes['speedup']:.2f}x, {probes['highs_calls']} HiGHS calls)"
+            f"({e2e['speedup']:.2f}x)"
         ),
     )
     if QUICK:
@@ -217,23 +179,11 @@ def test_lp_batch_speedups(measurements, report):
             "the 16x16 torus quick run must stay >= 1.33x faster through "
             f"the stacked engine; measured {e2e['speedup']:.2f}x"
         )
-        assert probes["speedup"] >= 1.75, (
-            "the 120-probe quick sweep must stay >= 1.75x faster stacked; "
-            f"measured {probes['speedup']:.2f}x"
-        )
     else:
         assert e2e["speedup"] >= 1.4, (
             "the 30x30 torus averaging run must be >= 1.4x faster through "
             f"the stacked engine; measured {e2e['speedup']:.2f}x"
         )
-        assert probes["speedup"] >= 1.8, (
-            "the 500-probe sweep must be >= 1.8x faster stacked; measured "
-            f"{probes['speedup']:.2f}x"
-        )
-    assert probes["highs_calls"] == math.ceil(probes["probes"] / 50), (
-        "the all-feasible stacked sweep must cost one HiGHS call per chunk "
-        f"of 50 probes; counted {probes['highs_calls']}"
-    )
 
     out = os.environ.get("REPRO_BENCH_OUT")
     if out:
@@ -247,20 +197,24 @@ def test_stacked_matches_per_lp_on_every_registry_family(family):
         "a registered family is missing from the equality sweep; "
         "add it to FAMILY_PARAMS"
     )
-    lps = _family_local_lps(family)
-    assert lps, "family produced no solvable local LPs"
+    units = _family_local_units(family)
+    assert units, "family produced no solvable local LPs"
+    buffers = [unit.to_buffers() for unit in units]
     with count_highs_calls() as counter:
-        stacked = solve_lp_batch(lps, strategy="stacked")
+        stacked = solve_maxmin_buffer_batch(buffers, strategy="stacked")
     assert counter.calls == 1
-    per_lp = [solve_lp(lp) for lp in lps]
-    for lp, fast, slow in zip(lps, stacked, per_lp):
-        assert fast.status == slow.status
+    per_lp = solve_maxmin_buffer_batch(buffers, strategy="per-lp")
+    for unit, (fast_status, fast_x), (slow_status, slow_x) in zip(
+        units, stacked, per_lp
+    ):
+        assert fast_status == slow_status
+        # Each vector is (x, ω); the optimal ω is unique.
         assert math.isclose(
-            fast.objective, slow.objective, rel_tol=1e-9, abs_tol=1e-9
-        ), f"objective diverged: {fast.objective} vs {slow.objective}"
+            fast_x[-1], slow_x[-1], rel_tol=1e-9, abs_tol=1e-9
+        ), f"objective diverged: {fast_x[-1]} vs {slow_x[-1]}"
         # The stacked block's solution must be feasible and optimal for
         # *its own* LP, whichever vertex was picked.
-        assert lp.is_feasible(fast.x, tol=1e-7)
+        assert unit.lp().is_feasible(fast_x, tol=1e-7)
 
 
 @pytest.mark.parametrize("family", sorted(FAMILY_PARAMS))

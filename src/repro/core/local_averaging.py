@@ -37,10 +37,11 @@ The message-passing version that runs on the synchronous simulator is
 :class:`repro.distributed.programs.LocalAveragingProgram` and is checked
 against this implementation in the integration tests.
 
-The solve side of step 1 flows engine → canon → views → **lp.batch**:
+The solve side of step 1 flows engine → canon → views → **lp.maxmin**:
 views are canonicalised in batch (:mod:`repro.views`), cache-miss
 canonical representatives compile to sparse Section 1.3 reductions, and
-the engine submits them to :mod:`repro.lp.batch` in deterministic chunks —
+the engine submits them to
+:func:`~repro.lp.maxmin.solve_maxmin_buffer_batch` in deterministic chunks —
 one block-diagonal HiGHS call per chunk under
 ``BatchSolver(lp_strategy="stacked")``, a bit-identical per-LP loop under
 the default strategy.

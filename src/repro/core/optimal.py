@@ -60,9 +60,10 @@ def optimal_solution_batch(
     The sweep-shaped counterpart of :func:`optimal_solution`: all reference
     optima travel as a single :meth:`repro.engine.BatchSolver.solve_maxmin_batch`
     request, so duplicate instances dedup, a warm cache answers without LP
-    work, and an engine configured with a batched
-    :mod:`repro.lp.batch` strategy stacks the reductions into a handful of
-    HiGHS calls.  Defaults to the process-wide engine.
+    work, and an engine configured with the ``"stacked"`` strategy
+    (:func:`repro.lp.maxmin.solve_maxmin_buffer_batch`) stacks the
+    reductions into a handful of HiGHS calls.  Defaults to the
+    process-wide engine.
     """
     from ..engine.executor import get_default_engine
 

@@ -14,10 +14,11 @@ solves from the analysis sweeps — and it
    units whose fingerprints have never been solved — for canonical local
    LPs the disk tier is therefore shared across isomorphic instances;
 3. **compiles the remainder to sparse reductions and batches them**
-   through :mod:`repro.lp.batch`: cache misses are chunked
-   deterministically and each chunk is one batched LP submission — a
-   single block-diagonal HiGHS call under the ``"stacked"`` strategy, a
-   per-LP loop under the default ``"per-lp"`` strategy.  Chunks fan across
+   through :func:`repro.lp.maxmin.solve_maxmin_buffer_batch`: cache
+   misses are chunked deterministically and each chunk is one batched LP
+   submission — a single block-diagonal HiGHS call under the
+   ``"stacked"`` strategy, a per-LP loop under the default ``"per-lp"``
+   strategy.  Chunks fan across
    a ``concurrent.futures`` thread or process pool (``mode="thread"`` /
    ``"process"``) carrying only raw CSR buffers — never pickled
    ``MaxMinLP`` objects — and fall back to in-process serial execution
@@ -550,9 +551,9 @@ class BatchSolver:
         cache misses to sparse reductions, chunks them deterministically
         (chunks are a function of the deduplicated key order only) and
         solves them as batched LP submissions -- one
-        :func:`repro.lp.batch.solve_lp_batch` call per chunk, fanned over
-        the worker pool in pooled modes with raw CSR buffers as the only
-        payload.
+        :func:`repro.lp.maxmin.solve_maxmin_buffer_batch` call per chunk,
+        fanned over the worker pool in pooled modes with raw CSR buffers as
+        the only payload.
         """
         return self.scheduler.run(
             keys,

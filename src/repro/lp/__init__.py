@@ -1,11 +1,12 @@
 """Linear-programming substrate.
 
 Provides the LP description (:class:`LinearProgram`), the one solver
-(HiGHS through SciPy's bundled binding), the Section 1.3 max-min
-reduction, a bisection solver based on feasibility subproblems and the
-batched solving layer (:mod:`repro.lp.batch`): block-diagonal stacks
-solved in one HiGHS call, and the per-LP reference strategy the stacked
-path is validated against.
+(HiGHS through SciPy's bundled binding) and the Section 1.3 max-min
+reduction -- the one max-min solver -- both as a readable
+:class:`LinearProgram` (:func:`maxmin_to_lp`, :func:`solve_max_min`) and
+as the engine's batched buffer path
+(:func:`~repro.lp.maxmin.solve_maxmin_buffer_batch`), whose two
+strategies and counters live in :mod:`repro.lp.batch`.
 """
 
 from .backends import (
@@ -16,17 +17,12 @@ from .backends import (
 from .batch import (
     BATCH_STRATEGIES,
     BatchSolveStats,
-    solve_lp_batch,
-    split_stacked_solution,
-    stack_block_diagonal,
 )
 from .maxmin import (
     CompiledMaxMin,
     MaxMinSolveResult,
     maxmin_to_lp,
     solve_max_min,
-    solve_max_min_batch,
-    solve_max_min_bisection,
 )
 from .standard import LinearProgram, LPResult, LPStatus
 from .verify import (
@@ -47,15 +43,10 @@ __all__ = [
     "DEFAULT_BACKEND",
     "BATCH_STRATEGIES",
     "BatchSolveStats",
-    "solve_lp_batch",
-    "stack_block_diagonal",
-    "split_stacked_solution",
     "CompiledMaxMin",
     "MaxMinSolveResult",
     "maxmin_to_lp",
     "solve_max_min",
-    "solve_max_min_batch",
-    "solve_max_min_bisection",
     "DEFAULT_TOL",
     "SolutionCertificate",
     "verify_engine_payload",

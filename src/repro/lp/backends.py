@@ -14,11 +14,12 @@ Xeon, 2 cores, SciPy 1.17.1) although only this one extension is ever
 called.  The module is registered under its real name, so ``linprog``
 imported before or after this module shares the same object.
 
-Every call into HiGHS -- from :func:`solve_lp` here or from the batched
-block-diagonal path in :mod:`repro.lp.batch` -- goes through
-:func:`call_highs`, which feeds the :func:`count_highs_calls` shim and the
-``lp.highs.calls`` registry counter.  The batch layer's "one HiGHS call
-per batch" contract is asserted against the shim in the test suite.
+Every call into HiGHS -- from :func:`solve_lp` here or from the engine's
+batched path, :func:`repro.lp.maxmin.solve_maxmin_buffer_batch` -- goes
+through :func:`call_highs`, which feeds the :func:`count_highs_calls` shim
+and the ``lp.highs.calls`` registry counter.  The stacked strategy's "one
+HiGHS call per chunk" contract is asserted against the shim in the test
+suite.
 
 :func:`call_highs` builds the same HiGHS model, with the same options, as
 ``scipy.optimize.linprog(method="highs")`` and applies the same post-solve
@@ -33,9 +34,9 @@ engine does, assembly plus solve is about 0.5 ms a call, of which HiGHS's
 own ``run`` is 0.2-0.3 ms (Intel Xeon, 2 cores, SciPy 1.17.1).  Each call
 builds a fresh HiGHS instance, as ``linprog`` does.  Reusing one instance
 per thread would save 0.1-0.2 ms a call, but per-call savings are what
-the stacked strategy of :mod:`repro.lp.batch` lives on: with reuse the
-LP-BATCH speed-up floors in ``benchmarks/test_bench_lp_batch.py`` no
-longer hold.
+the stacked strategy (:mod:`repro.lp.batch`) lives on: with reuse the
+LP-BATCH torus speed-up floor in ``benchmarks/test_bench_lp_batch.py`` no
+longer holds.
 """
 
 from __future__ import annotations
@@ -155,9 +156,9 @@ def _active_counters() -> List[_HiGHSCallCounter]:
 def count_highs_calls() -> Iterator[_HiGHSCallCounter]:
     """Count HiGHS invocations made inside the block.
 
-    The counting shim behind the batch layer's acceptance criterion: a
-    block-diagonal :func:`repro.lp.batch.solve_lp_batch` over an
-    all-feasible batch must register exactly **one** call here, however
+    The counting shim behind the stacked strategy's acceptance criterion:
+    a stacked :func:`repro.lp.maxmin.solve_maxmin_buffer_batch` over an
+    all-feasible chunk must register exactly **one** call here, however
     many LPs it carries.  Counters nest; each sees only calls made while
     it is the innermost *or* an enclosing context on the same thread.
 

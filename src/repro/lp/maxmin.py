@@ -1,4 +1,4 @@
-"""Reductions from the max-min LP to ordinary linear programs.
+"""The Section 1.3 reduction from the max-min LP to an ordinary LP.
 
 Section 1.3 of the paper observes that for finite index sets the max-min
 problem
@@ -8,21 +8,22 @@ problem
     \\max \\; \\omega = \\min_k c_k x \\quad\\text{s.t.}\\quad Ax \\le 1,\\; x \\ge 0
 
 can be written as the LP ``max ω  s.t.  Ax ≤ 1, ω·1 − Cx ≤ 0, x ≥ 0`` whose
-constraint matrix is no longer non-negative.  This module implements that
-reduction (:func:`maxmin_to_lp`, :func:`solve_max_min`) plus an alternative
-bisection scheme (:func:`solve_max_min_bisection`) that only ever solves
-non-negative *packing feasibility* subproblems -- a cross-check of the
-exact reduction.
+constraint matrix is no longer non-negative.  That reduction is the one
+max-min solver of the reproduction, in two forms:
+
+* :func:`maxmin_to_lp` and :func:`solve_max_min` build it as a readable
+  :class:`~repro.lp.standard.LinearProgram` -- the reference form, used
+  for one-off optima and in the tests.
+* :func:`solve_maxmin_buffer_batch` solves a whole chunk of reductions
+  given as :class:`CompiledMaxMin` buffers -- the batch engine's path.
+  :func:`_stack_maxmin_buffers` stacks the chunk straight into HiGHS's
+  row-wise model, and the chunk costs one HiGHS call per unit or one for
+  the whole stack (see :mod:`repro.lp.batch` for the two strategies).
 
 The reduction is assembled **sparse end-to-end**: the instance matrices are
-already CSR, the reduction only shifts their column indices, and the
-resulting :class:`~repro.lp.standard.LinearProgram` keeps the CSR form all
-the way to HiGHS, which consumes it directly.  On a 48x48 stress instance
-this is the difference between kilobytes and the old O(n²) dense ``A_ub``.
-
-Batch variants (:func:`solve_max_min_batch`, the multi-probe bisection
-rounds) route through :mod:`repro.lp.batch` so a whole sweep of independent
-reductions costs one HiGHS call instead of one per instance.
+already CSR, the reduction only shifts their column indices, and HiGHS
+consumes the rows directly.  On a 48x48 stress instance this is the
+difference between kilobytes and the old O(n²) dense ``A_ub``.
 :class:`CompiledMaxMin` is the transport form of one reduction: raw CSR
 buffers that fan out to worker processes without pickling
 :class:`~repro.core.problem.MaxMinLP` objects.
@@ -40,7 +41,7 @@ import scipy.sparse as sp
 from ..core.problem import Agent, MaxMinLP
 from ..exceptions import InfeasibleError, SolverError, UnboundedError
 from .backends import DEFAULT_BACKEND, HIGHS_INF, RowwiseLP, call_highs, solve_lp
-from .batch import BATCH_STRATEGIES, BatchSolveStats, solve_lp_batch
+from .batch import BATCH_STRATEGIES, BatchSolveStats
 from .standard import LinearProgram, LPResult, LPStatus
 
 __all__ = [
@@ -48,15 +49,13 @@ __all__ = [
     "MaxMinSolveResult",
     "maxmin_to_lp",
     "solve_max_min",
-    "solve_max_min_batch",
-    "solve_max_min_bisection",
     "solve_maxmin_buffer_batch",
 ]
 
 
 @dataclass(frozen=True)
 class MaxMinSolveResult:
-    """Result of an exact (or bisection) max-min LP solve.
+    """Result of an exact max-min LP solve.
 
     Attributes
     ----------
@@ -237,17 +236,22 @@ class CompiledMaxMin:
 
         Summed from the buffers with scipy's CSR product order (each row
         left to right from 0), so the value is the one ``C @ x`` gives
-        without building ``C``.
+        without building ``C``: row ``k``'s products sit in column ``k``
+        of a zero-padded (longest row × rows) array, added one position at
+        a time (trailing zeros leave a sum unchanged).
         """
         data, indices, indptr, n_rows = self.benefit
         if n_rows == 0:
             return float("inf")
-        products = data * np.asarray(x, dtype=np.float64)[indices]
-        starts, counts = indptr[:-1], np.diff(indptr)
+        counts = np.diff(indptr)
+        rows = np.repeat(np.arange(n_rows), counts)
+        padded = np.zeros((int(counts.max(initial=0)), n_rows))
+        padded[np.arange(data.size) - indptr[rows], rows] = (
+            data * np.asarray(x, dtype=np.float64)[indices]
+        )
         sums = np.zeros(n_rows)
-        for k in range(int(counts.max(initial=0))):
-            live = counts > k
-            sums[live] += products[starts[live] + k]
+        for position in padded:
+            sums += position
         return float(sums.min())
 
     def to_buffers(self) -> Tuple:
@@ -368,8 +372,8 @@ def solve_maxmin_buffer_batch(
     ``"per-lp"`` each unit's block of the stack is one call, bit-identical
     to :func:`solve_max_min` on it.
     Returns ``(status_name, x_vector)`` pairs -- exceptions and identifier
-    work belong to the caller.  ``stats`` receives the same counters
-    :func:`~repro.lp.batch.solve_lp_batch` reports, so the engine can
+    work belong to the caller.  ``stats`` receives the
+    :class:`~repro.lp.batch.BatchSolveStats` counters, so the engine can
     surface stacked-call and fallback counts even when the chunk ran in a
     worker process.
 
@@ -447,218 +451,4 @@ def solve_max_min(problem: MaxMinLP) -> MaxMinSolveResult:
     omega, x_vec = _interpret_maxmin_result(solve_lp(lp))
     return MaxMinSolveResult(
         objective=omega, x=problem.from_array(x_vec), backend=DEFAULT_BACKEND
-    )
-
-
-def solve_max_min_batch(
-    problems: Sequence[MaxMinLP],
-    *,
-    strategy: str = "per-lp",
-    chunk_size: Optional[int] = None,
-    stats: Optional[BatchSolveStats] = None,
-) -> List[MaxMinSolveResult]:
-    """Exactly solve a batch of instances through one batched LP submission.
-
-    With the default ``strategy="per-lp"`` the results are bit-identical to
-    calling :func:`solve_max_min` per instance; ``"stacked"`` solves all
-    reductions in one HiGHS call (same optimal values, possibly different
-    equally-optimal vertices -- see :mod:`repro.lp.batch`).  Degenerate
-    instances (no beneficiaries / no agents) raise or short-circuit exactly
-    as :func:`solve_max_min` does, before any LP is stacked.
-    """
-    problems = list(problems)
-    for problem in problems:
-        if problem.n_beneficiaries == 0:
-            raise UnboundedError(
-                "the max-min objective is unbounded when there are no beneficiaries"
-            )
-    outputs: List[Optional[MaxMinSolveResult]] = [None] * len(problems)
-    solve_indices = []
-    lps = []
-    for idx, problem in enumerate(problems):
-        if problem.n_agents == 0:
-            outputs[idx] = MaxMinSolveResult(
-                objective=0.0, x={}, backend=DEFAULT_BACKEND
-            )
-        else:
-            solve_indices.append(idx)
-            lps.append(maxmin_to_lp(problem))
-    results = solve_lp_batch(
-        lps, strategy=strategy, chunk_size=chunk_size, stats=stats
-    )
-    for idx, result in zip(solve_indices, results):
-        problem = problems[idx]
-        omega, x_vec = _interpret_maxmin_result(result)
-        outputs[idx] = MaxMinSolveResult(
-            objective=omega, x=problem.from_array(x_vec), backend=DEFAULT_BACKEND
-        )
-    return outputs  # type: ignore[return-value]
-
-
-def _packing_probe_lp(problem: MaxMinLP, target: float) -> LinearProgram:
-    """The feasibility probe LP for one target (see ``_packing_feasible_for_target``)."""
-    n = problem.n_agents
-    n_i = problem.n_resources
-    n_k = problem.n_beneficiaries
-    # Variables (x, t): minimise t  s.t.  A x - t·1 ≤ 0,  -C x ≤ -target.
-    if n_i:
-        A = problem.A
-        top = sp.hstack(
-            [A, sp.csr_matrix(-np.ones((n_i, 1)))], format="csr"
-        )
-    else:
-        top = sp.csr_matrix((0, n + 1), dtype=np.float64)
-    if n_k:
-        C = problem.C
-        bottom = sp.hstack([-C, sp.csr_matrix((n_k, 1))], format="csr")
-    else:
-        bottom = sp.csr_matrix((0, n + 1), dtype=np.float64)
-    A_ub = sp.vstack([top, bottom], format="csr")
-    b_ub = np.concatenate([np.zeros(n_i), -np.full(n_k, target)])
-    c = np.zeros(n + 1)
-    c[-1] = 1.0
-    return LinearProgram(c=c, A_ub=A_ub, b_ub=b_ub, bounds=[(0.0, None)] * (n + 1))
-
-
-def _interpret_probe(result: LPResult) -> Tuple[bool, Optional[np.ndarray]]:
-    if not result.is_optimal or result.x is None:
-        return False, None
-    t = float(result.x[-1])
-    if t <= 1.0 + 1e-9:
-        return True, np.clip(result.x[:-1], 0.0, None)
-    return False, None
-
-
-def _packing_feasible_for_target(
-    problem: MaxMinLP, target: float
-) -> Tuple[bool, Optional[np.ndarray]]:
-    """Check whether some ``x ≥ 0`` has ``A x ≤ 1`` and ``C x ≥ target``.
-
-    The check is itself an LP: minimise the maximum resource usage subject to
-    the benefit constraints, then compare the optimum against 1.
-    """
-    return _interpret_probe(solve_lp(_packing_probe_lp(problem, target)))
-
-
-def _packing_feasible_for_targets(
-    problem: MaxMinLP,
-    targets: Sequence[float],
-    *,
-    strategy: str,
-    stats: Optional[BatchSolveStats] = None,
-) -> List[Tuple[bool, Optional[np.ndarray]]]:
-    """Batched probes: every target of one bisection round in one LP call.
-
-    The probe LPs of a round differ only in their right-hand sides, so the
-    whole geometric sweep stacks into a single block-diagonal solve (or a
-    per-LP loop under ``strategy="per-lp"``).
-    """
-    lps = [_packing_probe_lp(problem, target) for target in targets]
-    results = solve_lp_batch(lps, strategy=strategy, stats=stats)
-    return [_interpret_probe(result) for result in results]
-
-
-def solve_max_min_bisection(
-    problem: MaxMinLP,
-    *,
-    tol: float = 1e-6,
-    max_iter: int = 100,
-    probes_per_round: int = 1,
-    strategy: str = "per-lp",
-) -> MaxMinSolveResult:
-    """Solve the max-min LP by bisection on the target value ``ω``.
-
-    Each round solves feasibility LPs ("can every party receive at least
-    ``ω`` without exceeding any resource?").  The method converges to the
-    optimum within ``tol`` (absolute) and is used in the test suite to
-    cross-validate :func:`solve_max_min`.
-
-    Parameters
-    ----------
-    probes_per_round:
-        Number of evenly spaced targets probed per round.  ``1`` is the
-        classical bisection (each round halves the bracket with one LP);
-        ``k > 1`` probes ``k`` interior targets of the bracket *in one
-        batched LP submission* -- feasibility is monotone in the target, so
-        one round shrinks the bracket by a factor of ``k + 1``.  Any value
-        converges to the same optimum within ``tol``; larger rounds trade
-        LP count for per-call batching, which is how a 500-probe sweep
-        collapses to a handful of HiGHS calls.
-    strategy:
-        Batch strategy for each round's probes (see
-        :func:`repro.lp.batch.solve_lp_batch`); only consulted when
-        ``probes_per_round > 1``.
-    """
-    if probes_per_round < 1:
-        raise ValueError("probes_per_round must be at least 1")
-    if problem.n_beneficiaries == 0:
-        raise UnboundedError(
-            "the max-min objective is unbounded when there are no beneficiaries"
-        )
-    if problem.n_agents == 0:
-        return MaxMinSolveResult(objective=0.0, x={}, backend=DEFAULT_BACKEND)
-
-    # Upper bound on ω*: every party k can get at most
-    # max_{v∈V_k} c_kv / max(a_iv over i) ... a simple safe upper bound is
-    # Σ_v c_kv * (min_i 1/a_iv), the benefit if each agent used its full
-    # individual budget.  Compute it per party and take the minimum.
-    upper = np.inf
-    for k in problem.beneficiaries:
-        total = 0.0
-        for v in problem.beneficiary_support(k):
-            caps = [1.0 / problem.consumption(i, v) for i in problem.agent_resources(v)]
-            if caps:
-                total += problem.benefit(k, v) * min(caps)
-            else:
-                total = np.inf
-                break
-        upper = min(upper, total)
-    if not np.isfinite(upper):
-        raise UnboundedError("instance has an agent with no resource constraint")
-    if upper <= 0.0:
-        return MaxMinSolveResult(
-            objective=0.0,
-            x={v: 0.0 for v in problem.agents},
-            backend=DEFAULT_BACKEND,
-        )
-
-    lo, hi = 0.0, float(upper)
-    best_x = np.zeros(problem.n_agents)
-    for _ in range(max_iter):
-        if hi - lo <= tol:
-            break
-        if probes_per_round == 1:
-            mid = 0.5 * (lo + hi)
-            ok, x = _packing_feasible_for_target(problem, mid)
-            if ok and x is not None:
-                lo = mid
-                best_x = x
-            else:
-                hi = mid
-        else:
-            k = probes_per_round
-            targets = [
-                lo + (hi - lo) * (j + 1) / (k + 1) for j in range(k)
-            ]
-            outcomes = _packing_feasible_for_targets(
-                problem, targets, strategy=strategy
-            )
-            # Feasibility is monotone decreasing in the target: find the
-            # largest feasible probe (if any) and the smallest infeasible
-            # one; they bracket ω*.
-            new_lo, new_hi = lo, hi
-            for target, (ok, x) in zip(targets, outcomes):
-                if ok and x is not None:
-                    new_lo = target
-                    best_x = x
-                else:
-                    new_hi = target
-                    break
-            lo, hi = new_lo, new_hi
-    # Report the objective actually achieved by the best feasible x found.
-    achieved = problem.objective(best_x) if problem.n_beneficiaries else float("inf")
-    return MaxMinSolveResult(
-        objective=float(achieved),
-        x=problem.from_array(best_x),
-        backend=DEFAULT_BACKEND,
     )

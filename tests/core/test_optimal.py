@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import MaxMinLPBuilder, UnboundedError, optimal_objective, optimal_solution
-from repro.lp import solve_max_min, solve_max_min_bisection
+from repro.lp import solve_max_min
 
 
 class TestKnownOptima:
@@ -49,16 +49,6 @@ class TestKnownOptima:
             )
 
 
-class TestBackendsAgreement:
-    @pytest.mark.parametrize("fixture", ["tiny_instance", "cycle8", "random_instance"])
-    def test_bisection_matches_exact(self, fixture, request):
-        problem = request.getfixturevalue(fixture)
-        exact = solve_max_min(problem)
-        bisect = solve_max_min_bisection(problem, tol=1e-7)
-        assert bisect.objective == pytest.approx(exact.objective, abs=1e-4)
-        assert problem.is_feasible(problem.to_array(bisect.x), tol=1e-6)
-
-
 class TestDegenerateCases:
     def test_no_beneficiaries_is_unbounded(self):
         from repro import MaxMinLP
@@ -67,9 +57,12 @@ class TestDegenerateCases:
         with pytest.raises(UnboundedError):
             optimal_solution(problem)
 
-    def test_unconstrained_agent_detected_by_bisection(self):
+    def test_unconstrained_agent_is_unbounded(self):
+        # An agent with a benefit but no resource can grow without bound.
         from repro import MaxMinLP
 
         problem = MaxMinLP(["v"], {}, {("k", "v"): 1.0}, validate=False)
-        with pytest.raises(UnboundedError):
-            solve_max_min_bisection(problem)
+        with pytest.raises(UnboundedError, match="reduction reported unbounded"):
+            solve_max_min(problem)
+        with pytest.raises(UnboundedError, match="reduction reported unbounded"):
+            optimal_solution(problem)

@@ -238,15 +238,3 @@ def test_safe_vectorization_empty_column_segments(columns):
     values = safe_values_array(problem)
     for j, agent in enumerate(problem.agents):
         assert values[j] == safe_value(problem, agent)
-
-
-def test_bisection_probe_batching_agrees(cycle8):
-    from repro.lp import solve_max_min, solve_max_min_bisection
-
-    exact = solve_max_min(cycle8).objective
-    classic = solve_max_min_bisection(cycle8, tol=1e-7).objective
-    swept = solve_max_min_bisection(
-        cycle8, tol=1e-7, probes_per_round=8, strategy="stacked"
-    ).objective
-    assert classic == pytest.approx(exact, abs=1e-5)
-    assert swept == pytest.approx(exact, abs=1e-5)

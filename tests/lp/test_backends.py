@@ -17,7 +17,7 @@ def _callables_without_backend():
     from repro.distributed.programs import LocalAveragingProgram
     from repro.engine import BatchSolver
     from repro.lowerbound.adversary import local_averaging_algorithm
-    from repro.lp import batch, maxmin
+    from repro.lp import maxmin
 
     return [
         local_averaging.local_averaging_solution,
@@ -35,10 +35,7 @@ def _callables_without_backend():
         BatchSolver.solve_maxmin_batch,
         BatchSolver._run_requests,
         maxmin.solve_max_min,
-        maxmin.solve_max_min_batch,
-        maxmin.solve_max_min_bisection,
         maxmin.solve_maxmin_buffer_batch,
-        batch.solve_lp_batch,
         solve_lp,
         LocalAveragingProgram,
         local_averaging_algorithm,

@@ -1,4 +1,11 @@
-"""Unit tests for the batched LP solving layer (:mod:`repro.lp.batch`)."""
+"""Unit tests for the batched max-min solve path and its LP substrate.
+
+The batch engine solves its chunks through
+:func:`~repro.lp.maxmin.solve_maxmin_buffer_batch` over
+:func:`~repro.lp.maxmin._stack_maxmin_buffers`; every batched behaviour
+(block-diagonal stacking, exact fallback statuses, call counts, the
+:class:`~repro.lp.batch.BatchSolveStats` counters) is checked on that path.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +15,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro import cycle_instance, grid_instance, random_bounded_degree_instance
+from repro import (
+    cycle_instance,
+    grid_instance,
+    path_instance,
+    random_bounded_degree_instance,
+)
 from repro.exceptions import SolverError
 from repro.lp import (
     CompiledMaxMin,
@@ -17,11 +29,7 @@ from repro.lp import (
     count_highs_calls,
     maxmin_to_lp,
     solve_lp,
-    solve_lp_batch,
     solve_max_min,
-    solve_max_min_batch,
-    solve_max_min_bisection,
-    stack_block_diagonal,
 )
 from repro.lp.backends import RowwiseLP, lower_lp
 from repro.lp.batch import BatchSolveStats
@@ -44,136 +52,142 @@ def _optimal_lp(k: float = 1.0) -> LinearProgram:
     return LinearProgram(c=[-1.0, 0.0], A_ub=[[1.0, 1.0]], b_ub=[k])
 
 
-def _infeasible_lp() -> LinearProgram:
-    return LinearProgram(c=[1.0], A_ub=[[1.0], [-1.0]], b_ub=[1.0, -2.0])
+def _optimal_unit(k: float = 1.0) -> CompiledMaxMin:
+    """max min(k x) s.t. x <= 1  ->  ω = k at x = 1."""
+    return CompiledMaxMin.from_triples(1, 1, 1, [(0, 0, 1.0)], [(0, 0, k)])
 
 
-def _unbounded_lp() -> LinearProgram:
-    return LinearProgram(c=[-1.0], A_ub=[[-1.0]], b_ub=[0.0])
+def _unbounded_unit() -> CompiledMaxMin:
+    """An agent with a benefit but no resource: ω grows without bound."""
+    return CompiledMaxMin.from_triples(1, 0, 1, [], [(0, 0, 1.0)])
+
+
+def _constraint_free_unit() -> CompiledMaxMin:
+    """No resources and no beneficiaries: a block with no rows at all."""
+    return CompiledMaxMin.from_triples(2, 0, 0, [], [])
+
+
+def _buffers(units):
+    return [unit.to_buffers() for unit in units]
 
 
 class TestStackBlockDiagonal:
     def test_offsets_and_shapes(self):
-        lps = [_optimal_lp(), _infeasible_lp(), _unbounded_lp()]
-        stacked, offsets = stack_block_diagonal(lps)
-        assert list(offsets) == [0, 2, 3, 4]
-        assert stacked.n_variables == 4
-        assert stacked.n_inequalities == 4
-        dense = stacked.A_ub.toarray()
-        # Block structure: off-diagonal zero.
-        np.testing.assert_allclose(dense[0, 2:], 0.0)
-        np.testing.assert_allclose(dense[1:3, :2], 0.0)
-        np.testing.assert_allclose(dense[3, :3], 0.0)
-
-    def test_equality_blocks_stack(self):
-        lps = [
-            LinearProgram(c=[1.0], A_eq=[[1.0]], b_eq=[2.0], bounds=[(0, None)]),
-            LinearProgram(c=[1.0, 1.0], A_eq=[[1.0, 1.0]], b_eq=[1.0]),
+        units = [
+            _optimal_unit(),
+            CompiledMaxMin.from_problem(cycle_instance(6)),
+            _unbounded_unit(),
         ]
-        stacked, offsets = stack_block_diagonal(lps)
-        assert stacked.n_equalities == 2
-        assert stacked.A_ub is None
-        results = solve_lp_batch(lps, strategy="stacked")
-        assert [r.status for r in results] == [LPStatus.OPTIMAL] * 2
-        np.testing.assert_allclose(results[0].x, [2.0])
+        stacked, columns, rows = _stack_maxmin_buffers(_buffers(units))
+        # Each unit owns its agents plus one ω column, and its A then C rows.
+        assert columns.tolist() == [0, 2, 9, 11]
+        assert rows.tolist() == [0, 2, 14, 15]
+        assert stacked.cost.tolist() == [
+            -1.0 if c in (1, 8, 10) else 0.0 for c in range(11)
+        ]
+        # Block structure: a unit's rows only touch the unit's own columns.
+        for u in range(len(units)):
+            start, stop = stacked.start[rows[u]], stacked.start[rows[u + 1]]
+            touched = stacked.index[start:stop]
+            assert touched.min() >= columns[u] and touched.max() < columns[u + 1]
 
     def test_constraint_free_block(self):
-        lps = [_optimal_lp(), LinearProgram(c=[1.0])]
-        results = solve_lp_batch(lps, strategy="stacked")
-        assert all(r.is_optimal for r in results)
-        np.testing.assert_allclose(results[1].x, [0.0])
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            stack_block_diagonal([])
+        units = [_optimal_unit(), _constraint_free_unit()]
+        stacked, columns, rows = _stack_maxmin_buffers(_buffers(units))
+        assert columns.tolist() == [0, 2, 5]
+        assert rows.tolist() == [0, 2, 2]
+        for strategy in ("per-lp", "stacked"):
+            out = solve_maxmin_buffer_batch(_buffers(units), strategy=strategy)
+            assert [status for status, _ in out] == [
+                LPStatus.OPTIMAL.value,
+                LPStatus.UNBOUNDED.value,
+            ]
+            np.testing.assert_allclose(out[0][1], [1.0, 1.0])
 
 
 class TestSolveLPBatchStacked:
     def test_empty_batch(self):
+        stats = BatchSolveStats()
         with count_highs_calls() as counter:
-            assert solve_lp_batch([], strategy="stacked") == []
+            out = solve_maxmin_buffer_batch([], strategy="stacked", stats=stats)
+        assert out == []
         assert counter.calls == 0
+        assert stats == BatchSolveStats()
 
     def test_batch_of_one_bit_identical_to_solo(self):
-        lp = _optimal_lp(3.0)
-        (batched,) = solve_lp_batch([lp], strategy="stacked")
-        solo = solve_lp(lp)
-        assert batched.status is solo.status
-        np.testing.assert_array_equal(batched.x, solo.x)
+        for problem in (cycle_instance(8), grid_instance((3, 3))):
+            compiled = CompiledMaxMin.from_problem(problem)
+            ((status, x),) = solve_maxmin_buffer_batch(
+                [compiled.to_buffers()], strategy="stacked"
+            )
+            solo = solve_lp(compiled.lp())
+            assert status == solo.status.value
+            np.testing.assert_array_equal(x, solo.x)
 
     def test_one_call_for_all_feasible_batch(self):
-        lps = [_optimal_lp(float(k)) for k in range(1, 30)]
+        units = [_optimal_unit(float(k)) for k in range(1, 30)]
+        stats = BatchSolveStats()
         with count_highs_calls() as counter:
-            results = solve_lp_batch(lps, strategy="stacked")
+            out = solve_maxmin_buffer_batch(
+                _buffers(units), strategy="stacked", stats=stats
+            )
         assert counter.calls == 1
-        for k, result in enumerate(results, start=1):
-            assert result.is_optimal
-            assert result.objective == pytest.approx(-float(k))
+        assert stats.stacked_calls == 1 and stats.fallback_solves == 0
+        for k, (status, x) in enumerate(out, start=1):
+            assert status == LPStatus.OPTIMAL.value
+            assert x[-1] == pytest.approx(float(k))
 
     def test_mixed_statuses_stay_exact(self):
-        lps = [
-            _optimal_lp(),
-            _infeasible_lp(),
-            _unbounded_lp(),
-            _optimal_lp(2.0),
+        units = [
+            _optimal_unit(),
+            _unbounded_unit(),
+            _constraint_free_unit(),
+            _optimal_unit(2.0),
         ]
-        stats = BatchSolveStats()
-        results = solve_lp_batch(lps, strategy="stacked", stats=stats)
-        assert [r.status for r in results] == [
-            LPStatus.OPTIMAL,
-            LPStatus.INFEASIBLE,
-            LPStatus.UNBOUNDED,
-            LPStatus.OPTIMAL,
-        ]
-        # A poisoned stack is re-solved per LP for exact statuses.
-        assert stats.fallback_solves == len(lps)
-        assert results[3].objective == pytest.approx(-2.0)
-
-    def test_chunking_counts_and_matches(self):
-        lps = [_optimal_lp(float(k)) for k in range(1, 11)]
         stats = BatchSolveStats()
         with count_highs_calls() as counter:
-            chunked = solve_lp_batch(
-                lps, strategy="stacked", chunk_size=3, stats=stats
+            out = solve_maxmin_buffer_batch(
+                _buffers(units), strategy="stacked", stats=stats
             )
-        assert counter.calls == 4  # ceil(10 / 3)
-        assert stats.stacked_calls == 4
-        one_shot = solve_lp_batch(lps, strategy="stacked")
-        for a, b in zip(chunked, one_shot):
-            assert a.status is b.status
-            assert a.objective == pytest.approx(b.objective, abs=1e-9)
-
-    def test_bad_chunk_size(self):
-        with pytest.raises(ValueError):
-            solve_lp_batch([_optimal_lp()] * 2, strategy="stacked", chunk_size=0)
+        assert [status for status, _ in out] == [
+            LPStatus.OPTIMAL.value,
+            LPStatus.UNBOUNDED.value,
+            LPStatus.UNBOUNDED.value,
+            LPStatus.OPTIMAL.value,
+        ]
+        # A poisoned stack is re-solved per LP for exact statuses.
+        assert stats == BatchSolveStats(
+            batches=1, lps=4, stacked_calls=1, fallback_solves=4
+        )
+        assert counter.calls == 1 + len(units)
+        assert out[3][1][-1] == pytest.approx(2.0)
 
 
 class TestStrategies:
     def test_per_lp_equals_solo_loop(self):
-        lps = [_optimal_lp(2.0), _infeasible_lp()]
+        units = [_optimal_unit(2.0), _unbounded_unit()]
+        stats = BatchSolveStats()
         with count_highs_calls() as counter:
-            batched = solve_lp_batch(lps, strategy="per-lp")
+            out = solve_maxmin_buffer_batch(
+                _buffers(units), strategy="per-lp", stats=stats
+            )
         assert counter.calls == 2
-        for lp, result in zip(lps, batched):
-            solo = solve_lp(lp)
-            assert result.status is solo.status
-            if solo.x is not None:
-                np.testing.assert_array_equal(result.x, solo.x)
-
-    def test_default_strategy_is_stacked(self):
-        lps = [_optimal_lp(2.0), _optimal_lp(3.0)]
-        with count_highs_calls() as counter:
-            default = solve_lp_batch(lps)
-        assert counter.calls == 1
-        stacked = solve_lp_batch(lps, strategy="stacked")
-        for a, b in zip(default, stacked):
-            np.testing.assert_array_equal(a.x, b.x)
+        assert stats == BatchSolveStats(batches=1, lps=2)
+        for unit, (status, x) in zip(units, out):
+            solo = solve_lp(unit.lp())
+            assert status == solo.status.value
+            if solo.x is None:
+                assert x is None
+            else:
+                np.testing.assert_array_equal(x, solo.x)
 
     def test_unknown_strategy(self):
         # "grouped" and "auto" were strategies of the removed simplex solver.
         for strategy in ("quantum", "grouped", "auto"):
             with pytest.raises(SolverError, match="unknown batch strategy"):
-                solve_lp_batch([_optimal_lp()], strategy=strategy)
+                solve_maxmin_buffer_batch(
+                    _buffers([_optimal_unit()]), strategy=strategy
+                )
 
 
 class TestSparseLinearProgram:
@@ -332,27 +346,33 @@ class TestCompiledMaxMin:
 
 
 class TestMaxMinBatch:
-    def test_per_lp_batch_equals_per_instance(self):
-        from repro import cycle_instance, grid_instance, path_instance
+    PROBLEMS = [cycle_instance(8), grid_instance((3, 3)), path_instance(5)]
 
-        problems = [cycle_instance(8), grid_instance((3, 3)), path_instance(5)]
-        batch = solve_max_min_batch(problems)
-        for problem, result in zip(problems, batch):
+    def test_per_lp_batch_equals_per_instance(self):
+        buffers = [
+            CompiledMaxMin.from_problem(problem).to_buffers()
+            for problem in self.PROBLEMS
+        ]
+        batch = solve_maxmin_buffer_batch(buffers, strategy="per-lp")
+        for problem, (status, x) in zip(self.PROBLEMS, batch):
             solo = solve_max_min(problem)
-            assert result.objective == solo.objective
-            assert result.x == solo.x
+            assert status == LPStatus.OPTIMAL.value
+            assert x[-1] == solo.objective
+            assert problem.from_array(np.clip(x[:-1], 0.0, None)) == solo.x
 
     def test_stacked_batch_same_optima(self):
-        from repro import cycle_instance, grid_instance
-
-        problems = [cycle_instance(8), grid_instance((3, 3))]
+        buffers = [
+            CompiledMaxMin.from_problem(problem).to_buffers()
+            for problem in self.PROBLEMS
+        ]
         with count_highs_calls() as counter:
-            stacked = solve_max_min_batch(problems, strategy="stacked")
+            stacked = solve_maxmin_buffer_batch(buffers, strategy="stacked")
         assert counter.calls == 1
-        for problem, result in zip(problems, stacked):
+        for problem, (status, x) in zip(self.PROBLEMS, stacked):
             solo = solve_max_min(problem)
-            assert result.objective == pytest.approx(solo.objective, abs=1e-9)
-            assert problem.is_feasible(problem.to_array(result.x))
+            assert status == LPStatus.OPTIMAL.value
+            assert x[-1] == pytest.approx(solo.objective, abs=1e-9)
+            assert problem.is_feasible(np.clip(x[:-1], 0.0, None))
 
     def test_buffer_batch_stacked_fallback_statuses(self):
         # An infeasible block cannot arise from a well-formed reduction, so
@@ -388,40 +408,6 @@ class TestMaxMinBatch:
             LPStatus.OPTIMAL.value,
             LPStatus.UNBOUNDED.value,
         ]
-
-
-class TestBatchedBisection:
-    def test_multi_probe_matches_classic(self):
-        from repro import cycle_instance
-
-        problem = cycle_instance(10)
-        classic = solve_max_min_bisection(problem, tol=1e-7)
-        for k in (2, 5, 16):
-            batched = solve_max_min_bisection(
-                problem, tol=1e-7, probes_per_round=k, strategy="stacked"
-            )
-            assert batched.objective == pytest.approx(
-                classic.objective, abs=1e-5
-            )
-            assert problem.is_feasible(problem.to_array(batched.x))
-
-    def test_probe_rounds_cost_one_call_each(self):
-        from repro import cycle_instance
-
-        problem = cycle_instance(8)
-        with count_highs_calls() as classic_counter:
-            solve_max_min_bisection(problem, tol=1e-6)
-        with count_highs_calls() as batched_counter:
-            solve_max_min_bisection(
-                problem, tol=1e-6, probes_per_round=8, strategy="stacked"
-            )
-        assert batched_counter.calls < classic_counter.calls
-
-    def test_probes_per_round_validation(self):
-        from repro import cycle_instance
-
-        with pytest.raises(ValueError):
-            solve_max_min_bisection(cycle_instance(6), probes_per_round=0)
 
 
 class TestHiGHSCallCounter:

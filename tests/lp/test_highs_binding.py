@@ -19,10 +19,10 @@ import repro.faults.plan as plan_module
 from repro import SolverError
 from repro.faults import FaultPlan, FaultSpec, InjectedFault
 from repro.hypergraph.communication import communication_hypergraph
-from repro.lp import LinearProgram, maxmin_to_lp, solve_lp
+from repro.lp import CompiledMaxMin, LinearProgram, maxmin_to_lp, solve_lp
 from repro.lp import backends
 from repro.lp.backends import HIGHS_RETRY, call_highs
-from repro.lp.batch import stack_block_diagonal
+from repro.lp.maxmin import solve_maxmin_buffer_batch
 from repro.scenarios.registry import build_instance, list_families
 from repro.scenarios.runner import SuiteRunner
 from repro.scenarios.spec import ScenarioSpec
@@ -75,15 +75,18 @@ def _problem(family: str, R: int):
     return build_instance(spec)
 
 
+def _local_subproblems(problem, R: int):
+    """The distinct local subproblems of a problem's radius-``R`` views."""
+    H = communication_hypergraph(problem)
+    subs = (problem.local_subproblem(H.ball(u, R)) for u in problem.agents)
+    return list(
+        dict.fromkeys(sub for sub in subs if sub.n_beneficiaries and sub.n_agents)
+    )
+
+
 def _local_lps(problem, R: int):
     """The distinct local LPs of a problem's radius-``R`` views."""
-    H = communication_hypergraph(problem)
-    seen = {}
-    for u in problem.agents:
-        sub = problem.local_subproblem(H.ball(u, R))
-        if sub.n_beneficiaries and sub.n_agents:
-            seen.setdefault(sub, maxmin_to_lp(sub))
-    return list(seen.values())
+    return [maxmin_to_lp(sub) for sub in _local_subproblems(problem, R)]
 
 
 def test_every_registry_family_is_covered():
@@ -105,9 +108,26 @@ def test_full_reduction_matches_linprog(family):
 
 
 def test_stacked_chunk_matches_linprog():
-    stacked, _ = stack_block_diagonal(_local_lps(_problem("torus", 1), 1))
-    assert stacked.is_sparse
-    assert_matches_linprog(stacked)
+    # The engine's stacked chunk solves to linprog's answer on the same
+    # block-diagonal LP, built here from each unit's readable reduction.
+    units = [
+        CompiledMaxMin.from_problem(sub)
+        for sub in _local_subproblems(_problem("torus", 1), 1)
+    ]
+    lps = [unit.lp() for unit in units]
+    stacked = LinearProgram(
+        c=np.concatenate([lp.c for lp in lps]),
+        A_ub=sp.block_diag([lp.A_ub for lp in lps], format="csr"),
+        b_ub=np.concatenate([lp.b_ub for lp in lps]),
+        bounds=[bound for lp in lps for bound in lp.bounds],
+    )
+    expected = linprog_reference(stacked)
+    assert expected.status == 0
+    out = solve_maxmin_buffer_batch(
+        [unit.to_buffers() for unit in units], strategy="stacked"
+    )
+    assert all(status == "optimal" for status, _ in out)
+    assert np.array_equal(np.concatenate([x for _, x in out]), expected.x)
 
 
 EDGE_LPS = {

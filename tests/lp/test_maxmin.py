@@ -1,12 +1,13 @@
-"""Unit tests for the max-min LP reduction and bisection solver."""
+"""Unit tests for the max-min LP reduction (Section 1.3)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro import MaxMinLPBuilder, UnboundedError
-from repro.lp import maxmin_to_lp, solve_max_min, solve_max_min_bisection
+from repro.lp import LinearProgram, maxmin_to_lp, solve_lp, solve_max_min
 
 
 class TestReduction:
@@ -87,30 +88,39 @@ class TestSolveMaxMin:
         )
 
 
-class TestBisection:
-    def test_matches_exact_on_fixtures(self, tiny_instance, asymmetric_instance, path6):
-        for problem in (tiny_instance, asymmetric_instance, path6):
-            exact = solve_max_min(problem).objective
-            approx = solve_max_min_bisection(problem, tol=1e-7).objective
-            assert approx == pytest.approx(exact, abs=1e-4)
+def _packing_probe(problem, target: float) -> LinearProgram:
+    """``min t  s.t.  A x − t·1 ≤ 0,  C x ≥ target,  x, t ≥ 0``.
 
-    def test_solution_is_feasible(self, grid4x4):
-        result = solve_max_min_bisection(grid4x4, tol=1e-5)
-        assert grid4x4.is_feasible(grid4x4.to_array(result.x), tol=1e-6)
+    A second formulation of the max-min LP: the probe's optimum is
+    ``target / ω*``, so it is at most 1 exactly when ``target ≤ ω*``.
+    """
+    n, n_i = problem.n_agents, problem.n_resources
+    A_ub = sp.vstack(
+        [
+            sp.hstack([problem.A, -np.ones((n_i, 1))]),
+            sp.hstack([-problem.C, np.zeros((problem.n_beneficiaries, 1))]),
+        ],
+        format="csr",
+    )
+    b_ub = np.concatenate([np.zeros(n_i), np.full(problem.n_beneficiaries, -target)])
+    c = np.zeros(n + 1)
+    c[-1] = 1.0
+    return LinearProgram(c=c, A_ub=A_ub, b_ub=b_ub, bounds=[(0.0, None)] * (n + 1))
 
-    def test_zero_upper_bound_instance(self):
-        # A beneficiary served only by an agent that is completely blocked
-        # still has optimum 0 and must not loop forever.
-        builder = MaxMinLPBuilder()
-        builder.set_consumption("i", "a", 1.0)
-        builder.set_benefit("k", "a", 0.0)
-        builder.set_benefit("k2", "a", 1.0)
-        problem = builder.build(validate=False)
-        # "k" has empty support after dropping the zero coefficient -> the
-        # instance is degenerate; drop it and use a plain one instead.
-        builder2 = MaxMinLPBuilder()
-        builder2.set_consumption("i", "a", 1.0)
-        builder2.set_benefit("k", "a", 1.0)
-        problem = builder2.build()
-        result = solve_max_min_bisection(problem)
-        assert result.objective == pytest.approx(1.0, abs=1e-4)
+
+class TestPackingProbe:
+    @pytest.mark.parametrize(
+        "fixture",
+        ["tiny_instance", "asymmetric_instance", "path6", "cycle8", "random_instance"],
+    )
+    def test_probe_brackets_the_optimum(self, fixture, request):
+        # Every party can get ω*(1 − 1e-6) within the resources, and no x
+        # gives every party ω*(1 + 1e-6): the probe's optimum t (the
+        # largest resource usage needed) crosses 1 right at ω*.
+        problem = request.getfixturevalue(fixture)
+        omega = solve_max_min(problem).objective
+        below = solve_lp(_packing_probe(problem, omega * (1.0 - 1e-6)))
+        above = solve_lp(_packing_probe(problem, omega * (1.0 + 1e-6)))
+        assert below.is_optimal and above.is_optimal
+        assert below.objective <= 1.0
+        assert above.objective > 1.0
