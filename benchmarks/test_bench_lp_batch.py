@@ -25,11 +25,14 @@ Timings take the best of three runs per strategy (fresh engine and cache
 each run; the canonical index is shared because labelings are pure
 functions of the views, so the comparison isolates the solve side).
 
-The floor is set from 16 fresh-process runs on a 2-core Intel Xeon
-(SciPy 1.17.1).  The per-LP base there is 1.5-2.0 s for the torus run,
-and the speedup measured 1.70-2.14x (median 1.9x).  The floor sits about
-20% below the lowest run.  It is lower than when each per-LP call also
-paid ``scipy.optimize.linprog``'s input cleaning (torus per-LP 3.3-4.5 s
+The floor was set from 16 fresh-process runs on a 2-core Intel Xeon
+(SciPy 1.17.1), when the per-LP base there was 1.5-2.0 s for the torus
+run and the speedup measured 1.70-2.14x (median 1.9x): the floor sat
+about 20% below the lowest run.  Re-measured on the same box in 13
+full-mode runs, the per-LP base is 0.70-0.88 s and the speedup
+1.49-1.83x (median 1.64x), so the floor now sits about 6% below the
+lowest run.  It is lower than when each per-LP call also paid
+``scipy.optimize.linprog``'s input cleaning (torus per-LP 3.3-4.5 s
 then): that overhead was most of what stacking saved.  A stacked path
 that degrades toward one HiGHS call per LP still lands near 1x and fails.
 Inside HiGHS a stack is barely faster than its blocks solved one by one
@@ -39,8 +42,8 @@ those per call; measured that way (best of 10) the speed-up was
 1.35-1.44x, below the floor, so each call still builds its own instance.
 Set ``REPRO_BENCH_QUICK=1`` for the CI smoke variant: a 16x16 torus,
 floored at **1.33x** (12 quick-mode runs on the same box measured
-1.73-2.26x).  Set ``REPRO_BENCH_OUT=<path>`` to write the measured rows
-as JSON.
+1.73-2.26x when it was set; four runs now measure 1.54-1.60x).  Set
+``REPRO_BENCH_OUT=<path>`` to write the measured rows as JSON.
 
 This is an ablation of this reproduction's infrastructure, not a figure of
 the paper.
@@ -64,7 +67,7 @@ from repro import (
 )
 from repro.canon.labeling import CanonicalIndex
 from repro.hypergraph.communication import communication_hypergraph
-from repro.lp import CompiledMaxMin, LPStatus, count_highs_calls
+from repro.lp import CompiledMaxMin, LPStatus, count_highs_calls, verify_solution
 from repro.lp.maxmin import solve_maxmin_buffer_batch
 from repro.scenarios.registry import build_instance, list_families
 from repro.scenarios.spec import ScenarioSpec
@@ -214,7 +217,7 @@ def test_stacked_matches_per_lp_on_every_registry_family(family):
         ), f"objective diverged: {fast_x[-1]} vs {slow_x[-1]}"
         # The stacked block's solution must be feasible and optimal for
         # *its own* LP, whichever vertex was picked.
-        assert unit.lp().is_feasible(fast_x, tol=1e-7)
+        verify_solution(unit, (fast_x[:-1], fast_x[-1]), tol=1e-7)
 
 
 @pytest.mark.parametrize("family", sorted(FAMILY_PARAMS))

@@ -18,7 +18,8 @@ vacuous local LPs have objective ``inf``.  Every row stores the content fingerpr
 on every read, so a value whose bytes were flipped — even one that still
 parses as JSON — is detected, moved to the ``quarantine`` table and treated
 as a miss instead of being served as truth.  Quarantined rows count toward
-the ``max_disk_bytes`` budget, so junk cannot pin the tier over its cap.  A
+the byte bound of :meth:`ResultCache.prune`, so junk cannot pin the tier
+over it.  A
 database file that SQLite cannot read at all (garbage, a truncated copy) is
 renamed to ``cache.sqlite.corrupt`` with a warning and the tier carries on
 empty.  A directory in the older file-per-entry layout
@@ -70,7 +71,7 @@ _TABLE = (
     "sha256 TEXT NOT NULL, value BLOB NOT NULL, written REAL NOT NULL)"
 )
 
-#: The bytes a row accounts for against ``max_disk_bytes``: what it stores,
+#: The bytes a row accounts for against a prune bound: what it stores,
 #: not SQLite's page overhead (freed pages are reused, never returned).
 _ROW_BYTES = "length(key) + length(sha256) + length(value)"
 
@@ -135,8 +136,7 @@ class CacheStats:
     evictions:
         Memory-tier entries dropped by the LRU bound.
     disk_evictions:
-        Disk-tier rows dropped by the ``max_disk_bytes`` cap or an
-        explicit :meth:`ResultCache.prune`.
+        Disk-tier rows dropped by :meth:`ResultCache.prune`.
     invalidations:
         Entries removed by explicit :meth:`ResultCache.invalidate` calls.
     quarantined:
@@ -175,23 +175,16 @@ class ResultCache:
     directory:
         Optional disk-tier location; the directory and its database are
         created on first write.  ``None`` keeps the cache purely in-memory.
-    max_disk_bytes:
-        Optional cap on the disk tier's size (:meth:`disk_bytes`).  Every
-        write evicts the oldest rows (by write time, quarantined rows
-        included) until the tier fits; ``None`` leaves the tier unbounded.
-        :meth:`prune` applies the same policy on demand.
+        The tier is unbounded; :meth:`prune` shrinks it on demand.
     """
 
     max_memory_entries: int = 4096
     directory: Optional[Union[str, Path]] = None
-    max_disk_bytes: Optional[int] = None
     stats: CacheStats = field(default_factory=CacheStats)
 
     def __post_init__(self) -> None:
         if self.max_memory_entries < 1:
             raise ValueError("max_memory_entries must be at least 1")
-        if self.max_disk_bytes is not None and self.max_disk_bytes < 0:
-            raise ValueError("max_disk_bytes must be non-negative")
         self._memory: "OrderedDict[str, Any]" = OrderedDict()
         # Guards the LRU and the counters: the process-wide default engine is
         # shared, so concurrent callers (e.g. sweeps on a thread pool) must
@@ -413,8 +406,6 @@ class ResultCache:
                     # is inserted but not committed.  A ``crash-process``
                     # fault SIGKILLs exactly here.
                     apply_crash(fault)
-                    if self.max_disk_bytes is not None:
-                        self._evict(conn, self.max_disk_bytes)
 
             self._on_store(op, create=True)
 
@@ -472,14 +463,12 @@ class ResultCache:
         if self.directory is not None:
             self._disk_write(key, value)
 
-    def prune(self, max_bytes: Optional[int] = None) -> Dict[str, int]:
-        """Shrink the disk tier to ``max_bytes`` (default: the configured
-        cap), oldest rows first.  Returns ``{"removed_entries",
-        "removed_bytes", "remaining_bytes"}``; a no-op without a disk tier
-        or when neither bound is given."""
-        if max_bytes is None:
-            max_bytes = self.max_disk_bytes
-        if self.directory is None or max_bytes is None:
+    def prune(self, max_bytes: int) -> Dict[str, int]:
+        """Shrink the disk tier to ``max_bytes`` (:meth:`disk_bytes`),
+        oldest rows first by write time, quarantined rows included.
+        Returns ``{"removed_entries", "removed_bytes", "remaining_bytes"}``;
+        a no-op without a disk tier."""
+        if self.directory is None:
             return {"removed_entries": 0, "removed_bytes": 0,
                     "remaining_bytes": self.disk_bytes()}
 
@@ -571,7 +560,8 @@ class ResultCache:
     def disk_bytes(self) -> int:
         """Size of the disk tier in bytes (0 without a directory): each
         row's key, checksum and value, quarantined rows included (they
-        count against ``max_disk_bytes`` and are pruned like any entry)."""
+        count against :meth:`prune`'s bound and are pruned like any
+        entry)."""
         return self._store(self._accounted_bytes, default=0)
 
     def quarantine_key(self, key: str) -> bool:

@@ -81,9 +81,9 @@ from ..lp.batch import BATCH_STRATEGIES, BatchSolveStats
 from ..lp.maxmin import (
     CompiledMaxMin,
     MaxMinSolveResult,
+    interpret_maxmin_status,
     solve_maxmin_buffer_batch,
 )
-from ..lp.standard import LPStatus
 from ..lp.verify import verify_engine_payload
 from ..obs.statsutil import merge_stats, stats_as_dict
 from ..obs.trace import Tracer, activate, capture_context, get_tracer, span
@@ -794,20 +794,12 @@ class BatchSolver:
     ) -> Dict[str, Any]:
         """Turn one solved reduction into its cacheable JSON payload.
 
-        Status interpretation matches :func:`repro.lp.maxmin.solve_max_min`
-        exactly: unbounded/infeasible reductions raise, anything else
-        non-optimal is a backend failure.
+        The status goes through
+        :func:`repro.lp.maxmin.interpret_maxmin_status`, the interpreter
+        :func:`repro.lp.maxmin.solve_max_min` uses: unbounded/infeasible
+        reductions raise, anything else non-optimal is a backend failure.
         """
-        status = LPStatus(status_name)
-        if status is LPStatus.UNBOUNDED:
-            raise UnboundedError("max-min LP reduction reported unbounded")
-        if status is LPStatus.INFEASIBLE:
-            raise InfeasibleError("max-min LP reduction reported infeasible")
-        if status is not LPStatus.OPTIMAL or x_vec is None:
-            raise SolverError(f"LP backend {DEFAULT_BACKEND!r} failed: {status}")
-        x_vec = np.asarray(x_vec, dtype=np.float64)
-        omega = float(x_vec[-1])
-        activities = np.clip(x_vec[:-1], 0.0, None)
+        omega, activities = interpret_maxmin_status(status_name, x_vec)
         x = {
             agent: float(activities[j]) for j, agent in enumerate(unit.agents)
         }

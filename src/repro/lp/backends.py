@@ -3,9 +3,7 @@
 HiGHS (``scipy.optimize._highspy._core``) is the only solver.  The
 backend name ``"scipy"`` (:data:`DEFAULT_BACKEND`) survives as data --
 scenario specs, request fingerprints and :class:`LPResult.backend` carry
-it -- and :func:`check_backend` rejects any other name.  Sparse constraint
-matrices pass straight through to HiGHS, which stores the model sparsely
-anyway.
+it -- and :func:`check_backend` rejects any other name.
 
 The extension module is loaded by file location (:func:`_load_highs`), not
 imported through its package: ``import scipy.optimize`` would run the whole
@@ -15,8 +13,9 @@ called.  The module is registered under its real name, so ``linprog``
 imported before or after this module shares the same object.
 
 Every call into HiGHS -- from :func:`solve_lp` here or from the engine's
-batched path, :func:`repro.lp.maxmin.solve_maxmin_buffer_batch` -- goes
-through :func:`call_highs`, which feeds the :func:`count_highs_calls` shim
+batched path, :func:`repro.lp.maxmin.solve_maxmin_buffer_batch`, which
+:func:`repro.lp.maxmin.solve_max_min` also runs on -- goes through
+:func:`call_highs`, which feeds the :func:`count_highs_calls` shim
 and the ``lp.highs.calls`` registry counter.  The stacked strategy's "one
 HiGHS call per chunk" contract is asserted against the shim in the test
 suite.
@@ -25,18 +24,19 @@ suite.
 ``scipy.optimize.linprog(method="highs")`` and applies the same post-solve
 status check, so ``x``, ``fun`` and ``status`` are bit-identical to
 ``linprog``'s (``tests/lp/test_highs_binding.py`` holds the parity sweep).
-The model is a :class:`RowwiseLP`: :func:`lower_lp` makes one of a
-:class:`LinearProgram`, the engine's max-min reductions are assembled in
-that form directly (:mod:`repro.lp.maxmin`), and it reaches HiGHS through
-the binding's array overload of ``passModel``.  On the 267 local LPs of
-perfbench's ``suite_random`` (seed 1), solved per LP in chunks of 64 as the
-engine does, assembly plus solve is about 0.5 ms a call, of which HiGHS's
-own ``run`` is 0.2-0.3 ms (Intel Xeon, 2 cores, SciPy 1.17.1).  Each call
-builds a fresh HiGHS instance, as ``linprog`` does.  Reusing one instance
-per thread would save 0.1-0.2 ms a call, but per-call savings are what
-the stacked strategy (:mod:`repro.lp.batch`) lives on: with reuse the
-LP-BATCH torus speed-up floor in ``benchmarks/test_bench_lp_batch.py`` no
-longer holds.
+The model is a :class:`RowwiseLP`, the one LP form in ``src/``: the
+Section 1.3 reductions are assembled in it directly from CSR buffers
+(:mod:`repro.lp.maxmin`), and it reaches HiGHS through the binding's array
+overload of ``passModel``.  The parity sweep builds its ``RowwiseLP`` and
+the matching ``linprog`` arguments with a test-only helper.  On the 267
+local LPs of perfbench's ``suite_random`` (seed 1), solved per LP in
+chunks of 64 as the engine does, assembly plus solve is about 0.5 ms a
+call, of which HiGHS's own ``run`` is 0.2-0.3 ms (Intel Xeon, 2 cores,
+SciPy 1.17.1).  Each call builds a fresh HiGHS instance, as ``linprog``
+does.  Reusing one instance per thread would save 0.1-0.2 ms a call, but
+per-call savings are what the stacked strategy (:mod:`repro.lp.batch`)
+lives on: with reuse the LP-BATCH torus speed-up floor in
+``benchmarks/test_bench_lp_batch.py`` no longer holds.
 """
 
 from __future__ import annotations
@@ -49,18 +49,17 @@ import sys
 import threading
 import time
 from types import ModuleType
-from typing import Iterator, List, NamedTuple, Optional, Union
+from typing import Iterator, List, NamedTuple, Optional
 
 import numpy as np
 import scipy
-import scipy.sparse as sp
 
 from ..exceptions import SolverError
 from ..faults import InjectedFault, RetryPolicy
 from ..faults import inject as _inject
 from ..obs.metrics import get_registry
 from ..obs.trace import span as _span
-from .standard import LinearProgram, LPResult, LPStatus
+from .standard import LPResult, LPStatus
 
 __all__ = [
     "DEFAULT_BACKEND",
@@ -70,7 +69,6 @@ __all__ = [
     "call_highs",
     "check_backend",
     "count_highs_calls",
-    "lower_lp",
     "solve_lp",
 ]
 
@@ -229,9 +227,8 @@ class RowwiseLP(NamedTuple):
     HiGHS's integers are).  Infinite bounds are ``±HIGHS_INF``.  As
     in ``linprog``'s model every row is an inequality (lower bound
     ``-HIGHS_INF``) or an equality (lower bound equal to the upper one).
-
-    :func:`lower_lp` builds one from a :class:`LinearProgram`; the max-min
-    reduction of :mod:`repro.lp.maxmin` builds its rows directly.
+    The max-min reduction of :mod:`repro.lp.maxmin` builds its rows
+    directly.
     """
 
     cost: np.ndarray
@@ -242,65 +239,6 @@ class RowwiseLP(NamedTuple):
     start: np.ndarray
     index: np.ndarray
     value: np.ndarray
-
-
-def _csr_buffers(matrix):
-    """``(values, column indices, row starts)`` of a dense or CSR block.
-
-    Dense input keeps its nonzeros in row-major order, which is the CSR
-    matrix ``linprog`` derives from it; sparse input is made canonical
-    (sorted, duplicates summed) exactly as ``linprog``'s conversion does.
-    """
-    if sp.issparse(matrix):
-        if not matrix.has_canonical_format:
-            matrix = matrix.copy()
-            matrix.sum_duplicates()
-        return matrix.data, matrix.indices, matrix.indptr
-    rows, cols = np.nonzero(matrix)
-    starts = np.zeros(matrix.shape[0] + 1, dtype=np.int64)
-    np.cumsum(np.count_nonzero(matrix, axis=1), out=starts[1:])
-    return matrix[rows, cols], cols, starts
-
-
-def _replace_inf(values: np.ndarray) -> np.ndarray:
-    """``±inf`` -> ``±HIGHS_INF`` in place, as ``linprog`` hands bounds over."""
-    infinite = np.isinf(values)
-    values[infinite] = np.sign(values[infinite]) * HIGHS_INF
-    return values
-
-
-def lower_lp(lp: LinearProgram) -> RowwiseLP:
-    """The row-wise model ``linprog(method="highs")`` builds for ``lp``.
-
-    Rows are ``A_ub`` (bounds ``[-inf, b_ub]``) then ``A_eq`` (bounds
-    ``[b_eq, b_eq]``), taken straight from the CSR buffers; ``None``
-    bounds become ``±inf`` as ``linprog`` cleans them.
-    """
-    n_ub, n_eq = lp.n_inequalities, lp.n_equalities
-    b_ub = lp.b_ub if n_ub else np.empty(0)
-    b_eq = lp.b_eq if n_eq else np.empty(0)
-    values, index, start = np.empty(0), np.empty(0, np.int64), np.zeros(1, np.int64)
-    for matrix, rows in ((lp.A_ub, n_ub), (lp.A_eq, n_eq)):
-        if rows:
-            block_values, block_index, block_start = _csr_buffers(matrix)
-            values = np.concatenate((values, block_values))
-            index = np.concatenate((index, block_index))
-            start = np.concatenate((start, block_start[1:] + start[-1]))
-    # None -> nan -> ±inf, as linprog cleans its bounds.
-    bounds = np.array(lp.bounds, dtype=np.float64).reshape(-1, 2)
-    bounds[np.isnan(bounds[:, 0]), 0] = -np.inf
-    bounds[np.isnan(bounds[:, 1]), 1] = np.inf
-    lower, upper = _replace_inf(bounds.T.copy())
-    return RowwiseLP(
-        cost=lp.c,
-        col_lower=lower,
-        col_upper=upper,
-        row_lower=_replace_inf(np.concatenate((np.full(n_ub, -np.inf), b_eq))),
-        row_upper=np.concatenate((b_ub, b_eq)),
-        start=start.astype(np.int32),
-        index=index.astype(np.int32),
-        value=values,
-    )
 
 
 def _run_highs(model: RowwiseLP) -> HiGHSResult:
@@ -383,15 +321,11 @@ def _run_highs(model: RowwiseLP) -> HiGHSResult:
     return HiGHSResult(0, x, fun, message)
 
 
-def call_highs(lp: Union[LinearProgram, RowwiseLP]) -> HiGHSResult:
-    """One HiGHS solve of ``lp``; the single entry point.
+def call_highs(model: RowwiseLP) -> HiGHSResult:
+    """One HiGHS solve of ``model``; the single entry point.
 
     Returns the raw :class:`HiGHSResult` -- callers interpret the status.
-    A :class:`LinearProgram` is lowered with :func:`lower_lp` first; dense
-    and sparse ``A_ub``/``A_eq`` become the identical row-wise model, so
-    the two storage forms produce bit-identical solver output.
     """
-    model = lp if isinstance(lp, RowwiseLP) else lower_lp(lp)
     n_variables, n_rows = model.cost.size, model.row_upper.size
     registry = get_registry()
 
@@ -422,9 +356,8 @@ def check_backend(backend: str) -> None:
         )
 
 
-def solve_lp(lp: Union[LinearProgram, RowwiseLP]) -> LPResult:
-    """Solve a :class:`LinearProgram` (or an already lowered model) with HiGHS."""
-    model = lp if isinstance(lp, RowwiseLP) else lower_lp(lp)
+def solve_lp(model: RowwiseLP) -> LPResult:
+    """Solve ``model`` with HiGHS; unexpected statuses raise."""
     result = call_highs(model)
     if result.status == 0:
         return LPResult(

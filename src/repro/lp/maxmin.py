@@ -9,24 +9,22 @@ problem
 
 can be written as the LP ``max ω  s.t.  Ax ≤ 1, ω·1 − Cx ≤ 0, x ≥ 0`` whose
 constraint matrix is no longer non-negative.  That reduction is the one
-max-min solver of the reproduction, in two forms:
-
-* :func:`maxmin_to_lp` and :func:`solve_max_min` build it as a readable
-  :class:`~repro.lp.standard.LinearProgram` -- the reference form, used
-  for one-off optima and in the tests.
-* :func:`solve_maxmin_buffer_batch` solves a whole chunk of reductions
-  given as :class:`CompiledMaxMin` buffers -- the batch engine's path.
-  :func:`_stack_maxmin_buffers` stacks the chunk straight into HiGHS's
-  row-wise model, and the chunk costs one HiGHS call per unit or one for
-  the whole stack (see :mod:`repro.lp.batch` for the two strategies).
+max-min solver of the reproduction, and it is built in one place:
+:func:`_stack_maxmin_buffers` assembles a chunk of reductions, given as
+:class:`CompiledMaxMin` buffers, straight into HiGHS's row-wise model, and
+:func:`solve_maxmin_buffer_batch` solves the chunk with one HiGHS call per
+unit or one for the whole stack (see :mod:`repro.lp.batch` for the two
+strategies).  :func:`solve_max_min` is the one-unit case, for one-off
+optima; :func:`interpret_maxmin_status` turns a solved unit into ``(ω, x)``
+for it and for the batch engine alike.
 
 The reduction is assembled **sparse end-to-end**: the instance matrices are
 already CSR, the reduction only shifts their column indices, and HiGHS
-consumes the rows directly.  On a 48x48 stress instance this is the
-difference between kilobytes and the old O(n²) dense ``A_ub``.
-:class:`CompiledMaxMin` is the transport form of one reduction: raw CSR
-buffers that fan out to worker processes without pickling
-:class:`~repro.core.problem.MaxMinLP` objects.
+consumes the rows directly.  :class:`CompiledMaxMin` is the transport form
+of one reduction: raw CSR buffers that fan out to worker processes without
+pickling :class:`~repro.core.problem.MaxMinLP` objects.  The test suite
+checks the path against ``scipy.optimize.linprog`` on a reduction it builds
+itself.
 """
 
 from __future__ import annotations
@@ -42,12 +40,12 @@ from ..core.problem import Agent, MaxMinLP
 from ..exceptions import InfeasibleError, SolverError, UnboundedError
 from .backends import DEFAULT_BACKEND, HIGHS_INF, RowwiseLP, call_highs, solve_lp
 from .batch import BATCH_STRATEGIES, BatchSolveStats
-from .standard import LinearProgram, LPResult, LPStatus
+from .standard import LPStatus
 
 __all__ = [
     "CompiledMaxMin",
     "MaxMinSolveResult",
-    "maxmin_to_lp",
+    "interpret_maxmin_status",
     "solve_max_min",
     "solve_maxmin_buffer_batch",
 ]
@@ -71,70 +69,6 @@ class MaxMinSolveResult:
     objective: float
     x: Dict[Agent, float]
     backend: str
-
-
-def _maxmin_lp_from_matrices(
-    A: sp.csr_matrix, C: sp.csr_matrix, n: int
-) -> LinearProgram:
-    """The Section 1.3 reduction, built directly from sparse ``A`` and ``C``.
-
-    Variables ``(x_1, ..., x_n, ω)``; minimise ``-ω`` subject to
-    ``[A | 0] x ≤ 1`` and ``[-C | 1] (x, ω) ≤ 0``, everything non-negative.
-    The two row groups are assembled straight from the CSR buffers: ``A``'s
-    rows are reused verbatim (the ω column is empty there) and ``C``'s rows
-    are negated with a single appended ``+1`` entry for ω per row.
-    """
-    n_i = int(A.shape[0])
-    n_k = int(C.shape[0])
-    if n_i + n_k:
-        top = A if n_i else sp.csr_matrix((0, n), dtype=np.float64)
-        if n_k:
-            # [-C | 1]: append the ω coefficient to each benefit row.
-            indptr = np.asarray(C.indptr, dtype=np.int64)
-            counts = np.diff(indptr)
-            new_indptr = np.concatenate(
-                ([0], np.cumsum(counts + 1))
-            ).astype(np.int64)
-            nnz = int(indptr[-1])
-            data = np.empty(nnz + n_k, dtype=np.float64)
-            indices = np.empty(nnz + n_k, dtype=np.int64)
-            # Positions of the appended ω entries: the last slot of each row.
-            omega_slots = new_indptr[1:] - 1
-            keep = np.ones(nnz + n_k, dtype=bool)
-            keep[omega_slots] = False
-            data[keep] = -np.asarray(C.data, dtype=np.float64)
-            indices[keep] = np.asarray(C.indices, dtype=np.int64)
-            data[omega_slots] = 1.0
-            indices[omega_slots] = n
-            bottom = sp.csr_matrix(
-                (data, indices, new_indptr), shape=(n_k, n + 1), dtype=np.float64
-            )
-        else:
-            bottom = sp.csr_matrix((0, n + 1), dtype=np.float64)
-        top_wide = sp.csr_matrix(
-            (top.data, top.indices, top.indptr), shape=(n_i, n + 1), dtype=np.float64
-        )
-        A_ub = sp.vstack([top_wide, bottom], format="csr")
-        b_ub = np.concatenate([np.ones(n_i), np.zeros(n_k)])
-    else:
-        A_ub = None
-        b_ub = None
-    c = np.zeros(n + 1)
-    c[-1] = -1.0  # maximise ω
-    bounds = [(0.0, None)] * (n + 1)
-    return LinearProgram(c=c, A_ub=A_ub, b_ub=b_ub, bounds=bounds)
-
-
-def maxmin_to_lp(problem: MaxMinLP) -> LinearProgram:
-    """Build the LP reduction of Section 1.3 for ``problem``.
-
-    The LP has variables ``(x_1, ..., x_n, ω)`` and minimises ``-ω`` subject
-    to ``A x ≤ 1`` and ``ω·1 − C x ≤ 0`` with all variables non-negative.
-    The constraint matrix is returned sparse (CSR); it carries exactly the
-    values of the old dense assembly, so every backend returns the same
-    result it always did.
-    """
-    return _maxmin_lp_from_matrices(problem.A, problem.C, problem.n_agents)
 
 
 #: One CSR matrix as raw buffers: ``(data, indices, indptr, n_rows)``.
@@ -227,10 +161,6 @@ class CompiledMaxMin:
     def n_beneficiaries(self) -> int:
         return self.benefit[3]
 
-    def lp(self) -> LinearProgram:
-        """The (sparse) Section 1.3 LP reduction of this instance."""
-        return _maxmin_lp_from_matrices(self.A, self.C, self.n_agents)
-
     def objective(self, x: np.ndarray) -> float:
         """``min_k (C x)_k`` -- ``inf`` for the empty minimum.
 
@@ -268,20 +198,18 @@ def _stack_maxmin_buffers(
 ) -> Tuple[RowwiseLP, np.ndarray, np.ndarray]:
     """Block-diagonally stack many reductions straight into HiGHS's rows.
 
-    The batched counterpart of :func:`_maxmin_lp_from_matrices`, emitting
-    the row-wise model :func:`~repro.lp.backends.call_highs` solves: for
-    each unit the rows are ``A``'s (upper bound 1) then ``[-C | 1]``'s
-    (upper bound 0), every column is bounded to ``[0, inf)`` and each ω
-    costs -1.  The whole chunk is a fixed number of array operations -- no
-    per-unit loop, no sparse matrix and no
-    :class:`~repro.lp.standard.LinearProgram` -- which is what keeps the
-    engine's hundreds of tiny local LPs cheap.
+    Emits the row-wise model :func:`~repro.lp.backends.call_highs` solves.
+    Each unit has variables ``(x_1, ..., x_n, ω)`` and minimises ``-ω``:
+    its rows are ``A``'s (upper bound 1) then ``[-C | 1]``'s (upper bound
+    0), and every column is bounded to ``[0, inf)``.  The whole chunk is a
+    fixed number of array operations -- no per-unit loop and no sparse
+    matrix -- which is what keeps the engine's hundreds of tiny local LPs
+    cheap.
 
     Returns the model plus each unit's first column and first row
     (``columns[u] : columns[u+1]`` slices unit ``u``'s ``(x, ω)`` out of a
     stacked solution; :func:`_unit_model` cuts out its own model).  A
-    one-unit list gives the model :func:`~repro.lp.backends.lower_lp`
-    makes of that unit's :meth:`CompiledMaxMin.lp`.
+    one-unit list gives the model :func:`solve_max_min` solves.
     """
     (
         n_agents,
@@ -369,8 +297,9 @@ def solve_maxmin_buffer_batch(
     HiGHS's row-wise model by :func:`_stack_maxmin_buffers`.  Under the
     stacked strategy the whole chunk becomes **one** HiGHS call; a
     non-optimal stack falls back to exact per-unit solves.  Under
-    ``"per-lp"`` each unit's block of the stack is one call, bit-identical
-    to :func:`solve_max_min` on it.
+    ``"per-lp"`` each unit's block of the stack is one call on the model
+    the unit stacks to alone, so :func:`solve_max_min` is its one-unit
+    case.
     Returns ``(status_name, x_vector)`` pairs -- exceptions and identifier
     work belong to the caller.  ``stats`` receives the
     :class:`~repro.lp.batch.BatchSolveStats` counters, so the engine can
@@ -415,23 +344,39 @@ def solve_maxmin_buffer_batch(
     return [(result.status.value, result.x) for result in results]
 
 
-def _interpret_maxmin_result(result: LPResult) -> Tuple[float, np.ndarray]:
-    """Map an LP result of the reduction to ``(ω, x)``; raise on bad status."""
-    if result.status is LPStatus.UNBOUNDED:
+def interpret_maxmin_status(
+    status_name: str, x_vec: Optional[np.ndarray]
+) -> Tuple[float, np.ndarray]:
+    """``(ω, x)`` of one solved reduction; raise unless it is optimal.
+
+    ``(status_name, x_vec)`` is one entry of
+    :func:`solve_maxmin_buffer_batch`'s output; ``x`` is the unit's
+    activities clipped at 0.
+
+    Raises
+    ------
+    UnboundedError, InfeasibleError
+        For those statuses (a well-formed instance is never infeasible:
+        ``x = 0`` satisfies every packing constraint).
+    SolverError
+        For any other non-optimal status.
+    """
+    status = LPStatus(status_name)
+    if status is LPStatus.UNBOUNDED:
         raise UnboundedError("max-min LP reduction reported unbounded")
-    if result.status is LPStatus.INFEASIBLE:
-        # x = 0 is always feasible for a packing system, so this cannot
-        # happen for a well-formed instance.
+    if status is LPStatus.INFEASIBLE:
         raise InfeasibleError("max-min LP reduction reported infeasible")
-    if not result.is_optimal or result.x is None:
-        raise SolverError(
-            f"LP backend {DEFAULT_BACKEND!r} failed: {result.status}"
-        )
-    return float(result.x[-1]), np.clip(result.x[:-1], 0.0, None)
+    if status is not LPStatus.OPTIMAL or x_vec is None:
+        raise SolverError(f"LP backend {DEFAULT_BACKEND!r} failed: {status}")
+    x_vec = np.asarray(x_vec, dtype=np.float64)
+    return float(x_vec[-1]), np.clip(x_vec[:-1], 0.0, None)
 
 
 def solve_max_min(problem: MaxMinLP) -> MaxMinSolveResult:
-    """Solve ``problem`` exactly through the LP reduction.
+    """Solve ``problem`` exactly: the one-unit case of the batched path.
+
+    One HiGHS call on the reduction :func:`_stack_maxmin_buffers` builds
+    from ``problem``'s :class:`CompiledMaxMin` buffers.
 
     Raises
     ------
@@ -447,8 +392,10 @@ def solve_max_min(problem: MaxMinLP) -> MaxMinSolveResult:
         )
     if problem.n_agents == 0:
         return MaxMinSolveResult(objective=0.0, x={}, backend=DEFAULT_BACKEND)
-    lp = maxmin_to_lp(problem)
-    omega, x_vec = _interpret_maxmin_result(solve_lp(lp))
+    ((status_name, x_vec),) = solve_maxmin_buffer_batch(
+        [CompiledMaxMin.from_problem(problem).to_buffers()]
+    )
+    omega, activities = interpret_maxmin_status(status_name, x_vec)
     return MaxMinSolveResult(
-        objective=omega, x=problem.from_array(x_vec), backend=DEFAULT_BACKEND
+        objective=omega, x=problem.from_array(activities), backend=DEFAULT_BACKEND
     )

@@ -36,13 +36,11 @@ from ..core.safe import safe_approximation_guarantee
 from ..exceptions import VerificationError
 from ..io import solution_from_dict
 from .maxmin import CompiledMaxMin, MaxMinSolveResult
-from .standard import LinearProgram, LPResult, LPStatus
 
 __all__ = [
     "DEFAULT_TOL",
     "SolutionCertificate",
     "verify_engine_payload",
-    "verify_lp_solution",
     "verify_safe_ratio",
     "verify_solution",
 ]
@@ -60,10 +58,10 @@ class SolutionCertificate:
     Attributes
     ----------
     kind:
-        ``"maxmin"`` for max-min instances, ``"lp"`` for raw LPs,
-        ``"safe_ratio"`` for the approximation-bound check.
+        ``"maxmin"``: the certificate checked a max-min solution against
+        its instance.
     n_constraints:
-        Constraint rows rechecked (resources, or LP rows).
+        Resource rows rechecked.
     max_violation:
         Worst constraint residual found (``max(A x - 1)`` clipped at 0);
         guaranteed ``≤ tol``.
@@ -230,50 +228,6 @@ def verify_solution(
         n_constraints=int(compiled.A.shape[0]),
         max_violation=max_violation,
         objective_error=float(objective_error),
-        tol=tol,
-    )
-
-
-def verify_lp_solution(
-    lp: LinearProgram,
-    result: LPResult,
-    *,
-    tol: float = DEFAULT_TOL,
-) -> SolutionCertificate:
-    """Certify a raw LP result: feasibility plus ``c^T x`` consistency."""
-    if result.status is not LPStatus.OPTIMAL or result.x is None:
-        raise VerificationError(
-            f"cannot certify a non-optimal LP result (status {result.status})"
-        )
-    x = np.asarray(result.x, dtype=np.float64)
-    if x.shape != (lp.n_variables,):
-        raise VerificationError(
-            f"LP solution has shape {x.shape}, expected ({lp.n_variables},)"
-        )
-    if not np.all(np.isfinite(x)):
-        raise VerificationError("LP solution contains non-finite values")
-    if not lp.is_feasible(x, tol=tol):
-        raise VerificationError(
-            f"LP solution violates a constraint beyond tol {tol:.1e}"
-        )
-    recomputed = lp.objective_value(x)
-    claimed = float(result.objective) if result.objective is not None else recomputed
-    objective_error = abs(claimed - recomputed)
-    if objective_error > tol * max(1.0, abs(recomputed)):
-        raise VerificationError(
-            f"LP objective mismatch: claimed {claimed:.12g}, recomputed "
-            f"{recomputed:.12g} (tol {tol:.1e})"
-        )
-    residual = 0.0
-    if lp.A_ub is not None:
-        slack = lp.A_ub @ x - lp.b_ub
-        if slack.size:
-            residual = float(max(0.0, slack.max()))
-    return SolutionCertificate(
-        kind="lp",
-        n_constraints=lp.n_inequalities + lp.n_equalities,
-        max_violation=residual,
-        objective_error=objective_error,
         tol=tol,
     )
 

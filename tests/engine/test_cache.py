@@ -127,11 +127,7 @@ class TestDiskTier:
 
 
 class TestDiskEviction:
-    """The disk tier's max-bytes cap and the explicit prune policy."""
-
-    def test_rejects_negative_cap(self):
-        with pytest.raises(ValueError, match="max_disk_bytes"):
-            ResultCache(max_disk_bytes=-1)
+    """The disk tier is unbounded; ``prune`` shrinks it, oldest rows first."""
 
     def test_cap_evicts_oldest_entries_first(self, tmp_path):
         cache = ResultCache(directory=tmp_path)
@@ -141,14 +137,15 @@ class TestDiskEviction:
         cache_rows.age(tmp_path, keys)
         entry_bytes = cache.disk_bytes() // 3
 
-        capped = ResultCache(directory=tmp_path, max_disk_bytes=2 * entry_bytes + 2)
-        capped.put("d" * 64, {"payload": "d" * 64})
+        cache.put("d" * 64, {"payload": "d" * 64})
+        assert cache.stats.disk_evictions == 0  # a put never evicts
+        cache.prune(2 * entry_bytes + 2)
         # The two oldest entries fall out; the newest survive.
         remaining = set(cache_rows.rows(tmp_path))
         assert "a" * 64 not in remaining
         assert "d" * 64 in remaining
-        assert capped.disk_bytes() <= 2 * entry_bytes + 2
-        assert capped.stats.disk_evictions >= 2
+        assert cache.disk_bytes() <= 2 * entry_bytes + 2
+        assert cache.stats.disk_evictions >= 2
 
     def test_prune_method_reports_and_updates_stats(self, tmp_path):
         cache = ResultCache(directory=tmp_path)
@@ -180,19 +177,11 @@ class TestDiskEviction:
             "remaining_bytes": 0,
         }
 
-    def test_prune_without_bound_is_a_noop(self, tmp_path):
-        cache = ResultCache(directory=tmp_path)
-        cache.put(KEY, 1)
-        outcome = cache.prune()
-        assert outcome["removed_entries"] == 0
-        assert cache.disk_entries() == 1
-
     def test_evicted_entries_are_cache_misses_not_errors(self, tmp_path):
-        cache = ResultCache(
-            directory=tmp_path, max_disk_bytes=60, max_memory_entries=1
-        )
+        cache = ResultCache(directory=tmp_path, max_memory_entries=1)
         cache.put(KEY, {"v": 1})
-        cache.put(OTHER, {"v": 2})  # evicts KEY from both tiers
+        cache.put(OTHER, {"v": 2})  # evicts KEY from the memory tier
+        cache.prune(60)  # and from the disk tier
         assert cache.get(KEY) is None
         assert cache.get(OTHER) == {"v": 2}
 
@@ -200,7 +189,9 @@ class TestDiskEviction:
 class TestConcurrency:
     """The cache under a worker pool: torn values and counter drift are bugs."""
 
-    def _stress(self, cache, *, n_threads=8, n_ops=200, n_keys=48):
+    def _stress(self, cache, *, n_threads=8, n_ops=200, n_keys=48, alongside=None):
+        """Random puts and gets on ``n_threads`` threads; ``alongside``, if
+        given, is called in a loop on one more thread until they finish."""
         import random
         import sys
         import threading
@@ -231,22 +222,35 @@ class TestConcurrency:
                 counts["gets"] += gets
                 counts["puts"] += puts
 
+        done = threading.Event()
+
+        def background() -> None:
+            try:
+                while not done.is_set():
+                    alongside()
+            except Exception as exc:  # noqa: BLE001 - surfaced to the test
+                problems.append(f"background call raised {exc!r}")
+
         threads = [
             threading.Thread(target=worker, args=(seed,))
             for seed in range(n_threads)
         ]
+        extra = [threading.Thread(target=background)] if alongside else []
         # Switch threads far more often than the default 5 ms, so lost
         # updates and torn reads get a chance to show.
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            for thread in threads:
+            for thread in threads + extra:
                 thread.start()
             for thread in threads:
                 thread.join(120)
+            done.set()
+            for thread in extra:
+                thread.join(120)
         finally:
             sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
+        assert not any(thread.is_alive() for thread in threads + extra)
         assert not problems, problems
         return counts
 
@@ -261,19 +265,22 @@ class TestConcurrency:
 
     def test_threaded_stress_with_capped_disk_tier(self, tmp_path):
         cap = 20_000
-        cache = ResultCache(
-            max_memory_entries=16, directory=tmp_path, max_disk_bytes=cap
+        cache = ResultCache(max_memory_entries=16, directory=tmp_path)
+        prunes = []
+        counts = self._stress(
+            cache, alongside=lambda: prunes.append(cache.prune(cap))
         )
-        counts = self._stress(cache)
         stats = cache.stats
         assert stats.hits + stats.misses == counts["gets"]
         assert stats.puts == counts["puts"]
         assert stats.disk_hits <= stats.hits
         assert len(cache) <= 16
-        # The cap is enforced (a write racing the final prune scan can
-        # overshoot by at most one entry's worth of bytes).
-        entry_bytes = 300
-        assert cache.disk_bytes() <= cap + entry_bytes
+        assert prunes
+        # Once the writers stop, one more prune meets the cap, and the
+        # eviction counter holds exactly the rows every prune reported.
+        prunes.append(cache.prune(cap))
+        assert cache.disk_bytes() <= cap
+        assert stats.disk_evictions == sum(p["removed_entries"] for p in prunes)
         # Every surviving disk entry is readable and intact.
         for key, row in cache_rows.rows(tmp_path).items():
             assert json.loads(row["value"])["payload"] == key
@@ -288,6 +295,6 @@ class TestConcurrency:
         # disk-hit promotion, and each arrival evicts at most one resident.
         assert stats.evictions <= stats.puts + stats.disk_hits
         assert stats.evictions >= 0
-        # No disk cap was configured, so nothing may have been disk-evicted.
+        # Nothing was pruned, so nothing may have been disk-evicted.
         assert stats.disk_evictions == 0
         assert cache.disk_entries() == 12

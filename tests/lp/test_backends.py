@@ -6,8 +6,9 @@ import inspect
 
 import pytest
 
+from lp_reference import rowwise
 from repro import SolverError
-from repro.lp import LinearProgram, LPStatus, solve_lp
+from repro.lp import LPStatus, solve_lp
 from repro.lp.backends import check_backend
 
 
@@ -61,7 +62,7 @@ class TestDispatch:
 
     @pytest.mark.parametrize("backend", ["scipy"])
     def test_basic_solve(self, backend):
-        lp = LinearProgram(c=[-1.0], A_ub=[[1.0]], b_ub=[2.0])
+        lp = rowwise(c=[-1.0], A_ub=[[1.0]], b_ub=[2.0])
         result = solve_lp(lp)
         assert result.is_optimal
         assert result.objective == pytest.approx(-2.0)
@@ -69,14 +70,14 @@ class TestDispatch:
 
     @pytest.mark.parametrize("backend", ["scipy"])
     def test_infeasible_status(self, backend):
-        lp = LinearProgram(c=[1.0], A_ub=[[1.0], [-1.0]], b_ub=[1.0, -2.0])
+        lp = rowwise(c=[1.0], A_ub=[[1.0], [-1.0]], b_ub=[1.0, -2.0])
         result = solve_lp(lp)
         assert result.status is LPStatus.INFEASIBLE
         assert result.backend == backend
 
     @pytest.mark.parametrize("backend", ["scipy"])
     def test_unbounded_status(self, backend):
-        lp = LinearProgram(c=[-1.0])
+        lp = rowwise(c=[-1.0])
         result = solve_lp(lp)
         assert result.status is LPStatus.UNBOUNDED
         assert result.backend == backend
@@ -88,7 +89,7 @@ class TestDispatch:
 
         fake = backends.HiGHSResult(status, None, None, "synthetic failure")
         monkeypatch.setattr(backends, "_run_highs", lambda lp: fake)
-        lp = LinearProgram(c=[1.0, 2.0], A_ub=[[1.0, 1.0]], b_ub=[1.0])
+        lp = rowwise(c=[1.0, 2.0], A_ub=[[1.0, 1.0]], b_ub=[1.0])
         with pytest.raises(SolverError) as excinfo:
             solve_lp(lp)
         message = str(excinfo.value)

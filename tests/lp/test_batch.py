@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from lp_reference import reduction, rowwise
 from repro import (
     cycle_instance,
     grid_instance,
@@ -24,14 +25,12 @@ from repro import (
 from repro.exceptions import SolverError
 from repro.lp import (
     CompiledMaxMin,
-    LinearProgram,
     LPStatus,
     count_highs_calls,
-    maxmin_to_lp,
     solve_lp,
     solve_max_min,
 )
-from repro.lp.backends import RowwiseLP, lower_lp
+from repro.lp.backends import RowwiseLP
 from repro.lp.batch import BatchSolveStats
 from repro.lp.maxmin import (
     _stack_maxmin_buffers,
@@ -47,9 +46,15 @@ def assert_same_model(got: RowwiseLP, expected: RowwiseLP) -> None:
         )
 
 
-def _optimal_lp(k: float = 1.0) -> LinearProgram:
+def _optimal_lp(k: float = 1.0) -> RowwiseLP:
     """max x1 s.t. x1 + x2 <= k  ->  objective -k."""
-    return LinearProgram(c=[-1.0, 0.0], A_ub=[[1.0, 1.0]], b_ub=[k])
+    return rowwise(c=[-1.0, 0.0], A_ub=[[1.0, 1.0]], b_ub=[k])
+
+
+def _reference_model(unit) -> RowwiseLP:
+    """The unit's reduction as the test suite builds it, lowered as
+    ``linprog`` would."""
+    return rowwise(**reduction(unit))
 
 
 def _optimal_unit(k: float = 1.0) -> CompiledMaxMin:
@@ -120,7 +125,7 @@ class TestSolveLPBatchStacked:
             ((status, x),) = solve_maxmin_buffer_batch(
                 [compiled.to_buffers()], strategy="stacked"
             )
-            solo = solve_lp(compiled.lp())
+            solo = solve_lp(_reference_model(compiled))
             assert status == solo.status.value
             np.testing.assert_array_equal(x, solo.x)
 
@@ -174,7 +179,7 @@ class TestStrategies:
         assert counter.calls == 2
         assert stats == BatchSolveStats(batches=1, lps=2)
         for unit, (status, x) in zip(units, out):
-            solo = solve_lp(unit.lp())
+            solo = solve_lp(_reference_model(unit))
             assert status == solo.status.value
             if solo.x is None:
                 assert x is None
@@ -190,66 +195,7 @@ class TestStrategies:
                 )
 
 
-class TestSparseLinearProgram:
-    def test_sparse_input_normalised_to_csr(self):
-        lp = LinearProgram(
-            c=[1.0, 1.0],
-            A_ub=sp.coo_matrix(np.array([[1.0, 2.0]])),
-            b_ub=[1.0],
-        )
-        assert lp.is_sparse
-        assert sp.issparse(lp.A_ub) and lp.A_ub.format == "csr"
-        np.testing.assert_allclose(lp.A_ub.toarray(), [[1.0, 2.0]])
-        dense = LinearProgram(c=lp.c, A_ub=lp.A_ub.toarray(), b_ub=lp.b_ub)
-        assert not dense.is_sparse
-
-    def test_sparse_validation(self):
-        with pytest.raises(ValueError):
-            LinearProgram(
-                c=[1.0], A_ub=sp.csr_matrix((1, 2), dtype=np.float64), b_ub=[1.0]
-            )
-        with pytest.raises(ValueError):
-            LinearProgram(
-                c=[1.0, 1.0],
-                A_ub=sp.csr_matrix((1, 2), dtype=np.float64),
-                b_ub=[1.0, 2.0],
-            )
-
-    def test_feasibility_check_works_sparse(self):
-        lp = maxmin_to_lp_fixture()
-        assert lp.is_feasible(np.zeros(lp.n_variables))
-
-    def test_sparse_and_dense_backends_agree(self):
-        lp_sparse = maxmin_to_lp_fixture()
-        lp_dense = LinearProgram(
-            c=lp_sparse.c,
-            A_ub=lp_sparse.A_ub.toarray(),
-            b_ub=lp_sparse.b_ub,
-            bounds=lp_sparse.bounds,
-        )
-        a = solve_lp(lp_sparse)
-        b = solve_lp(lp_dense)
-        np.testing.assert_array_equal(a.x, b.x)
-
-
-def maxmin_to_lp_fixture() -> LinearProgram:
-    from repro import cycle_instance
-
-    return maxmin_to_lp(cycle_instance(8))
-
-
 class TestCompiledMaxMin:
-    def test_lp_matches_maxmin_to_lp(self):
-        from repro import grid_instance
-
-        problem = grid_instance((3, 3))
-        compiled = CompiledMaxMin.from_problem(problem)
-        a = compiled.lp()
-        b = maxmin_to_lp(problem)
-        np.testing.assert_array_equal(a.A_ub.toarray(), b.A_ub.toarray())
-        np.testing.assert_array_equal(a.b_ub, b.b_ub)
-        np.testing.assert_array_equal(a.c, b.c)
-
     def test_from_triples_matches_canonical_problem(self):
         from repro import grid_instance
         from repro.canon.labeling import CanonicalIndex, view_local_structure
@@ -263,10 +209,10 @@ class TestCompiledMaxMin:
                 *view_local_structure(problem, H.ball(u, 1))
             )
             compiled = form.compiled()
-            reference = maxmin_to_lp(form.problem())
-            np.testing.assert_array_equal(
-                compiled.lp().A_ub.toarray(), reference.A_ub.toarray()
-            )
+            reference = CompiledMaxMin.from_problem(form.problem())
+            alone, _, _ = _stack_maxmin_buffers([compiled.to_buffers()])
+            expected, _, _ = _stack_maxmin_buffers([reference.to_buffers()])
+            assert_same_model(alone, expected)
 
     @pytest.mark.parametrize(
         "problem",
@@ -279,9 +225,9 @@ class TestCompiledMaxMin:
     )
     def test_single_unit_stack_equals_lp(self, problem):
         # The buffers go straight to HiGHS's rows: the model must be the
-        # one linprog would build from the unit's own LinearProgram.
+        # one linprog would build from the unit's reduction.
         compiled = CompiledMaxMin.from_problem(problem)
-        expected = lower_lp(compiled.lp())
+        expected = _reference_model(compiled)
         stacked, columns, rows = _stack_maxmin_buffers([compiled.to_buffers()])
         assert columns.tolist() == [0, compiled.n_agents + 1]
         assert rows.tolist() == [0, expected.row_upper.size]
@@ -392,7 +338,7 @@ class TestMaxMinBatch:
     @pytest.mark.parametrize("strategy", ["per-lp", "stacked"])
     def test_buffer_batch_builds_no_matrix_object(self, monkeypatch, strategy):
         # The engine's local LPs go from buffers straight to HiGHS's rows:
-        # no scipy matrix and no LinearProgram, fallback path included.
+        # no scipy matrix, fallback path included.
         from repro import cycle_instance
 
         good = CompiledMaxMin.from_problem(cycle_instance(6)).to_buffers()
@@ -402,7 +348,6 @@ class TestMaxMinBatch:
             raise AssertionError("built on the local-LP path")
 
         monkeypatch.setattr(sp.csr_matrix, "__init__", forbidden)
-        monkeypatch.setattr(LinearProgram, "__post_init__", forbidden)
         out = solve_maxmin_buffer_batch([good, bad], strategy=strategy)
         assert [status for status, _ in out] == [
             LPStatus.OPTIMAL.value,

@@ -4,8 +4,10 @@
 going through ``linprog``.  It must build the same model with the same
 options and apply the same post-solve status check, so on every LP the
 status, the solution vector and the objective are *bit*-identical to
-``linprog``'s, whatever was solved before.  This file is the only place
-``linprog`` is still used: as the oracle.
+``linprog``'s, whatever was solved before.  The max-min cases solve the
+engine's own model (``_stack_maxmin_buffers``) against ``linprog`` on the
+reduction :func:`lp_reference.reduction` builds independently; the generic
+LPs reach ``call_highs`` through :func:`lp_reference.rowwise`.
 """
 
 from __future__ import annotations
@@ -19,10 +21,12 @@ import repro.faults.plan as plan_module
 from repro import SolverError
 from repro.faults import FaultPlan, FaultSpec, InjectedFault
 from repro.hypergraph.communication import communication_hypergraph
-from repro.lp import CompiledMaxMin, LinearProgram, maxmin_to_lp, solve_lp
+from lp_reference import reduction, rowwise
+from repro.engine import BatchSolver, ResultCache
+from repro.lp import CompiledMaxMin, count_highs_calls, solve_lp, solve_max_min
 from repro.lp import backends
 from repro.lp.backends import HIGHS_RETRY, call_highs
-from repro.lp.maxmin import solve_maxmin_buffer_batch
+from repro.lp.maxmin import _stack_maxmin_buffers, solve_maxmin_buffer_batch
 from repro.scenarios.registry import build_instance, list_families
 from repro.scenarios.runner import SuiteRunner
 from repro.scenarios.spec import ScenarioSpec
@@ -42,16 +46,8 @@ FAMILY_PARAMS = {
 }
 
 
-def linprog_reference(lp: LinearProgram):
-    return linprog(
-        c=lp.c,
-        A_ub=lp.A_ub,
-        b_ub=lp.b_ub,
-        A_eq=lp.A_eq,
-        b_eq=lp.b_eq,
-        bounds=lp.bounds,
-        method="highs",
-    )
+def linprog_reference(lp: dict):
+    return linprog(**lp, method="highs")
 
 
 def assert_same_result(got, expected) -> None:
@@ -64,8 +60,22 @@ def assert_same_result(got, expected) -> None:
         assert got.fun == expected.fun
 
 
-def assert_matches_linprog(lp: LinearProgram) -> None:
-    assert_same_result(call_highs(lp), linprog_reference(lp))
+def assert_matches_linprog(lp: dict) -> None:
+    assert_same_result(call_highs(rowwise(**lp)), linprog_reference(lp))
+
+
+def buffer_model(problem):
+    """The engine's model of ``problem``'s reduction: a one-unit stack."""
+    model, _, _ = _stack_maxmin_buffers(
+        [CompiledMaxMin.from_problem(problem).to_buffers()]
+    )
+    return model
+
+
+def assert_buffer_path_matches_linprog(problem) -> None:
+    assert_same_result(
+        call_highs(buffer_model(problem)), linprog_reference(reduction(problem))
+    )
 
 
 def _problem(family: str, R: int):
@@ -84,11 +94,6 @@ def _local_subproblems(problem, R: int):
     )
 
 
-def _local_lps(problem, R: int):
-    """The distinct local LPs of a problem's radius-``R`` views."""
-    return [maxmin_to_lp(sub) for sub in _local_subproblems(problem, R)]
-
-
 def test_every_registry_family_is_covered():
     assert set(FAMILY_PARAMS) == set(list_families())
 
@@ -96,32 +101,49 @@ def test_every_registry_family_is_covered():
 @pytest.mark.parametrize("R", [1, 2])
 @pytest.mark.parametrize("family", sorted(FAMILY_PARAMS))
 def test_local_lps_match_linprog(family, R):
-    lps = _local_lps(_problem(family, R), R)
-    assert lps
-    for lp in lps:
-        assert_matches_linprog(lp)
+    subproblems = _local_subproblems(_problem(family, R), R)
+    assert subproblems
+    for sub in subproblems:
+        assert_buffer_path_matches_linprog(sub)
 
 
 @pytest.mark.parametrize("family", sorted(FAMILY_PARAMS))
 def test_full_reduction_matches_linprog(family):
-    assert_matches_linprog(maxmin_to_lp(_problem(family, 1)))
+    assert_buffer_path_matches_linprog(_problem(family, 1))
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_PARAMS))
+def test_direct_and_engine_optima_agree(family):
+    # solve_max_min is the engine's one-unit case: one HiGHS call, and the
+    # very bits the batch engine caches for the same instance.
+    problem = _problem(family, 1)
+    with count_highs_calls() as counter:
+        direct = solve_max_min(problem)
+    assert counter.calls == 1
+    (engine,) = BatchSolver(cache=ResultCache()).solve_maxmin_batch([problem])
+    assert engine.objective.hex() == direct.objective.hex()
+    assert list(engine.x) == list(direct.x) == list(problem.agents)
+    assert [value.hex() for value in engine.x.values()] == [
+        value.hex() for value in direct.x.values()
+    ]
 
 
 def test_stacked_chunk_matches_linprog():
     # The engine's stacked chunk solves to linprog's answer on the same
-    # block-diagonal LP, built here from each unit's readable reduction.
+    # block-diagonal LP, built here from each unit's independent reduction.
     units = [
         CompiledMaxMin.from_problem(sub)
         for sub in _local_subproblems(_problem("torus", 1), 1)
     ]
-    lps = [unit.lp() for unit in units]
-    stacked = LinearProgram(
-        c=np.concatenate([lp.c for lp in lps]),
-        A_ub=sp.block_diag([lp.A_ub for lp in lps], format="csr"),
-        b_ub=np.concatenate([lp.b_ub for lp in lps]),
-        bounds=[bound for lp in lps for bound in lp.bounds],
+    lps = [reduction(unit) for unit in units]
+    expected = linprog_reference(
+        {
+            "c": np.concatenate([lp["c"] for lp in lps]),
+            "A_ub": sp.block_diag([lp["A_ub"] for lp in lps], format="csr"),
+            "b_ub": np.concatenate([lp["b_ub"] for lp in lps]),
+            "bounds": [bound for lp in lps for bound in lp["bounds"]],
+        }
     )
-    expected = linprog_reference(stacked)
     assert expected.status == 0
     out = solve_maxmin_buffer_batch(
         [unit.to_buffers() for unit in units], strategy="stacked"
@@ -130,41 +152,29 @@ def test_stacked_chunk_matches_linprog():
     assert np.array_equal(np.concatenate([x for _, x in out]), expected.x)
 
 
+#: Generic LPs as ``linprog`` keyword arguments.
 EDGE_LPS = {
-    "infeasible": LinearProgram(c=[1.0], A_ub=[[1.0], [-1.0]], b_ub=[1.0, -2.0]),
-    "unbounded": LinearProgram(c=[-1.0, 0.0], A_ub=[[0.0, 1.0]], b_ub=[1.0]),
-    "no_constraints": LinearProgram(c=[1.0, 2.0, 0.5]),
-    "eq_only": LinearProgram(
+    "infeasible": dict(c=[1.0], A_ub=[[1.0], [-1.0]], b_ub=[1.0, -2.0]),
+    "unbounded": dict(c=[-1.0, 0.0], A_ub=[[0.0, 1.0]], b_ub=[1.0]),
+    "no_constraints": dict(c=[1.0, 2.0, 0.5]),
+    "eq_only": dict(
         c=[1.0, 2.0, 3.0], A_eq=[[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]], b_eq=[3.0, 0.5]
     ),
-    "mixed": LinearProgram(
+    "mixed": dict(
         c=[-1.0, -2.0, 0.5],
         A_ub=sp.csr_matrix([[1.0, 1.0, 0.0], [0.0, 1.0, 2.0]]),
         b_ub=[4.0, 3.0],
         A_eq=sp.csr_matrix([[1.0, 0.0, -1.0]]),
         b_eq=[0.5],
     ),
-    "dense": LinearProgram(
-        c=[-3.0, -1.0, -2.0],
-        A_ub=np.array([[1.0, 1.0, 3.0], [2.0, 2.0, 5.0], [4.0, 1.0, 2.0]]),
-        b_ub=[30.0, 24.0, 36.0],
-    ),
-    "finite_upper_bounds": LinearProgram(
+    "finite_upper_bounds": dict(
         c=[-1.0, -1.0], A_ub=[[1.0, 2.0]], b_ub=[10.0], bounds=[(0, 3.0), (1.0, 2.5)]
     ),
-    "free_variables": LinearProgram(
+    "free_variables": dict(
         c=[1.0, -1.0],
         A_ub=[[-1.0, 0.0], [0.0, 1.0]],
         b_ub=[5.0, 4.0],
         bounds=[(None, None), (None, 7.0)],
-    ),
-    "unsorted_duplicate_csr": LinearProgram(
-        c=[-1.0, -1.0],
-        A_ub=sp.csr_matrix(
-            (np.array([0.5, 1.0, 0.5, 2.0]), np.array([1, 0, 1, 0]), np.array([0, 3, 4])),
-            shape=(2, 2),
-        ),
-        b_ub=[2.0, 3.0],
     ),
 }
 
@@ -183,26 +193,16 @@ def test_badly_scaled_lps_match_linprog_statuses():
         A = rng.standard_normal((m, n)) * 10.0 ** rng.integers(-8, 12, size=(m, n))
         b = np.abs(rng.standard_normal(m)) * 10.0 ** rng.integers(-6, 12, size=m)
         c = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 8, size=n)
-        lp = LinearProgram(c=c, A_ub=A, b_ub=b, bounds=[(0, 1e8)] * n)
+        lp = dict(c=c, A_ub=A, b_ub=b, bounds=[(0, 1e8)] * n)
         assert_matches_linprog(lp)
-        statuses.add(call_highs(lp).status)
+        statuses.add(call_highs(rowwise(**lp)).status)
     assert {0, 4} <= statuses
-
-
-def test_dense_and_sparse_storage_are_bit_identical():
-    lp = EDGE_LPS["dense"]
-    sparse = LinearProgram(
-        c=lp.c, A_ub=sp.csr_matrix(lp.A_ub), b_ub=lp.b_ub, bounds=lp.bounds
-    )
-    dense_result, sparse_result = call_highs(lp), call_highs(sparse)
-    assert np.array_equal(dense_result.x, sparse_result.x)
-    assert dense_result.fun == sparse_result.fun
 
 
 def test_solution_outside_tolerance_is_demoted_to_status_4(monkeypatch):
     """``linprog``'s post-solve check: an out-of-tolerance optimum is status 4."""
     monkeypatch.setattr(backends, "_CHECK_TOL", -1.0)
-    lp = EDGE_LPS["dense"]
+    lp = rowwise(**EDGE_LPS["mixed"])
     result = call_highs(lp)
     assert result.status == 4
     assert result.x is not None
@@ -213,16 +213,16 @@ def test_solution_outside_tolerance_is_demoted_to_status_4(monkeypatch):
 @pytest.mark.parametrize(
     "lp",
     [
-        LinearProgram(c=[np.nan, 1.0]),
-        LinearProgram(c=[1.0], A_ub=[[np.inf]], b_ub=[1.0]),
-        LinearProgram(c=[1.0], A_eq=[[1.0]], b_eq=[np.inf]),
+        dict(c=[np.nan, 1.0]),
+        dict(c=[1.0], A_ub=[[np.inf]], b_ub=[1.0]),
+        dict(c=[1.0], A_eq=[[1.0]], b_eq=[np.inf]),
     ],
 )
 def test_non_finite_input_raises_like_linprog(lp):
     with pytest.raises(ValueError):
-        linprog(c=lp.c, A_ub=lp.A_ub, b_ub=lp.b_ub, A_eq=lp.A_eq, b_eq=lp.b_eq)
+        linprog(**lp)
     with pytest.raises(ValueError):
-        call_highs(lp)
+        call_highs(rowwise(**lp))
 
 
 # ----------------------------------------------------------------------
@@ -230,14 +230,18 @@ def test_non_finite_input_raises_like_linprog(lp):
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def family_lps():
-    """Every registry family's distinct local LPs (R = 1, 2) with linprog's answers."""
-    lps = [
-        lp
+    """Every registry family's distinct local LPs (R = 1, 2), as the engine
+    builds them, with linprog's answers on the independent reduction."""
+    subproblems = [
+        sub
         for R in (1, 2)
         for family in sorted(FAMILY_PARAMS)
-        for lp in _local_lps(_problem(family, R), R)
+        for sub in _local_subproblems(_problem(family, R), R)
     ]
-    return [(lp, linprog_reference(lp)) for lp in lps]
+    return [
+        (buffer_model(sub), linprog_reference(reduction(sub)))
+        for sub in subproblems
+    ]
 
 
 @pytest.fixture
@@ -264,13 +268,13 @@ class TestSolveOrder:
     def test_interleaved_with_failing_lps(self, family_lps, monkeypatch):
         for i, pair in enumerate(family_lps):
             if i % 10 == 0:
-                assert call_highs(EDGE_LPS["infeasible"]).status == 2
+                assert call_highs(rowwise(**EDGE_LPS["infeasible"])).status == 2
             elif i % 10 == 4:
-                assert call_highs(EDGE_LPS["unbounded"]).status == 3
+                assert call_highs(rowwise(**EDGE_LPS["unbounded"])).status == 3
             elif i % 10 == 7:
                 with monkeypatch.context() as patch:
                     patch.setattr(backends, "_CHECK_TOL", -1.0)
-                    assert call_highs(EDGE_LPS["dense"]).status == 4
+                    assert call_highs(rowwise(**EDGE_LPS["mixed"])).status == 4
             _solve_all([pair])
 
     def test_after_an_injected_fault(self, family_lps, no_fault_plan):

@@ -5,31 +5,45 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.optimize import linprog
 
 from repro import MaxMinLPBuilder, UnboundedError
-from repro.lp import LinearProgram, maxmin_to_lp, solve_lp, solve_max_min
+from repro.lp import CompiledMaxMin, solve_max_min
+from repro.lp.backends import HIGHS_INF
+from repro.lp.maxmin import _stack_maxmin_buffers
+
+
+def _reduction(problem):
+    """The row-wise Section 1.3 model the engine builds for ``problem``."""
+    model, _, _ = _stack_maxmin_buffers(
+        [CompiledMaxMin.from_problem(problem).to_buffers()]
+    )
+    return model
 
 
 class TestReduction:
     def test_shapes(self, cycle8):
-        lp = maxmin_to_lp(cycle8)
+        model = _reduction(cycle8)
         n = cycle8.n_agents
-        assert lp.n_variables == n + 1
-        assert lp.n_inequalities == cycle8.n_resources + cycle8.n_beneficiaries
+        assert model.cost.size == n + 1
+        assert model.row_upper.size == cycle8.n_resources + cycle8.n_beneficiaries
+        # Every row is an inequality; every variable is non-negative.
+        assert np.all(model.row_lower == -HIGHS_INF)
+        assert np.all(model.col_lower == 0.0)
+        assert np.all(model.col_upper == HIGHS_INF)
         # maximising ω is minimising -ω.
-        assert lp.c[-1] == -1.0
-        assert np.all(lp.c[:-1] == 0.0)
+        assert model.cost[-1] == -1.0
+        assert np.all(model.cost[:-1] == 0.0)
 
     def test_reduction_rows(self, tiny_instance):
-        lp = maxmin_to_lp(tiny_instance)
+        model = _reduction(tiny_instance)
         # First block: A x <= 1 (ω coefficient 0); second: ω - C x <= 0.
-        # The reduction is assembled sparse end-to-end.
-        assert lp.is_sparse
-        assert lp.A_ub.shape == (2, 3)
-        dense = lp.A_ub.toarray()
+        dense = sp.csr_matrix(
+            (model.value, model.index, model.start), shape=(2, 3)
+        ).toarray()
         np.testing.assert_allclose(dense[0], [1.0, 1.0, 0.0])
         np.testing.assert_allclose(dense[1], [-1.0, -1.0, 1.0])
-        np.testing.assert_allclose(lp.b_ub, [1.0, 0.0])
+        np.testing.assert_allclose(model.row_upper, [1.0, 0.0])
 
     def test_reduction_optimum_matches_objective(self, asymmetric_instance):
         result = solve_max_min(asymmetric_instance)
@@ -88,8 +102,8 @@ class TestSolveMaxMin:
         )
 
 
-def _packing_probe(problem, target: float) -> LinearProgram:
-    """``min t  s.t.  A x − t·1 ≤ 0,  C x ≥ target,  x, t ≥ 0``.
+def _packing_probe(problem, target: float):
+    """``linprog`` on ``min t  s.t.  A x − t·1 ≤ 0,  C x ≥ target,  x, t ≥ 0``.
 
     A second formulation of the max-min LP: the probe's optimum is
     ``target / ω*``, so it is at most 1 exactly when ``target ≤ ω*``.
@@ -105,7 +119,7 @@ def _packing_probe(problem, target: float) -> LinearProgram:
     b_ub = np.concatenate([np.zeros(n_i), np.full(problem.n_beneficiaries, -target)])
     c = np.zeros(n + 1)
     c[-1] = 1.0
-    return LinearProgram(c=c, A_ub=A_ub, b_ub=b_ub, bounds=[(0.0, None)] * (n + 1))
+    return linprog(c=c, A_ub=A_ub, b_ub=b_ub, bounds=(0.0, None), method="highs")
 
 
 class TestPackingProbe:
@@ -119,8 +133,8 @@ class TestPackingProbe:
         # largest resource usage needed) crosses 1 right at ω*.
         problem = request.getfixturevalue(fixture)
         omega = solve_max_min(problem).objective
-        below = solve_lp(_packing_probe(problem, omega * (1.0 - 1e-6)))
-        above = solve_lp(_packing_probe(problem, omega * (1.0 + 1e-6)))
-        assert below.is_optimal and above.is_optimal
-        assert below.objective <= 1.0
-        assert above.objective > 1.0
+        below = _packing_probe(problem, omega * (1.0 - 1e-6))
+        above = _packing_probe(problem, omega * (1.0 + 1e-6))
+        assert below.status == 0 and above.status == 0
+        assert below.fun <= 1.0
+        assert above.fun > 1.0

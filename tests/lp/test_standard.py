@@ -1,57 +1,10 @@
-"""Unit tests for the LinearProgram description."""
+"""Unit tests for the LP result record."""
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from repro.lp import LinearProgram, LPResult, LPStatus
-
-
-class TestConstruction:
-    def test_defaults(self):
-        lp = LinearProgram(c=[1.0, 2.0])
-        assert lp.n_variables == 2
-        assert lp.n_inequalities == 0
-        assert lp.n_equalities == 0
-        assert lp.bounds == [(0.0, None), (0.0, None)]
-
-    def test_dimension_checks(self):
-        with pytest.raises(ValueError):
-            LinearProgram(c=[[1.0, 2.0]])
-        with pytest.raises(ValueError):
-            LinearProgram(c=[1.0, 2.0], A_ub=[[1.0]], b_ub=[1.0])
-        with pytest.raises(ValueError):
-            LinearProgram(c=[1.0], A_ub=[[1.0]], b_ub=[1.0, 2.0])
-        with pytest.raises(ValueError):
-            LinearProgram(c=[1.0], A_eq=[[1.0, 2.0]], b_eq=[1.0])
-        with pytest.raises(ValueError):
-            LinearProgram(c=[1.0, 2.0], bounds=[(0, None)])
-
-    def test_objective_value(self):
-        lp = LinearProgram(c=[1.0, -2.0])
-        assert lp.objective_value([3.0, 1.0]) == pytest.approx(1.0)
-
-
-class TestFeasibility:
-    def test_inequality_and_bounds(self):
-        lp = LinearProgram(
-            c=[1.0, 1.0], A_ub=[[1.0, 1.0]], b_ub=[1.0], bounds=[(0, None), (0, 2)]
-        )
-        assert lp.is_feasible([0.5, 0.5])
-        assert not lp.is_feasible([0.8, 0.8])
-        assert not lp.is_feasible([-0.1, 0.0])
-        assert not lp.is_feasible([0.0, 2.5])
-        assert not lp.is_feasible([0.5])  # wrong shape
-
-    def test_equality(self):
-        lp = LinearProgram(c=[1.0, 1.0], A_eq=[[1.0, 1.0]], b_eq=[1.0])
-        assert lp.is_feasible([0.25, 0.75])
-        assert not lp.is_feasible([0.25, 0.25])
-
-    def test_free_variables(self):
-        lp = LinearProgram(c=[1.0], bounds=[(None, None)])
-        assert lp.is_feasible([-10.0])
+from repro.lp import LPResult, LPStatus
 
 
 class TestLPResult:

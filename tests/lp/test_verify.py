@@ -15,7 +15,6 @@ from repro.lp import (
     DEFAULT_TOL,
     SolutionCertificate,
     verify_engine_payload,
-    verify_lp_solution,
     verify_safe_ratio,
     verify_solution,
 )
@@ -156,24 +155,3 @@ class TestVerifyEnginePayload:
             verify_engine_payload(
                 compiled, cycle.agents, {"nope": 1}, kind="maxmin_exact"
             )
-
-
-class TestVerifyLPSolution:
-    def test_round_trip_via_backend(self, cycle):
-        from repro.lp.backends import solve_lp
-
-        lp = CompiledMaxMin.from_problem(cycle).lp()
-        result = solve_lp(lp)
-        cert = verify_lp_solution(lp, result)
-        assert cert.kind == "lp"
-
-    def test_rejects_corrupted_objective(self, cycle):
-        from dataclasses import replace
-
-        from repro.lp.backends import solve_lp
-
-        lp = CompiledMaxMin.from_problem(cycle).lp()
-        result = solve_lp(lp)
-        bad = replace(result, objective=result.objective + 1.0)
-        with pytest.raises(VerificationError, match="mismatch"):
-            verify_lp_solution(lp, bad)

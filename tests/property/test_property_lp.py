@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from hypothesis import HealthCheck, given, settings
 
-from repro.lp import maxmin_to_lp, solve_max_min
+from repro.lp import CompiledMaxMin, solve_max_min
+from repro.lp.backends import HIGHS_INF
+from repro.lp.maxmin import _stack_maxmin_buffers
 
 from .strategies import max_min_instances
 
@@ -19,9 +21,12 @@ class TestMaxMinReductionProperties:
     @given(problem=max_min_instances())
     @settings(**COMMON_SETTINGS)
     def test_reduction_dimensions(self, problem):
-        lp = maxmin_to_lp(problem)
-        assert lp.n_variables == problem.n_agents + 1
-        assert lp.n_inequalities == problem.n_resources + problem.n_beneficiaries
+        model, _, _ = _stack_maxmin_buffers(
+            [CompiledMaxMin.from_problem(problem).to_buffers()]
+        )
+        assert model.cost.size == problem.n_agents + 1
+        assert model.row_upper.size == problem.n_resources + problem.n_beneficiaries
+        assert (model.row_lower == -HIGHS_INF).all()  # every row an inequality
 
     @given(problem=max_min_instances())
     @settings(**COMMON_SETTINGS)

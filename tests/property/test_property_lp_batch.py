@@ -7,7 +7,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.lp import CompiledMaxMin, LPStatus, solve_lp
+from lp_reference import reduction, rowwise
+from repro.lp import CompiledMaxMin, LPStatus, solve_lp, verify_solution
 from repro.lp.maxmin import solve_maxmin_buffer_batch
 
 COMMON_SETTINGS = dict(
@@ -60,7 +61,7 @@ class TestStackedEqualsPerLP:
             if slow_status == LPStatus.OPTIMAL.value:
                 # Both vectors are (x, ω): compare the optimal ω's.
                 assert fast_x[-1] == pytest.approx(slow_x[-1], abs=1e-7)
-                assert unit.lp().is_feasible(fast_x, tol=1e-6)
+                verify_solution(unit, (fast_x[:-1], fast_x[-1]), tol=1e-6)
 
     @given(unit=maxmin_units())
     @settings(**COMMON_SETTINGS)
@@ -68,7 +69,7 @@ class TestStackedEqualsPerLP:
         ((status, x),) = solve_maxmin_buffer_batch(
             [unit.to_buffers()], strategy="stacked"
         )
-        solo = solve_lp(unit.lp())
+        solo = solve_lp(rowwise(**reduction(unit)))
         assert status == solo.status.value
         if solo.x is None:
             assert x is None
