@@ -9,7 +9,7 @@ material of the THM-SAFE and THM3 experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Optional, Sequence
+from typing import Callable, Dict, Mapping, Optional
 
 from ..core.optimal import optimal_objective
 from ..core.problem import Agent, MaxMinLP

@@ -19,7 +19,7 @@ The mapping onto the max-min LP mirrors the sensor-network case:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 

@@ -21,7 +21,7 @@ algorithms are local: nothing beyond the constant-radius view is ever used.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Set
 
 from ..core.local_averaging import solve_local_lp

@@ -48,7 +48,7 @@ from __future__ import annotations
 import time
 import warnings
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Any,

@@ -16,7 +16,7 @@ used by the growth benchmarks.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 

@@ -17,7 +17,7 @@ perturbs the coefficients for less regular benchmarks.
 from __future__ import annotations
 
 from itertools import product
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 

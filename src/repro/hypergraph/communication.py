@@ -15,7 +15,7 @@ to compare against prior work on packing LPs where ``|V_k|`` is unbounded
 
 from __future__ import annotations
 
-from typing import Hashable, Tuple
+from typing import Hashable
 
 from ..core.problem import MaxMinLP
 from .hypergraph import Hypergraph

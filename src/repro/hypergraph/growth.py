@@ -20,7 +20,7 @@ Theorem 3 ratio bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Tuple
 
 from .hypergraph import Hypergraph
 

@@ -20,7 +20,7 @@ ball's frontier by one step at once.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
 import scipy.sparse as sp

@@ -34,7 +34,6 @@ from typing import (
     Dict,
     FrozenSet,
     Hashable,
-    List,
     Mapping,
     Optional,
     Tuple,
@@ -46,7 +45,7 @@ from ..generators.bipartite import girth, regular_bipartite_with_girth
 from ..hypergraph.communication import communication_hypergraph
 from ..hypergraph.hypergraph import Hypergraph
 from .bounds import finite_R_bound, theorem1_bound
-from .hypertree import HyperTree, complete_hypertree
+from .hypertree import complete_hypertree
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     import networkx as nx

@@ -29,7 +29,7 @@ It is the "executable proof" counterpart of the empirical adversary in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import List, Mapping, Optional, Tuple
 
 from ..core.problem import Agent
 from .construction import LowerBoundInstance, QNode

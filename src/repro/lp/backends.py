@@ -28,15 +28,15 @@ The model is a :class:`RowwiseLP`, the one LP form in ``src/``: the
 Section 1.3 reductions are assembled in it directly from CSR buffers
 (:mod:`repro.lp.maxmin`), and it reaches HiGHS through the binding's array
 overload of ``passModel``.  The parity sweep builds its ``RowwiseLP`` and
-the matching ``linprog`` arguments with a test-only helper.  On the 267
-local LPs of perfbench's ``suite_random`` (seed 1), solved per LP in
-chunks of 64 as the engine does, assembly plus solve is about 0.5 ms a
-call, of which HiGHS's own ``run`` is 0.2-0.3 ms (Intel Xeon, 2 cores,
-SciPy 1.17.1).  Each call builds a fresh HiGHS instance, as ``linprog``
-does.  Reusing one instance per thread would save 0.1-0.2 ms a call, but
-per-call savings are what the stacked strategy (:mod:`repro.lp.batch`)
-lives on: with reuse the LP-BATCH torus speed-up floor in
-``benchmarks/test_bench_lp_batch.py`` no longer holds.
+the matching ``linprog`` arguments with a test-only helper.
+
+``linprog`` builds a fresh HiGHS instance for every call; here each thread
+keeps one (:func:`_run_highs`), built and given the options on its first
+call in the process and cleared before each model, and every result stays
+bit-identical.  On the 267 local LPs of perfbench's ``suite_random`` (seed
+1), solved per LP as the engine does, assembly plus solve is 0.49-0.53 ms
+a call this way against 0.71-0.75 ms with a fresh instance per call (best
+of 7, Intel Xeon, 2 cores, SciPy 1.17.1).
 """
 
 from __future__ import annotations
@@ -241,11 +241,22 @@ class RowwiseLP(NamedTuple):
     value: np.ndarray
 
 
-def _run_highs(model: RowwiseLP) -> HiGHSResult:
-    """Solve ``model`` in a fresh HiGHS instance, as ``linprog`` would.
+#: Each thread's HiGHS instance (``instance``) and the process id it was
+#: built in (``pid``): a forked worker inherits the forking thread's entry
+#: and must build its own.
+_thread_highs: threading.local = threading.local()
 
-    A solution outside ``linprog``'s tolerance is demoted from status 0 to
-    4, as ``linprog``'s post-solve check does.
+
+def _run_highs(model: RowwiseLP) -> HiGHSResult:
+    """Solve ``model`` as ``linprog`` would, in this thread's HiGHS instance.
+
+    The instance is built, and given ``linprog``'s options, on the thread's
+    first call in this process; an instance whose options were rejected is
+    not kept.  A reused instance is emptied with ``clearModel`` (model,
+    basis and solution go; the options stay), so every call starts from
+    the state of a fresh instance.  A solution outside ``linprog``'s
+    tolerance is demoted from status 0 to 4, as ``linprog``'s post-solve
+    check does.
     """
     n = model.cost.size
     if not (
@@ -258,11 +269,21 @@ def _run_highs(model: RowwiseLP) -> HiGHSResult:
             "LP needs at least one variable and finite c, A_ub, b_ub, A_eq "
             "and b_eq"
         )
+    highs = getattr(_thread_highs, "instance", None)
+    options_failed = False
+    if highs is not None and _thread_highs.pid == os.getpid():
+        highs.clearModel()
+    else:
+        highs = _highs._Highs()
+        options_failed = (
+            highs.passOptions(_HIGHS_OPTIONS) == _highs.HighsStatus.kError
+        )
+        if not options_failed:
+            _thread_highs.instance, _thread_highs.pid = highs, os.getpid()
     # The array overload of passModel reads the buffers directly; a HighsLp
     # would copy every field element by element (about 8x slower on a
     # 50-block stack).  Every column is continuous.
-    highs = _highs._Highs()
-    if highs.passOptions(_HIGHS_OPTIONS) == _highs.HighsStatus.kError:
+    if options_failed:
         model_status = highs.getModelStatus()
     elif (
         highs.passModel(

@@ -9,9 +9,7 @@ from repro import (
     ResultCache,
     RunRegistry,
     cycle_instance,
-    grid_instance,
     local_averaging_solution,
-    random_bounded_degree_instance,
 )
 from repro.analysis import radius_sweep, safe_ratio_sweep
 from repro.core.baselines import single_shot_local_solution, unshrunk_averaging_solution

@@ -16,7 +16,6 @@ import pytest
 from repro import (
     BatchSolver,
     ResultCache,
-    cycle_instance,
     grid_instance,
     local_averaging_solution,
     safe_solution,

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro import communication_hypergraph
 from repro.hypergraph import BeneficiaryEdge, ResourceEdge
 

@@ -22,7 +22,6 @@ from repro import (
     unit_disk_instance,
 )
 from repro.analysis import compare_algorithms, radius_sweep
-from repro.apps import random_sensor_network
 from repro.distributed import LocalAveragingProgram, SafeProgram, SynchronousSimulator
 
 

@@ -6,7 +6,6 @@ import networkx as nx
 import pytest
 
 from repro import ConstructionError, optimal_objective, safe_solution
-from repro.generators import girth
 from repro.hypergraph import communication_hypergraph
 from repro.lowerbound import build_lower_bound_instance
 

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import inspect
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from lp_reference import rowwise
 from repro import SolverError
-from repro.lp import LPStatus, solve_lp
-from repro.lp.backends import check_backend
+from repro.lp import LPStatus, backends, solve_lp
+from repro.lp.backends import call_highs, check_backend
 
 
 def _callables_without_backend():
@@ -85,8 +87,6 @@ class TestDispatch:
     @pytest.mark.parametrize("status", [1, 4, 99])
     def test_unknown_scipy_status_raises_with_context(self, monkeypatch, status):
         """Unexpected scipy statuses raise instead of returning a silent ERROR."""
-        from repro.lp import backends
-
         fake = backends.HiGHSResult(status, None, None, "synthetic failure")
         monkeypatch.setattr(backends, "_run_highs", lambda lp: fake)
         lp = rowwise(c=[1.0, 2.0], A_ub=[[1.0, 1.0]], b_ub=[1.0])
@@ -98,3 +98,65 @@ class TestDispatch:
         assert "2 variables" in message
         assert "1 inequality" in message
         assert "synthetic failure" in message
+
+
+class TestInstanceReuse:
+    """``_run_highs`` builds one HiGHS instance per thread and process."""
+
+    LP = rowwise(c=[-1.0, -1.0], A_ub=[[1.0, 2.0], [3.0, 1.0]], b_ub=[4.0, 6.0])
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Every HiGHS instance built while the test runs."""
+        instances = []
+        real = backends._highs._Highs
+
+        def counting_highs():
+            instances.append(real())
+            return instances[-1]
+
+        monkeypatch.setattr(backends._highs, "_Highs", counting_highs)
+        return instances
+
+    def _solve(self, times: int) -> None:
+        for _ in range(times):
+            result = call_highs(self.LP)
+            assert result.status == 0 and result.fun == pytest.approx(-2.8)
+
+    def _in_new_thread(self, fn, *args) -> None:
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            pool.submit(fn, *args).result(timeout=60)
+
+    def test_one_instance_per_thread(self, built):
+        self._in_new_thread(self._solve, 50)
+        assert len(built) == 1
+        self._in_new_thread(self._solve, 50)
+        assert len(built) == 2
+
+    def test_a_new_process_id_builds_a_new_instance(self, built, monkeypatch):
+        # A forked worker inherits the forking thread's instance; it must not
+        # solve in it.
+        def solve_across_a_fork():
+            self._solve(2)
+            assert len(built) == 1
+            child = os.getpid() + 1
+            monkeypatch.setattr(backends.os, "getpid", lambda: child)
+            self._solve(2)
+
+        self._in_new_thread(solve_across_a_fork)
+        assert len(built) == 2
+
+    def test_instance_with_rejected_options_is_not_kept(self, built, monkeypatch):
+        rejected = backends._highs.HighsOptions()
+        rejected.presolve = "bogus"
+
+        def solve_with_rejected_then_good_options():
+            with monkeypatch.context() as patch:
+                patch.setattr(backends, "_HIGHS_OPTIONS", rejected)
+                for _ in range(2):
+                    assert call_highs(self.LP).status == 4
+            assert len(built) == 2
+            self._solve(2)
+
+        self._in_new_thread(solve_with_rejected_then_good_options)
+        assert len(built) == 3

@@ -294,18 +294,6 @@ class TestCompiledMaxMin:
 class TestMaxMinBatch:
     PROBLEMS = [cycle_instance(8), grid_instance((3, 3)), path_instance(5)]
 
-    def test_per_lp_batch_equals_per_instance(self):
-        buffers = [
-            CompiledMaxMin.from_problem(problem).to_buffers()
-            for problem in self.PROBLEMS
-        ]
-        batch = solve_maxmin_buffer_batch(buffers, strategy="per-lp")
-        for problem, (status, x) in zip(self.PROBLEMS, batch):
-            solo = solve_max_min(problem)
-            assert status == LPStatus.OPTIMAL.value
-            assert x[-1] == solo.objective
-            assert problem.from_array(np.clip(x[:-1], 0.0, None)) == solo.x
-
     def test_stacked_batch_same_optima(self):
         buffers = [
             CompiledMaxMin.from_problem(problem).to_buffers()

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import MaxMinLP
 from repro.core import optimal_solution, safe_solution
 from repro.engine import BatchSolver, ResultCache
 from repro.exceptions import VerificationError

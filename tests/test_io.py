@@ -6,7 +6,6 @@ import pytest
 
 from repro import (
     dump_instance,
-    grid_instance,
     instance_from_dict,
     instance_to_dict,
     load_instance,
