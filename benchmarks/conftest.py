@@ -13,9 +13,12 @@ fixtures are the one copy of that HTTP protocol they share.
 
 from __future__ import annotations
 
+import json
+import os
 import time
 import urllib.request
 from contextlib import contextmanager
+from pathlib import Path
 from typing import Callable, Iterator, List, Optional, Tuple
 
 import pytest
@@ -34,6 +37,22 @@ def emit(title: str, text: str) -> None:
 def report():
     """The ``emit`` helper as a fixture (keeps benchmark signatures tidy)."""
     return emit
+
+
+@pytest.fixture(scope="session")
+def bench_out():
+    """Write a benchmark's measured JSON to ``REPRO_BENCH_OUT``, when set.
+
+    Tests call it before their floor assertions, so a run that fails a
+    gate still leaves its numbers behind.
+    """
+
+    def write(payload) -> None:
+        out = os.environ.get("REPRO_BENCH_OUT")
+        if out:
+            Path(out).write_text(json.dumps(payload, indent=2))
+
+    return write
 
 
 @contextmanager

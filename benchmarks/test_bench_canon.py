@@ -33,10 +33,8 @@ the paper.
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from pathlib import Path
 
 import pytest
 
@@ -127,7 +125,7 @@ def measurements():
     return rows
 
 
-def test_canon_solve_collapse_and_speedup(measurements, report):
+def test_canon_solve_collapse_and_speedup(measurements, report, bench_out):
     """Acceptance: distinct solves collapse n -> O(#classes), torus >= 5x."""
     report(
         "CANON: canonical solve-sharing vs per-agent baseline"
@@ -140,6 +138,7 @@ def test_canon_solve_collapse_and_speedup(measurements, report):
             for row in measurements.values()
         ),
     )
+    bench_out({"quick": QUICK, "rows": list(measurements.values())})
     torus = measurements["torus"]
     assert torus["shared_solves"] <= 5, "torus must collapse to <= 5 solves"
     for row in measurements.values():
@@ -157,14 +156,6 @@ def test_canon_solve_collapse_and_speedup(measurements, report):
         # Orbit counts stay O(#positional classes): far below n even on the
         # boundary-heavy grid family (whose class count is n-independent).
         assert row["shared_solves"] <= max(5, row["n_agents"] // 4)
-
-    out = os.environ.get("REPRO_BENCH_OUT")
-    if out:
-        Path(out).write_text(
-            json.dumps(
-                {"quick": QUICK, "rows": list(measurements.values())}, indent=2
-            )
-        )
 
 
 def test_orbit_counts_match_partition(measurements):

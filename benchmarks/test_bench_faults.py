@@ -27,10 +27,8 @@ of the paper.
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from pathlib import Path
 
 import pytest
 
@@ -160,7 +158,7 @@ def measurements(solve_server, warm_replay):
     }
 
 
-def test_faults_idle_overhead_under_two_percent(measurements, report):
+def test_faults_idle_overhead_under_two_percent(measurements, report, bench_out):
     """Acceptance: an idle fault plan costs < 2% of the warm serve path."""
     overhead = measurements["faults_overhead"]
     report(
@@ -178,6 +176,7 @@ def test_faults_idle_overhead_under_two_percent(measurements, report):
             f"{1 / overhead['speedup']:.3f})"
         ),
     )
+    bench_out(measurements)
     # A request that solves consults the seams; if none did, the implied
     # overhead below would be 0 by construction and prove nothing.
     assert overhead["checks_per_request"] > 0, (
@@ -202,10 +201,6 @@ def test_faults_idle_overhead_under_two_percent(measurements, report):
             "an idle fault plan must not slow the quick warm replay below "
             f"0.595x; measured {overhead['speedup']:.3f}x"
         )
-
-    out = os.environ.get("REPRO_BENCH_OUT")
-    if out:
-        Path(out).write_text(json.dumps(measurements, indent=2))
 
 
 def test_faults_chaos_injects_and_masks(measurements, report):

@@ -55,11 +55,9 @@ the paper.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import time
-from pathlib import Path
 
 import pytest
 
@@ -178,7 +176,7 @@ def test_single_highs_call_for_all_feasible_batch():
     assert all(status == LPStatus.OPTIMAL.value for status, _ in results)
 
 
-def test_lp_batch_speedups(measurements, report):
+def test_lp_batch_speedups(measurements, report, bench_out):
     """Acceptance: exact HiGHS calls and >= 1.0x e2e on the torus run."""
     e2e = measurements["lp_batch_e2e"]
     report(
@@ -190,6 +188,7 @@ def test_lp_batch_speedups(measurements, report):
             f"({e2e['speedup']:.2f}x)"
         ),
     )
+    bench_out(measurements)
     # Exact, so a stacked path that degrades toward one call per LP fails
     # here whatever the timings.
     assert e2e["per_lp_highs_calls"] == [E2E_HIGHS_CALLS["per-lp"]] * REPEATS
@@ -198,10 +197,6 @@ def test_lp_batch_speedups(measurements, report):
         f"the {E2E_SHAPE[0]}x{E2E_SHAPE[1]} torus averaging run must not be "
         f"slower through the stacked engine; measured {e2e['speedup']:.2f}x"
     )
-
-    out = os.environ.get("REPRO_BENCH_OUT")
-    if out:
-        Path(out).write_text(json.dumps(measurements, indent=2))
 
 
 @pytest.mark.parametrize("family", sorted(FAMILY_PARAMS))

@@ -27,10 +27,8 @@ of the paper.
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from pathlib import Path
 
 import pytest
 
@@ -118,7 +116,7 @@ def measurements(warm_replay):
     }
 
 
-def test_obs_disabled_overhead_under_two_percent(measurements, report):
+def test_obs_disabled_overhead_under_two_percent(measurements, report, bench_out):
     """Acceptance: disabled tracing costs < 2% of the warm serve path."""
     overhead = measurements["obs_overhead"]
     report(
@@ -135,6 +133,7 @@ def test_obs_disabled_overhead_under_two_percent(measurements, report):
             f"{1 / overhead['speedup']:.3f})"
         ),
     )
+    bench_out(measurements)
     assert overhead["implied_overhead_pct"] < 2.0, (
         "disabled instrumentation must stay under 2% of the warm request "
         f"path; implied {overhead['implied_overhead_pct']:.3f}%"
@@ -150,10 +149,6 @@ def test_obs_disabled_overhead_under_two_percent(measurements, report):
             "tracing must not slow the quick warm replay below 0.595x; "
             f"measured {overhead['speedup']:.3f}x"
         )
-
-    out = os.environ.get("REPRO_BENCH_OUT")
-    if out:
-        Path(out).write_text(json.dumps(measurements, indent=2))
 
 
 def test_obs_warm_request_records_full_chain(measurements):

@@ -25,7 +25,6 @@ of the paper.
 
 from __future__ import annotations
 
-import json
 import os
 import tempfile
 import time
@@ -146,7 +145,7 @@ def measurements():
     }
 
 
-def test_recovery_verify_overhead_under_five_percent(measurements, report):
+def test_recovery_verify_overhead_under_five_percent(measurements, report, bench_out):
     """Acceptance: certifying cached reads costs < 5% of the warm path."""
     overhead = measurements["recovery_overhead"]
     report(
@@ -161,6 +160,7 @@ def test_recovery_verify_overhead_under_five_percent(measurements, report):
             f"(verify-on/off wall ratio {1 / overhead['speedup']:.3f})"
         ),
     )
+    bench_out(measurements)
     assert overhead["certificates"] > 0, (
         "the verified run certified nothing -- verify='cached' is not "
         "reaching the disk-read path and the benchmark proves nothing"
@@ -179,10 +179,6 @@ def test_recovery_verify_overhead_under_five_percent(measurements, report):
             "verify='cached' must not slow the quick warm re-run below "
             f"0.595x; measured {overhead['speedup']:.3f}x"
         )
-
-    out = os.environ.get("REPRO_BENCH_OUT")
-    if out:
-        Path(out).write_text(json.dumps(measurements, indent=2))
 
 
 def test_recovery_journal_append_is_cheap(measurements, report):

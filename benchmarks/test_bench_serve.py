@@ -35,7 +35,6 @@ import random
 import tempfile
 import threading
 import time
-from pathlib import Path
 from typing import List, Optional
 
 import pytest
@@ -163,7 +162,7 @@ def measurements(solve_server):
     }
 
 
-def test_serve_replay(measurements, report):
+def test_serve_replay(measurements, report, bench_out):
     """Acceptance: >= 98% hit rate, >= 4x vs solve-every-request, p99 bound."""
     replay = measurements["serve_replay"]
     report(
@@ -179,6 +178,7 @@ def test_serve_replay(measurements, report):
             f"({replay['speedup']:.2f}x)"
         ),
     )
+    bench_out(measurements)
     assert replay["hit_rate"] >= 0.98, (
         "the Zipf replay must be answered almost entirely from the cache; "
         f"measured hit rate {replay['hit_rate']:.2%}"
@@ -199,10 +199,6 @@ def test_serve_replay(measurements, report):
             "p99 request latency must stay on the cache path; measured "
             f"{replay['p99_ms']:.1f}ms"
         )
-
-    out = os.environ.get("REPRO_BENCH_OUT")
-    if out:
-        Path(out).write_text(json.dumps(measurements, indent=2))
 
 
 def test_serve_coalescing_invariant(measurements):

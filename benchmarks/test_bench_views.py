@@ -30,10 +30,8 @@ the paper.
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from pathlib import Path
 
 import pytest
 
@@ -114,7 +112,7 @@ def measurements():
     }
 
 
-def test_views_speedups(measurements, report):
+def test_views_speedups(measurements, report, bench_out):
     """Acceptance: >= 4x end-to-end on the 30x30 torus, >= 10x batch balls."""
     e2e, balls = measurements["e2e"], measurements["balls"]
     report(
@@ -129,6 +127,7 @@ def test_views_speedups(measurements, report):
             f"{balls['batch_seconds'] * 1000:.1f}ms ({balls['speedup']:.2f}x)"
         ),
     )
+    bench_out(measurements)
     if QUICK:
         assert e2e["speedup"] >= 1.54, (
             "the 16x16 torus quick run must stay >= 1.54x faster through the "
@@ -147,10 +146,6 @@ def test_views_speedups(measurements, report):
             "batch ball extraction must beat the per-agent loop by >= 10x; "
             f"measured {balls['speedup']:.2f}x"
         )
-
-    out = os.environ.get("REPRO_BENCH_OUT")
-    if out:
-        Path(out).write_text(json.dumps(measurements, indent=2))
 
 
 @pytest.mark.parametrize("family", sorted(FAMILY_PARAMS))

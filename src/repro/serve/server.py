@@ -35,18 +35,23 @@ and anything unexpected is a 500 with the exception's one-line rendering.
 ``POST /suite`` streams a failed scenario as an ``error`` record carrying
 the same type names and carries on with the next scenario.
 
-The server is :class:`http.server.ThreadingHTTPServer`-based: one thread
-per connection, which is exactly the concurrency the service's
-single-flight scheduler is built to absorb.
+The server is :class:`http.server.HTTPServer`-based with a thread per
+connection in flight, which is exactly the concurrency the service's
+single-flight scheduler is built to absorb.  A handler thread whose
+connection is done parks for the next one (up to a small cap) instead of
+exiting, so a steady stream of requests does not start an OS thread per
+request; a connection that finds no parked thread starts a new one, so
+``max_inflight`` stays the only concurrency limit.
 """
 
 from __future__ import annotations
 
 import json
+import queue
 import threading
 import warnings
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Tuple
+from http.server import BaseHTTPRequestHandler, HTTPServer
+from typing import Any, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from .. import __version__
@@ -66,6 +71,14 @@ DEFAULT_PORT = 8008
 #: Reject request bodies beyond this size with a 400 instead of reading
 #: them into memory; suite files are a few kilobytes, so 8 MiB is generous.
 MAX_BODY_BYTES = 8 * 1024 * 1024
+
+#: Handler threads kept parked for the next connection once theirs is
+#: done; the extra threads of a burst exit instead of lingering.  Sized
+#: for the serve benchmark's replay (``benchmarks/test_bench_serve.py``),
+#: 8 closed-loop clients: they keep at most 10 connections in flight (a
+#: client may send its next request before its last thread has parked),
+#: and three replays of 3000 requests start 15 threads with this cap.
+_MAX_PARKED_HANDLERS = 8
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -339,8 +352,13 @@ class _Handler(BaseHTTPRequestHandler):
             pass
 
 
-class ReproServer(ThreadingHTTPServer):
-    """The solve service bound to a socket; one handler thread per request.
+class ReproServer(HTTPServer):
+    """The solve service bound to a socket; a handler thread per connection.
+
+    Handler threads are daemons and are reused: a connection goes to a
+    parked thread when one is idle, and a new thread is started only when
+    none is.  A thread whose connection is done parks again, up to
+    ``_MAX_PARKED_HANDLERS``, and exits beyond that.
 
     Parameters
     ----------
@@ -356,7 +374,6 @@ class ReproServer(ThreadingHTTPServer):
         Re-enable ``http.server``'s per-request stderr log lines.
     """
 
-    daemon_threads = True
     allow_reuse_address = True
     # The stock listen backlog of 5 drops connections under a burst of
     # concurrent clients — exactly the coalescing workload this server is
@@ -371,6 +388,12 @@ class ReproServer(ThreadingHTTPServer):
         port: int = DEFAULT_PORT,
         verbose: bool = False,
     ) -> None:
+        # Set before binding: a failed bind calls server_close().
+        # One inbox per parked handler thread, with the thread itself so
+        # server_close can join it; ``None`` in an inbox tells it to exit.
+        self._parked: List[Tuple[threading.Thread, "queue.SimpleQueue[Any]"]] = []
+        self._parked_lock = threading.Lock()
+        self._closing = False
         super().__init__((host, port), _Handler)
         self.service = service
         self.verbose = verbose
@@ -388,6 +411,66 @@ class ReproServer(ThreadingHTTPServer):
     def url(self) -> str:
         return f"http://{self.host}:{self.port}"
 
+    def process_request(self, request: Any, client_address: Any) -> None:
+        """Hand the connection to a parked handler thread, or start one."""
+        with self._parked_lock:
+            if self._parked:
+                _, inbox = self._parked.pop()
+                inbox.put((request, client_address))
+                return
+        threading.Thread(
+            target=self._handle_connections,
+            args=(request, client_address),
+            name="repro-serve-handler",
+            daemon=True,
+        ).start()
+
+    def _handle_connections(self, request: Any, client_address: Any) -> None:
+        """A handler thread: serve connections while there is room to park."""
+        inbox: "queue.SimpleQueue[Any]" = queue.SimpleQueue()
+        while True:
+            try:
+                try:
+                    self.finish_request(request, client_address)
+                except Exception:
+                    self.handle_error(request, client_address)
+                # Park before the close, so a client that reads its reply
+                # to EOF finds this thread ready for its next connection.
+                # An exception that escapes the handler skips this: the
+                # thread dies and must not be handed another connection.
+                parked = self._park(inbox)
+            finally:
+                self.shutdown_request(request)
+            if not parked:
+                return
+            handoff = inbox.get()
+            if handoff is None:
+                return
+            request, client_address = handoff
+
+    def _park(self, inbox: "queue.SimpleQueue[Any]") -> bool:
+        """Park the calling thread on ``inbox``, unless the cap is reached."""
+        with self._parked_lock:
+            if self._closing or len(self._parked) >= _MAX_PARKED_HANDLERS:
+                return False
+            self._parked.append((threading.current_thread(), inbox))
+            return True
+
+    def server_close(self) -> None:
+        """Close the socket; wake the parked handler threads and join them.
+
+        A thread still busy with a request is a daemon and is not waited
+        for: :meth:`stop` has already given it ``timeout`` to drain.
+        """
+        super().server_close()
+        with self._parked_lock:
+            self._closing = True
+            parked, self._parked = self._parked, []
+        for _, inbox in parked:
+            inbox.put(None)
+        for thread, _ in parked:
+            thread.join()
+
     def start_background(self) -> "ReproServer":
         """Serve from a daemon thread; returns ``self`` for chaining."""
         thread = threading.Thread(
@@ -402,7 +485,8 @@ class ReproServer(ThreadingHTTPServer):
 
         Shutdown is graceful: no new connections are accepted, then
         in-flight requests get (up to) ``timeout`` seconds to finish
-        before the socket is closed.  A serving thread that survives the
+        before the socket is closed and the parked handler threads are
+        joined.  A serving thread that survives the
         join is a *leak*, not a success — the socket is force-closed and
         a :class:`RuntimeError` raised instead of returning silently with
         the port possibly still held.

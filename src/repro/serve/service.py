@@ -42,7 +42,6 @@ from .. import __version__
 from ..engine.cache import ResultCache
 from ..engine.executor import VERIFY_MODES
 from ..engine.fingerprint import fingerprint_data
-from ..engine.jobs import RunRegistry
 from ..engine.scheduler import SOURCE_SOLVED, RequestScheduler, UnitFailure
 from ..exceptions import ConstructionError, ScenarioError, VerificationError
 from ..faults import inject as _inject
@@ -113,11 +112,16 @@ def scenario_request_key(spec: ScenarioSpec, *, lp_strategy: str) -> str:
     deliberately *not* part of the key -- serial and pooled engines return
     bit-identical results.
     """
+    return _request_key(spec.scenario_id, lp_strategy)
+
+
+def _request_key(scenario_id: str, lp_strategy: str) -> str:
+    """:func:`scenario_request_key` from an already computed scenario id."""
     return fingerprint_data(
         {
             "kind": "serve_scenario",
             "version": 1,
-            "scenario_id": spec.scenario_id,
+            "scenario_id": scenario_id,
             "lp_strategy": lp_strategy,
         }
     )
@@ -201,7 +205,6 @@ class SolverService:
                 mode=mode,
                 max_workers=max_workers,
                 cache=engine_cache,
-                registry=RunRegistry(),
                 lp_strategy=lp_strategy,
                 lp_chunk_size=lp_chunk_size,
                 verify=verify,
@@ -507,13 +510,12 @@ class SolverService:
         """The deadline-free request path behind :meth:`solve_scenario`."""
         with self._metrics_lock:
             self._requests["scenario"] += 1
-        key = scenario_request_key(spec, lp_strategy=self.lp_strategy)
+        scenario_id = spec.scenario_id  # a SHA-256 of the spec: compute once
+        key = _request_key(scenario_id, self.lp_strategy)
         start = time.perf_counter()
         request_tracer = Tracer() if debug_trace else None
         with activate(request_tracer) if debug_trace else _NULL_CONTEXT:
-            with trace_span(
-                "serve.request", scenario=spec.scenario_id
-            ) as request_span:
+            with trace_span("serve.request", scenario=scenario_id) as request_span:
                 ((payload, source),) = self.scheduler.run(
                     [key],
                     [lambda: spec],
@@ -536,7 +538,7 @@ class SolverService:
         if isinstance(payload, UnitFailure):
             with self._metrics_lock:
                 self._requests["failed"] += 1
-            raise ScenarioSolveError(spec.scenario_id, payload.error)
+            raise ScenarioSolveError(scenario_id, payload.error)
         if verify and source != "cache":
             # Cache hits were certified by the validate hook above; fresh
             # (or coalesced) payloads get their certificate here.  A fresh
@@ -553,12 +555,12 @@ class SolverService:
                     self._requests["verify_failed"] += 1
                     self._requests["failed"] += 1
                 self.scenario_cache.quarantine_key(key)
-                raise ScenarioSolveError(spec.scenario_id, exc) from None
+                raise ScenarioSolveError(scenario_id, exc) from None
             registry.counter(
                 "serve.verify.passed", "scenario certificates accepted"
             ).inc()
         envelope = {
-            "scenario_id": spec.scenario_id,
+            "scenario_id": scenario_id,
             "source": source,
             "cached": source != SOURCE_SOLVED,
             "seconds": seconds,

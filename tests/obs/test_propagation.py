@@ -82,19 +82,13 @@ def test_disabled_tracer_records_nothing():
 def test_job_records_carry_stage_timings():
     """The scheduler persists per-job stage totals into the run registry."""
     from repro.engine import RunRegistry
-    from repro.serve.service import SolverService
 
-    service = SolverService()
-    try:
-        with tracing():
-            service.solve_scenario(SPEC)
-        registry: RunRegistry = service.runner.engine.registry
-        timed = [
-            job for job in registry.jobs if "stage_timings" in job.meta
-        ]
-        assert timed, "no job captured stage timings"
-        stages = timed[-1].meta["stage_timings"]
-        assert isinstance(stages, dict) and stages
-        assert all(v >= 0.0 for v in stages.values())
-    finally:
-        service.close()
+    registry = RunRegistry()
+    runner = SuiteRunner(cache=ResultCache(), registry=registry)
+    with tracing():
+        runner.run_suite([SPEC])
+    timed = [job for job in registry.jobs if "stage_timings" in job.meta]
+    assert timed, "no job captured stage timings"
+    stages = timed[-1].meta["stage_timings"]
+    assert isinstance(stages, dict) and stages
+    assert all(v >= 0.0 for v in stages.values())

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import math
 import threading
+import tracemalloc
 
 import pytest
 
@@ -180,6 +182,25 @@ class TestSolving:
             assert warm["result"] == cold["result"]
             # The warm answer required no LP work at all.
             assert second.runner.engine.stats.executed == 0
+
+    def test_cache_hits_leave_nothing_behind(self, service):
+        """A long-running server must not grow with the requests it
+        answers: a cache hit keeps no per-request record."""
+        spec = ScenarioSpec(family="cycle", params={"n": 8}, seed=1, radii=(1,))
+        for _ in range(20):  # the solve, then the first hits
+            service.solve_scenario(spec)
+        hits = 400
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            sources = {service.solve_scenario(spec)["source"] for _ in range(hits)}
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert sources == {"cache"}
+        assert grown < 16 * 1024, f"{hits} cache hits kept {grown} bytes"
 
 
 class TestObservability:
