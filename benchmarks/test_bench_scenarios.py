@@ -25,7 +25,6 @@ from repro.scenarios import (
     ScenarioGrid,
     SuiteRunner,
     SuiteSpec,
-    get_suite,
     stress_suite,
 )
 

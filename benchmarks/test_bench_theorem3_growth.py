@@ -22,7 +22,6 @@ from __future__ import annotations
 import pytest
 
 from repro import (
-    communication_hypergraph,
     cycle_instance,
     grid_instance,
     unit_disk_instance,

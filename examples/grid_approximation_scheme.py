@@ -23,7 +23,7 @@ Run with:  python examples/grid_approximation_scheme.py
 
 from __future__ import annotations
 
-from repro import communication_hypergraph, cycle_instance, grid_instance, unit_disk_instance
+from repro import cycle_instance, grid_instance, unit_disk_instance
 from repro.analysis import format_series, growth_sweep, radius_sweep, render_rows
 from repro.lowerbound import build_lower_bound_instance, theorem1_bound
 

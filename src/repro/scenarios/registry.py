@@ -190,13 +190,16 @@ def describe_families() -> List[Dict[str, str]]:
     return rows
 
 
-def validate_spec(spec: ScenarioSpec) -> None:
+def validate_spec(spec: ScenarioSpec) -> FamilyInfo:
     """Check that a spec resolves: known family, schema-accepted params.
 
     This is what ``suite run --dry-run`` exercises — it catches registry
-    and spec regressions without solving anything.
+    and spec regressions without solving anything.  Returns the family
+    that accepted the spec.
     """
-    get_family(spec.family).resolved_params(spec.params)
+    family = get_family(spec.family)
+    family.resolved_params(spec.params)
+    return family
 
 
 def build_instance(spec: ScenarioSpec) -> MaxMinLP:

@@ -24,6 +24,7 @@ receive the same canonical values no matter which route a spec travelled.
 
 from __future__ import annotations
 
+import functools
 import json
 import operator
 from dataclasses import dataclass, field
@@ -184,12 +185,14 @@ class ScenarioSpec:
     # ------------------------------------------------------------------
     # Identity and display
     # ------------------------------------------------------------------
-    @property
+    @functools.cached_property
     def scenario_id(self) -> str:
         """Stable content fingerprint (first 16 hex digits of SHA-256).
 
         The label is deliberately excluded: renaming a scenario must not
         change its identity (nor invalidate artefacts referring to it).
+        Computed once per spec object; it is not a field, so equality and
+        the hash ignore it.
         """
         return fingerprint_data(
             {

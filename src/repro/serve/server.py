@@ -5,6 +5,10 @@ Endpoints
 ``POST /solve``
     Body: one :meth:`ScenarioSpec.to_json` document.  Response: one JSON
     envelope ``{"scenario_id", "source", "cached", "seconds", "result"}``.
+    The body is handed to the service as bytes: a body the service has
+    parsed before is not decoded or parsed again, and the reply splices
+    in the cached text of a payload it has encoded before (see
+    :mod:`repro.serve.service`).
     With ``?debug=trace`` the envelope also carries a ``"trace"`` key: the
     request's per-stage span summary (see :mod:`repro.obs`).  With
     ``?verify=1`` the answer is certified before it is served (cached
@@ -144,7 +148,7 @@ class _Handler(BaseHTTPRequestHandler):
         self.service.count_error()
         self._send_json(status, {"error": {"type": type_, "message": message}})
 
-    def _read_body(self) -> str:
+    def _read_body(self) -> bytes:
         try:
             length = int(self.headers.get("Content-Length") or 0)
         except ValueError:
@@ -159,11 +163,7 @@ class _Handler(BaseHTTPRequestHandler):
                 f"request body of {length} bytes exceeds the "
                 f"{MAX_BODY_BYTES}-byte limit"
             )
-        raw = self.rfile.read(length)
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ServeRequestError(f"request body is not UTF-8: {exc}") from None
+        return self.rfile.read(length)
 
     # ------------------------------------------------------------------
     # Routes
@@ -277,18 +277,29 @@ class _Handler(BaseHTTPRequestHandler):
                 deadline_s = self._parse_deadline(query)
                 debug_trace = query.get("debug") == "trace"
                 with span("http.request", method="POST", path=path):
+                    body = self._read_body()
+                    try:
+                        verify = self._parse_verify(query)
+                    except ServeRequestError:
+                        # A body that is not UTF-8 is reported first.
+                        self.service.decode_body(body)
+                        raise
                     envelope = self.service.solve_scenario_json(
-                        self._read_body(),
+                        body,
                         debug_trace=debug_trace,
                         deadline_s=deadline_s,
-                        verify=self._parse_verify(query),
+                        verify=verify,
                     )
-                self._send_json(200, envelope)
+                self._send_body(
+                    200,
+                    (self.service.envelope_json(envelope) + "\n").encode("utf-8"),
+                    "application/json",
+                )
             elif path == "/suite":
                 # Parse + validate the whole suite *before* committing to a
                 # 200: ServeRequestError here still becomes a clean 400.
                 stream = self.service.iter_suite_json(
-                    self._read_body(),
+                    self.service.decode_body(self._read_body()),
                     deadline_s=self._parse_deadline(query),
                     verify=self._parse_verify(query),
                 )

@@ -22,6 +22,15 @@ tests (and embedders) can drive it directly:
   index, and the HiGHS calls made since the service started (the metrics
   registry's process-wide ``lp.highs.calls`` counter, less its value at
   construction) with a per-scrape-window delta.
+* **warm path** -- work the request bytes have already fixed is done once
+  per service: a body memo maps the raw ``POST /solve`` body to its parsed
+  spec and request key (a hit re-checks that the spec's registry family is
+  still the one that validated it), :meth:`SolverService.envelope_json`
+  reuses the JSON text of a payload it has already encoded, and a spec
+  whose instance cannot be built is answered from a map of construction
+  failures instead of being rebuilt.  All three maps are LRUs bounded by
+  :data:`_MEMO_ENTRIES`; the scheduler still answers every other request,
+  so the cache tiers, verification, spans and counters all still apply.
 
 Errors callers can fix -- malformed JSON, schema violations, unknown
 families -- raise :class:`ServeRequestError` (the HTTP layer's 400); the
@@ -35,6 +44,7 @@ import json
 import threading
 import time
 import warnings
+from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
@@ -42,13 +52,19 @@ from .. import __version__
 from ..engine.cache import ResultCache
 from ..engine.executor import VERIFY_MODES
 from ..engine.fingerprint import fingerprint_data
-from ..engine.scheduler import SOURCE_SOLVED, RequestScheduler, UnitFailure
+from ..engine.scheduler import (
+    SOURCE_FAILED,
+    SOURCE_SOLVED,
+    RequestScheduler,
+    UnitFailure,
+)
 from ..exceptions import ConstructionError, ScenarioError, VerificationError
 from ..faults import inject as _inject
 from ..obs.metrics import get_registry, render_prometheus
 from ..obs.trace import Tracer, activate, stage_summary
 from ..obs.trace import span as trace_span
 from ..scenarios.certify import certify_scenario_result
+from ..scenarios.registry import FamilyInfo, get_family, validate_spec
 from ..scenarios.runner import SuiteRunner
 from ..scenarios.spec import ScenarioSpec, SuiteSpec
 
@@ -63,6 +79,52 @@ __all__ = [
 #: Shared stateless stand-in for the request-local tracer activation when
 #: no ``debug_trace`` was asked for.
 _NULL_CONTEXT = contextlib.nullcontext()
+
+#: Entries kept by each of a service's warm-path maps: parsed request
+#: bodies, encoded payload texts and construction failures.  A warm client
+#: repeats a small set of scenarios (``serve_warm`` has 24), so 256 keeps
+#: them all at a few hundred bytes each.
+_MEMO_ENTRIES = 256
+
+#: Longer request bodies are parsed every time and never memoised, so the
+#: body memo holds at most ``_MEMO_ENTRIES`` times this many bytes.  A
+#: scenario spec is a few hundred bytes.
+_MEMO_MAX_BODY_BYTES = 16 * 1024
+
+
+class _LRU:
+    """A thread-safe map that forgets its least recently used entry."""
+
+    def __init__(self, max_entries: int) -> None:
+        self._entries: "OrderedDict[Any, Any]" = OrderedDict()
+        self._lock = threading.Lock()
+        self.max_entries = max_entries
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key: Any) -> Any:
+        """The value under ``key`` (now the most recent), or ``None``."""
+        with self._lock:
+            value = self._entries.get(key)
+            if value is not None:
+                self._entries.move_to_end(key)
+            return value
+
+    def put(self, key: Any, value: Any) -> None:
+        with self._lock:
+            self._entries[key] = value
+            self._entries.move_to_end(key)
+            if len(self._entries) > self.max_entries:
+                self._entries.popitem(last=False)
+
+
+def _is_current(family: FamilyInfo) -> bool:
+    """Whether ``family`` is still the registry's entry under its name."""
+    try:
+        return get_family(family.name) is family
+    except ScenarioError:
+        return False
 
 
 class ServeRequestError(ValueError):
@@ -237,6 +299,12 @@ class SolverService:
         self._highs = get_registry().counter("lp.highs.calls", "HiGHS invocations")
         self._highs_base = self._highs.value
         self._highs_last = 0
+        # Raw body -> (spec, its validating family, request key).
+        self._bodies = _LRU(_MEMO_ENTRIES)
+        # Scenario id -> (payload, json.dumps(payload)).
+        self._payload_texts = _LRU(_MEMO_ENTRIES)
+        # Request key -> the UnitFailure of a ConstructionError.
+        self._construction_failures = _LRU(_MEMO_ENTRIES)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -304,6 +372,14 @@ class SolverService:
     # Request parsing
     # ------------------------------------------------------------------
     @staticmethod
+    def decode_body(raw: bytes) -> str:
+        """A request body as text; one that is not UTF-8 is a 400."""
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ServeRequestError(f"request body is not UTF-8: {exc}") from None
+
+    @staticmethod
     def parse_scenario(text: str) -> ScenarioSpec:
         """Parse and registry-validate one scenario request body.
 
@@ -312,8 +388,11 @@ class SolverService:
         and unknown families (listing the registered ones) all surface as
         caller errors, never as tracebacks.
         """
-        from ..scenarios.registry import validate_spec
+        return SolverService._parse_and_validate(text)[0]
 
+    @staticmethod
+    def _parse_and_validate(text: str) -> Tuple[ScenarioSpec, FamilyInfo]:
+        """:meth:`parse_scenario`, also returning the validating family."""
         try:
             spec = ScenarioSpec.from_json(text)
         except json.JSONDecodeError as exc:
@@ -321,10 +400,28 @@ class SolverService:
         except (TypeError, ValueError) as exc:
             raise ServeRequestError(f"invalid scenario spec: {exc}") from None
         try:
-            validate_spec(spec)
+            return spec, validate_spec(spec)
         except ScenarioError as exc:
             raise ServeRequestError(str(exc)) from None
-        return spec
+
+    def _parse_body(self, body: Union[str, bytes]) -> Tuple[ScenarioSpec, str]:
+        """The validated spec and request key of one ``POST /solve`` body.
+
+        Memoised on the body itself: a repeated body is neither decoded,
+        parsed, validated nor hashed again, unless its family has since
+        been unregistered or replaced, in which case it is parsed afresh
+        (and an unknown family is the usual 400).  Only successful parses
+        are remembered, so a bad body fails the same way every time.
+        """
+        entry = self._bodies.get(body)
+        if entry is not None and _is_current(entry[1]):
+            return entry[0], entry[2]
+        text = self.decode_body(body) if isinstance(body, bytes) else body
+        spec, family = self._parse_and_validate(text)
+        key = _request_key(spec.scenario_id, self.lp_strategy)
+        if len(body) <= _MEMO_MAX_BODY_BYTES:
+            self._bodies.put(body, (spec, family, key))
+        return spec, key
 
     @staticmethod
     def parse_suite(text: str) -> Tuple[SuiteSpec, List[ScenarioSpec]]:
@@ -463,11 +560,29 @@ class SolverService:
         another waiter's request.  A failed solve raises
         :class:`ScenarioSolveError` carrying the scenario id.
         """
+        return self._solve(
+            spec,
+            _request_key(spec.scenario_id, self.lp_strategy),
+            debug_trace=debug_trace,
+            deadline_s=deadline_s,
+            verify=verify,
+        )
+
+    def _solve(
+        self,
+        spec: ScenarioSpec,
+        key: str,
+        *,
+        debug_trace: bool,
+        deadline_s: Optional[float],
+        verify: Optional[bool],
+    ) -> Dict[str, Any]:
+        """:meth:`solve_scenario` with the request key already computed."""
         deadline = deadline_s if deadline_s is not None else self.deadline_s
         do_verify = self._resolve_verify(verify)
         if deadline is None:
             return self._solve_scenario_inline(
-                spec, debug_trace=debug_trace, verify=do_verify
+                spec, key, debug_trace=debug_trace, verify=do_verify
             )
         done = threading.Event()
         box: Dict[str, Any] = {}
@@ -475,7 +590,7 @@ class SolverService:
         def work() -> None:
             try:
                 box["result"] = self._solve_scenario_inline(
-                    spec, debug_trace=debug_trace, verify=do_verify
+                    spec, key, debug_trace=debug_trace, verify=do_verify
                 )
             except BaseException as exc:
                 box["error"] = exc
@@ -503,6 +618,7 @@ class SolverService:
     def _solve_scenario_inline(
         self,
         spec: ScenarioSpec,
+        key: str,
         *,
         debug_trace: bool = False,
         verify: bool = False,
@@ -510,22 +626,25 @@ class SolverService:
         """The deadline-free request path behind :meth:`solve_scenario`."""
         with self._metrics_lock:
             self._requests["scenario"] += 1
-        scenario_id = spec.scenario_id  # a SHA-256 of the spec: compute once
-        key = _request_key(scenario_id, self.lp_strategy)
+        scenario_id = spec.scenario_id
         start = time.perf_counter()
         request_tracer = Tracer() if debug_trace else None
         with activate(request_tracer) if debug_trace else _NULL_CONTEXT:
             with trace_span("serve.request", scenario=scenario_id) as request_span:
-                ((payload, source),) = self.scheduler.run(
-                    [key],
-                    [lambda: spec],
-                    kind="serve_scenario",
-                    solve=self._solve_specs,
-                    details=True,
-                    validate=(
-                        self._scenario_validator(spec) if verify else None
-                    ),
-                )
+                failure = self._construction_failures.get(key)
+                if failure is not None:
+                    payload, source = failure, SOURCE_FAILED
+                else:
+                    ((payload, source),) = self.scheduler.run(
+                        [key],
+                        [lambda: spec],
+                        kind="serve_scenario",
+                        solve=self._solve_specs,
+                        details=True,
+                        validate=(
+                            self._scenario_validator(spec) if verify else None
+                        ),
+                    )
                 request_span.tag(source=source)
         seconds = time.perf_counter() - start
         registry = get_registry()
@@ -538,6 +657,11 @@ class SolverService:
         if isinstance(payload, UnitFailure):
             with self._metrics_lock:
                 self._requests["failed"] += 1
+            if failure is None and isinstance(payload.error, ConstructionError):
+                # The spec's generator fails the same way every time: keep
+                # the failure (without its frames) instead of rebuilding.
+                payload.error.with_traceback(None)
+                self._construction_failures.put(key, payload)
             raise ScenarioSolveError(scenario_id, payload.error)
         if verify and source != "cache":
             # Cache hits were certified by the validate hook above; fresh
@@ -577,19 +701,47 @@ class SolverService:
 
     def solve_scenario_json(
         self,
-        text: str,
+        body: Union[str, bytes],
         *,
         debug_trace: bool = False,
         deadline_s: Optional[float] = None,
         verify: Optional[bool] = None,
     ) -> Dict[str, Any]:
-        """``POST /solve`` semantics: parse, validate, solve, envelope."""
-        return self.solve_scenario(
-            self.parse_scenario(text),
+        """``POST /solve`` semantics: parse, validate, solve, envelope.
+
+        ``body`` is the request body as sent (bytes, decoded here as
+        UTF-8) or as text; a body seen before skips the parse (see
+        :meth:`_parse_body`).
+        """
+        spec, key = self._parse_body(body)
+        return self._solve(
+            spec,
+            key,
             debug_trace=debug_trace,
             deadline_s=deadline_s,
             verify=verify,
         )
+
+    def envelope_json(self, envelope: Dict[str, Any]) -> str:
+        """``json.dumps(envelope)``, reusing the text of a known payload.
+
+        The text of each result payload is kept under its scenario id and
+        reused only for that very payload object, so a payload that was
+        quarantined and re-solved is encoded afresh.  The envelope's other
+        values are encoded per request and joined around it in key order,
+        which gives exactly the bytes of ``json.dumps(envelope)``.
+        """
+        payload = envelope["result"]
+        entry = self._payload_texts.get(envelope["scenario_id"])
+        if entry is None or entry[0] is not payload:
+            entry = (payload, json.dumps(payload))
+            self._payload_texts.put(envelope["scenario_id"], entry)
+        return "{" + ", ".join(
+            json.dumps(name) + ": " + (
+                entry[1] if name == "result" else json.dumps(value)
+            )
+            for name, value in envelope.items()
+        ) + "}"
 
     def iter_suite_json(
         self,
