@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import time
 import urllib.request
 from contextlib import contextmanager
@@ -25,6 +26,13 @@ import pytest
 
 from repro.scenarios.spec import ScenarioSpec
 from repro.serve import ReproServer, SolverService
+
+# Benchmarks import the test-only references as ``tests.<module>``.
+# ``python -m pytest`` puts the repository root on ``sys.path``; a bare
+# ``pytest`` does not, so put it there for both.
+_REPO_ROOT = str(Path(__file__).resolve().parent.parent)
+if _REPO_ROOT not in sys.path:
+    sys.path.insert(0, _REPO_ROOT)
 
 
 def emit(title: str, text: str) -> None:

@@ -50,6 +50,7 @@ from repro.lp.backends import count_highs_calls
 from repro.lp.maxmin import solve_max_min
 from repro.scenarios.registry import build_instance
 from repro.scenarios.spec import ScenarioSpec
+from tests.averaging_reference import local_averaging_reference
 
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
 
@@ -169,13 +170,12 @@ def test_orbit_counts_match_partition(measurements):
 def test_shared_path_bit_identical_on_grid(measurements):
     """Bit-identity spot check at benchmark scale (grid family).
 
-    The shared (canonical, vectorized) path against the scalar per-agent
-    reference, which canonicalises and pulls back one view at a time.
+    The shared (canonical, batched) pipeline against the test-only
+    per-agent reference ``local_averaging_reference``, which canonicalises
+    and pulls back one view at a time.
     """
     problem, R = FAMILIES["grid"]
     shared = local_averaging_solution(problem, R, engine=BatchSolver())
-    scalar = local_averaging_solution(
-        problem, R, engine=BatchSolver(), vectorized=False
-    )
+    scalar = local_averaging_reference(problem, R, engine=BatchSolver())
     assert shared.x == scalar.x
     assert shared.local_objectives == scalar.local_objectives

@@ -7,14 +7,14 @@ structure extraction and one canonicalisation per agent.  The
 sparse-matrix sweeps.  This benchmark pins the acceptance criteria:
 
 * **end-to-end**: ``local_averaging_solution`` on the 30x30 unit torus
-  must be at least **4x** faster through the vectorized pipeline than
-  through the scalar reference path (``vectorized=False`` -- the
-  per-agent pipeline, kept callable exactly for this comparison);
+  must be at least **4x** faster than the per-agent scalar reference
+  ``local_averaging_reference`` (``tests/averaging_reference.py``: one
+  BFS ball, canonicalisation and set loop per agent, test-only);
 * **ball extraction**: the batch membership kernel must beat a per-agent
   ``Hypergraph.ball`` loop by at least **10x** (48x48 torus, R=3);
-* **bit-identity**: on every scenario family in the registry the two
-  paths agree *exactly* -- same floats in ``x``, ``beta`` and the
-  objective, not just to tolerance.
+* **bit-identity**: on every scenario family in the registry the pipeline
+  and the reference agree *exactly* -- same floats in ``x``, ``beta`` and
+  the objective, not just to tolerance.
 
 Timings take the best of three runs per path (fresh engine and cache each
 run, so nothing is served from a warm cache).  Set ``REPRO_BENCH_QUICK=1``
@@ -40,6 +40,7 @@ from repro.hypergraph.communication import communication_hypergraph
 from repro.scenarios.registry import build_instance, list_families
 from repro.scenarios.spec import ScenarioSpec
 from repro.views import ball_membership
+from tests.averaging_reference import local_averaging_reference
 
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
 REPEATS = 3
@@ -69,14 +70,12 @@ def measurements():
     problem = grid_instance(e2e_shape, torus=True)
     scalar_s = vector_s = float("inf")
     for _ in range(REPEATS):
-        for vectorized in (False, True):
+        for solve in (local_averaging_reference, local_averaging_solution):
             engine = BatchSolver(cache=ResultCache())
             start = time.perf_counter()
-            local_averaging_solution(
-                problem, 2, engine=engine, vectorized=vectorized
-            )
+            solve(problem, 2, engine=engine)
             elapsed = time.perf_counter() - start
-            if vectorized:
+            if solve is local_averaging_solution:
                 vector_s = min(vector_s, elapsed)
             else:
                 scalar_s = min(scalar_s, elapsed)
@@ -150,7 +149,7 @@ def test_views_speedups(measurements, report, bench_out):
 
 @pytest.mark.parametrize("family", sorted(FAMILY_PARAMS))
 def test_bit_identical_on_every_registry_family(family):
-    """Exact float equality between scalar and vectorized paths, per family."""
+    """Exact float equality between the pipeline and the scalar reference."""
     assert set(FAMILY_PARAMS) == set(list_families()), (
         "a registered family is missing from the bit-identity sweep; "
         "add it to FAMILY_PARAMS"
@@ -159,12 +158,8 @@ def test_bit_identical_on_every_registry_family(family):
         family=family, params=FAMILY_PARAMS[family], seed=11, radii=(1,)
     )
     problem = build_instance(spec)
-    fast = local_averaging_solution(
-        problem, 1, engine=BatchSolver(), vectorized=True
-    )
-    slow = local_averaging_solution(
-        problem, 1, engine=BatchSolver(), vectorized=False
-    )
+    fast = local_averaging_solution(problem, 1, engine=BatchSolver())
+    slow = local_averaging_reference(problem, 1, engine=BatchSolver())
     assert fast.x == slow.x
     assert fast.beta == slow.beta
     assert fast.objective == slow.objective

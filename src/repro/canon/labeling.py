@@ -41,8 +41,9 @@ isomorphic pair.
 Determinism contract: the result depends only on the *set* of agents and
 coefficient entries handed in — not on their iteration order, not on the
 identifier values (except in the explicitly literal fallback), and not on
-any global state.  The vectorized and scalar averaging paths rely on this
-to produce bit-identical solutions.
+any global state.  The batched averaging pipeline relies on this to match
+its per-agent test reference (``tests/averaging_reference.py``) bit for
+bit.
 """
 
 from __future__ import annotations
@@ -525,9 +526,9 @@ def _build_canonicalizer(
 
     The identifier sort is what makes every downstream step independent of
     the caller's iteration order: the engine (canonicalising a compiled
-    sub-instance) and the scalar averaging reference (canonicalising a raw
-    view structure) reach identical internal indexings, hence identical
-    labelings, for the same view.
+    sub-instance) and the per-agent test reference (canonicalising a raw
+    view structure, ``tests/averaging_reference.py``) reach identical
+    internal indexings, hence identical labelings, for the same view.
     """
     agent_list = sorted(set(agents), key=_sort_key)
     cons_list = list(consumption)
@@ -1436,9 +1437,9 @@ def view_local_structure(
     Exactly the structure :meth:`~repro.core.problem.MaxMinLP.local_subproblem`
     compiles — every resource with support intersecting the view, clipped to
     it, and every beneficiary whose support is contained in it — but as
-    plain lists, without building matrices.  The scalar averaging
-    reference and :func:`repro.canon.partition_views` canonicalise views
-    straight from it, without compiling one sub-instance per view.
+    plain lists, without building matrices.  :func:`canonical_view_key`
+    and the per-agent test references canonicalise views straight from it,
+    without compiling one sub-instance per view.
     """
     keep = set(view)
     agents = list(keep)

@@ -20,15 +20,9 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..core.problem import Agent, MaxMinLP
-from ..hypergraph.communication import communication_hypergraph
 from ..hypergraph.hypergraph import Hypergraph
 from ..obs.trace import span
-from .labeling import (
-    DEFAULT_BRANCH_BUDGET,
-    CanonicalForm,
-    CanonicalIndex,
-    view_local_structure,
-)
+from .labeling import DEFAULT_BRANCH_BUDGET, CanonicalForm, CanonicalIndex
 
 __all__ = ["OrbitPartition", "ViewOrbit", "partition_views"]
 
@@ -100,9 +94,11 @@ def partition_views(
     hypergraph: Optional[Hypergraph] = None,
     branch_budget: int = DEFAULT_BRANCH_BUDGET,
     index: Optional[CanonicalIndex] = None,
-    vectorized: bool = True,
 ) -> OrbitPartition:
     """Partition the agents of ``problem`` into radius-``R`` view orbits.
+
+    Every view is canonicalised through the batch pipeline of
+    :mod:`repro.views`.
 
     Parameters
     ----------
@@ -120,56 +116,22 @@ def partition_views(
         across partitions (e.g. across the radii of a sweep); a fresh one
         is created otherwise.  Canonical forms are pure functions of the
         view structure, so sharing an index never changes the partition.
-    vectorized:
-        Canonicalise all views through the batch pipeline of
-        :mod:`repro.views` (the default) instead of one
-        :meth:`~repro.canon.labeling.CanonicalIndex.canonical_form` call
-        per view.  Both paths produce identical forms — the scalar path is
-        kept for the equality tests and the performance-comparison
-        benchmarks.
     """
+    from ..views.atlas import ViewAtlas
+
     if R < 1:
         raise ValueError("view orbits require a radius R >= 1")
     if index is None:
         index = CanonicalIndex(branch_budget=branch_budget)
 
     with span("canon.partition", agents=len(problem.agents), radius=R):
-        return _partition_views_impl(
-            problem,
-            R,
-            hypergraph=hypergraph,
-            index=index,
-            vectorized=vectorized,
-        )
-
-
-def _partition_views_impl(
-    problem: MaxMinLP,
-    R: int,
-    *,
-    hypergraph: Optional[Hypergraph],
-    index: CanonicalIndex,
-    vectorized: bool,
-) -> OrbitPartition:
-    """The traced body of :func:`partition_views`."""
-    forms: Dict[Agent, CanonicalForm]
-    if vectorized:
-        from ..views.atlas import ViewAtlas
-
         atlas = ViewAtlas.from_problem(problem, R, hypergraph=hypergraph)
         forms = atlas.canonical_forms(index)
-    else:
-        H = hypergraph if hypergraph is not None else communication_hypergraph(problem)
-        forms = {}
+        members: Dict[str, List[Agent]] = {}
         for u in problem.agents:
-            agents, cons, bens = view_local_structure(problem, H.ball(u, R))
-            forms[u] = index.canonical_form(agents, cons, bens)
-
-    members: Dict[str, List[Agent]] = {}
-    for u in problem.agents:
-        members.setdefault(forms[u].key, []).append(u)
-    orbits = tuple(
-        ViewOrbit(key=key, members=tuple(agents), form=forms[agents[0]])
-        for key, agents in members.items()
-    )
-    return OrbitPartition(R=R, orbits=orbits, forms=forms)
+            members.setdefault(forms[u].key, []).append(u)
+        orbits = tuple(
+            ViewOrbit(key=key, members=tuple(agents), form=forms[agents[0]])
+            for key, agents in members.items()
+        )
+        return OrbitPartition(R=R, orbits=orbits, forms=forms)

@@ -269,7 +269,8 @@ def run_batch(args: argparse.Namespace) -> int:
     else:
         directory = Path(args.cache_dir) if args.cache_dir else default_cache_dir()
         cache = ResultCache(directory=directory)
-    registry = RunRegistry()
+    # Job records are kept only when they are saved (``--out``).
+    registry = RunRegistry() if args.out else None
     engine = BatchSolver(
         mode=args.mode, max_workers=args.workers, cache=cache, registry=registry
     )
@@ -576,7 +577,8 @@ def run_suite_cmd(args: argparse.Namespace) -> int:
     if args.resume and not args.checkpoint:
         raise SystemExit("--resume requires --checkpoint PATH")
 
-    registry = RunRegistry()
+    # Job records are kept only when they are saved (``--out``).
+    registry = RunRegistry() if args.out else None
     runner = SuiteRunner(
         mode=args.mode,
         max_workers=args.workers,
@@ -672,7 +674,6 @@ def run_trace_cmd(args: argparse.Namespace) -> int:
         mode=args.mode,
         max_workers=args.workers,
         cache=ResultCache(),  # in-memory: trace the real solves, not disk hits
-        registry=RunRegistry(),
         lp_strategy=args.lp_strategy,
     )
     with tracing() as tracer:

@@ -20,22 +20,19 @@ optimum, where ``S_k = ∩_{j∈V_k} V^j``, ``m_k = |S_k|`` and
 ``M_k = max_{j∈V_k} |V^j|``.
 
 This module is the centralised simulation of the algorithm (every quantity
-is computed exactly as defined).  Two implementations coexist and are bit
-identical (the benchmark suite asserts exact float equality on every
-scenario family):
-
-* the **vectorized** default — balls, view canonicalisation and the
-  Figure 2 set system all run as batched sparse-matrix sweeps through
-  :mod:`repro.views`;
-* the **scalar** reference (``vectorized=False``) — one Python BFS, view
-  canonicalisation and set loop per agent, kept callable for the equality
-  tests and the speedup benchmarks.
-
-The sums of step 3 run in instance column order (ascending agent position)
-in both implementations, which is what makes them exactly interchangeable.
+is computed exactly as defined).  Balls, view canonicalisation and the
+Figure 2 set system all run as batched sparse-matrix sweeps through
+:mod:`repro.views`.  The sums of step 3 run in instance column order
+(ascending agent position).  ``tests/averaging_reference.py`` keeps the
+per-agent form of the same algorithm (one Python BFS, view
+canonicalisation and set loop per agent); the equality tests and the
+VIEWS speed-up benchmark compare this module against it with exact float
+equality.
 The message-passing version that runs on the synchronous simulator is
-:class:`repro.distributed.programs.LocalAveragingProgram` and is checked
-against this implementation in the integration tests.
+:class:`repro.distributed.programs.LocalAveragingProgram`.  The
+integration tests check that its output agrees with this module's to
+within ``1e-9`` per agent: it sums each ``x̃_j`` in its own order, so the
+two need not be bit-identical.
 
 The solve side of step 1 flows engine → canon → views → **lp.maxmin**:
 views are canonicalised in batch (:mod:`repro.views`), cache-miss
@@ -59,7 +56,7 @@ from ..hypergraph.communication import communication_hypergraph
 from ..hypergraph.hypergraph import Hypergraph
 from ..engine.executor import BatchSolver, get_default_engine
 from ..obs.trace import span
-from .problem import Agent, Beneficiary, MaxMinLP, Resource
+from .problem import Agent, MaxMinLP
 
 __all__ = [
     "LocalAveragingResult",
@@ -197,11 +194,11 @@ def _segment_sum(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
 
 
 def _figure2_arrays(problem: MaxMinLP, atlas) -> Dict[str, np.ndarray]:
-    """The Figure 2 set system, vectorized: all counts via sparse products.
+    """The Figure 2 set system, every count from a sparse product.
 
     Every quantity is an exact integer (set cardinalities) or a single
-    float division of exact integers, so the results equal the scalar set
-    loops bit for bit.
+    float division of exact integers, so the results equal the per-agent
+    set loops of the test reference bit for bit.
     """
     counts = atlas.membership_counts()
     sizes = atlas.view_sizes().astype(np.int64)
@@ -248,7 +245,6 @@ def local_averaging_solution(
     hypergraph: Optional[Hypergraph] = None,
     keep_local_solutions: bool = False,
     engine: Optional[BatchSolver] = None,
-    vectorized: bool = True,
 ) -> LocalAveragingResult:
     """Run the Section 5 local averaging algorithm with radius ``R``.
 
@@ -278,12 +274,6 @@ def local_averaging_solution(
         local LP vertices, and hence a different ``x̃``: its
         block-diagonal HiGHS call chooses vertices that depend on the
         batch composition.
-    vectorized:
-        Run view extraction, canonicalisation and the Figure 2 set system
-        as batched sparse-matrix sweeps (:mod:`repro.views`) instead of
-        per-agent Python loops.  Both implementations produce exactly the
-        same result (asserted by the benchmark suite); the scalar path
-        exists for those equality checks and as the speedup baseline.
     """
     if R < 1:
         raise ValueError("the local averaging algorithm requires R >= 1")
@@ -293,16 +283,8 @@ def local_averaging_solution(
             "the supplied hypergraph's vertex set does not match the problem's agents"
         )
     eng = engine if engine is not None else get_default_engine()
-    with span(
-        "core.averaging",
-        agents=len(problem.agents),
-        radius=R,
-        vectorized=vectorized,
-    ):
-        implementation = (
-            _local_averaging_vectorized if vectorized else _local_averaging_scalar
-        )
-        return implementation(
+    with span("core.averaging", agents=len(problem.agents), radius=R):
+        return _local_averaging_vectorized(
             problem, R, H, eng, keep_local_solutions=keep_local_solutions
         )
 
@@ -336,7 +318,7 @@ def _local_averaging_vectorized(
     local_objectives = {u: outcomes[u].objective for u in atlas.roots}
 
     # Steps 2-3, vectorized (exact integer set arithmetic, float ops in the
-    # same order as the scalar loops).
+    # same order as the per-agent loops of the test reference).
     fig2 = _figure2_arrays(problem, atlas)
     N, n, M, m = fig2["N"], fig2["n"], fig2["M"], fig2["m"]
 
@@ -360,7 +342,7 @@ def _local_averaging_vectorized(
 
     # Step 3: Σ_{u ∈ V^j} x^u_j.  ``bincount`` accumulates strictly in
     # list order — view by view, so each column's contributions arrive in
-    # ascending-u order, the exact float addition sequence of the scalar
+    # ascending-u order, the exact float addition sequence of a per-agent
     # loop (reduceat would sum pairwise and drift in the last ulp).
     totals = np.bincount(
         np.asarray(columns, dtype=np.intp),
@@ -390,105 +372,4 @@ def _local_averaging_vectorized(
         proven_ratio_bound=float(resource_ratio * beneficiary_ratio),
         local_objectives=local_objectives,
         local_solutions=local_solutions,
-    )
-
-
-def _local_averaging_scalar(
-    problem: MaxMinLP,
-    R: int,
-    H: Hypergraph,
-    eng: BatchSolver,
-    *,
-    keep_local_solutions: bool,
-) -> LocalAveragingResult:
-    """Per-agent reference implementation (the pre-vectorization pipeline).
-
-    One BFS ball, one local-LP canonicalisation and one set-arithmetic pass
-    per agent.  Kept callable so the equality tests and the speedup
-    benchmarks can compare against it; the step 3 sums run in ascending
-    agent-position order, the same order the vectorized path uses.
-    """
-    from ..canon.labeling import view_local_structure
-
-    # Step 1: local views, canonicalised one view at a time through the
-    # engine's index (the same forms the batch pipeline derives), then all
-    # canonical local LPs as one engine batch.
-    views: Dict[Agent, FrozenSet[Agent]] = {
-        u: H.ball(u, R) for u in problem.agents
-    }
-    index = eng.canon_index()
-    forms = [
-        index.canonical_form(*view_local_structure(problem, views[u]))
-        for u in problem.agents
-    ]
-    canonical = eng.solve_canonical_local_lps(forms)
-    local_solutions: Dict[Agent, Dict[Agent, float]] = {}
-    local_objectives: Dict[Agent, float] = {}
-    for u, form, outcome in zip(problem.agents, forms, canonical):
-        local_solutions[u] = form.pull_back(outcome.x)
-        local_objectives[u] = outcome.objective
-
-    view_sizes = {u: len(views[u]) for u in problem.agents}
-
-    # Step 2: the set system of Figure 2.
-    #   U_i = ∪_{j ∈ V_i} V^j,  N_i = |U_i|,  n_i = min_{j ∈ V_i} |V^j|
-    #   S_k = ∩_{j ∈ V_k} V^j,  m_k = |S_k|,  M_k = max_{j ∈ V_k} |V^j|
-    N: Dict[Resource, int] = {}
-    n: Dict[Resource, int] = {}
-    for i in problem.resources:
-        support = problem.resource_support(i)
-        union: set = set()
-        smallest = None
-        for j in support:
-            union |= views[j]
-            size = view_sizes[j]
-            smallest = size if smallest is None else min(smallest, size)
-        N[i] = len(union)
-        n[i] = smallest if smallest is not None else 0
-
-    M: Dict[Beneficiary, int] = {}
-    m: Dict[Beneficiary, int] = {}
-    for k in problem.beneficiaries:
-        support = problem.beneficiary_support(k)
-        inter: Optional[set] = None
-        largest = 0
-        for j in support:
-            inter = set(views[j]) if inter is None else inter & views[j]
-            largest = max(largest, view_sizes[j])
-        M[k] = largest
-        m[k] = len(inter) if inter is not None else 0
-
-    resource_ratio = max((N[i] / n[i] for i in problem.resources if n[i] > 0), default=1.0)
-    beneficiary_ratio = max(
-        (M[k] / m[k] for k in problem.beneficiaries if m[k] > 0), default=1.0
-    )
-
-    # Step 3: shrink factors and the averaged solution.
-    beta: Dict[Agent, float] = {}
-    x_tilde: Dict[Agent, float] = {}
-    position = problem.agent_position
-    for j in problem.agents:
-        resources_j = problem.agent_resources(j)
-        if resources_j:
-            beta_j = min(n[i] / N[i] for i in resources_j)
-        else:
-            beta_j = 1.0
-        beta[j] = beta_j
-        total = 0.0
-        for u in sorted(views[j], key=position):
-            total += local_solutions[u].get(j, 0.0)
-        x_tilde[j] = beta_j * total / view_sizes[j]
-
-    objective = problem.objective(problem.to_array(x_tilde))
-    return LocalAveragingResult(
-        R=R,
-        x=x_tilde,
-        objective=float(objective),
-        beta=beta,
-        view_sizes=view_sizes,
-        resource_ratio=float(resource_ratio),
-        beneficiary_ratio=float(beneficiary_ratio),
-        proven_ratio_bound=float(resource_ratio * beneficiary_ratio),
-        local_objectives=local_objectives,
-        local_solutions=local_solutions if keep_local_solutions else None,
     )

@@ -3,7 +3,7 @@
 Local sub-LPs, canonical labelings and the vectorized view-extraction
 pipeline all need one thing from identifier ordering: a *total*, *pure*
 order on arbitrary hashable identifiers, so that every code path (the
-engine canonicalising a compiled sub-instance, the scalar averaging
+engine canonicalising a compiled sub-instance, the per-agent test
 reference canonicalising a raw view structure, the batch pipeline sorting thousands
 of views with shared ``argsort`` calls) derives the same internal indexing
 for the same view and therefore the same labeling, bit for bit.

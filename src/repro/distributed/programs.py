@@ -13,10 +13,15 @@ Three programs are provided:
   (each agent recomputes the local LPs of every view it participates in and
   the shrink factor ``β_j``).
 
-The programs are deterministic and produce exactly the same activities as
-the centralised implementations in :mod:`repro.core` (the integration tests
-assert bit-for-bit equality), which demonstrates operationally that the
-algorithms are local: nothing beyond the constant-radius view is ever used.
+The programs are deterministic and compute the same activities as the
+centralised implementations in :mod:`repro.core`, which demonstrates
+operationally that the algorithms are local: nothing beyond the
+constant-radius view is ever used.  The tests check this agent by agent to
+within an absolute tolerance (``1e-12`` for the safe algorithm, ``1e-9``
+for local averaging), not bit for bit: :class:`LocalAveragingProgram` sums
+``x^u_j`` in ``sorted(V^j, key=repr)`` order over local LPs of its own
+window instance, while :mod:`repro.core.local_averaging` sums in agent
+position order.
 """
 
 from __future__ import annotations

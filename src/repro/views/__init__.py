@@ -21,8 +21,8 @@ Everything here is a pure accelerator: each output is asserted (by unit,
 property and benchmark tests) to equal its scalar counterpart —
 ``Hypergraph.ball``, ``MaxMinLP.local_subproblem``,
 ``view_local_structure`` and ``CanonicalIndex.canonical_form`` — element
-for element, which is what keeps the vectorized and scalar solve paths bit
-identical.
+for element.  That is what keeps :func:`repro.local_averaging_solution` bit
+identical to the per-agent reference in ``tests/averaging_reference.py``.
 """
 
 from .balls import ball_membership, batch_balls

@@ -255,6 +255,63 @@ class TestSuiteCommand:
         assert executed == 0
 
 
+class TestRunRegistryOnlyWhenSaved:
+    """A ``RunRegistry`` is built only when ``--out`` saves it."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        from repro.engine import RunRegistry
+
+        built = []
+
+        class CountingRegistry(RunRegistry):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr("repro.cli.RunRegistry", CountingRegistry)
+        return built
+
+    @pytest.fixture
+    def suite_file(self, tmp_path):
+        from repro.scenarios import ScenarioGrid, SuiteSpec
+
+        path = tmp_path / "suite.json"
+        path.write_text(
+            SuiteSpec(
+                name="tiny",
+                grids=(ScenarioGrid("cycle", params={"n": 6}, radii=(1,)),),
+            ).to_json()
+        )
+        return str(path)
+
+    def test_trace_run_builds_none(self, built, suite_file, tmp_path, capsys):
+        assert main(
+            ["trace", "run", suite_file, "--out", str(tmp_path / "trace.json")]
+        ) == 0
+        assert built == []
+
+    def test_suite_run_without_out_builds_none(self, built, suite_file, capsys):
+        assert main(["suite", "run", suite_file, "--no-cache-dir"]) == 0
+        assert built == []
+
+    def test_batch_without_out_builds_none(self, built, capsys):
+        assert main(
+            ["batch", "--family", "cycle", "--radii", "1", "--no-cache-dir"]
+        ) == 0
+        assert built == []
+
+    def test_suite_run_with_out_saves_one(self, built, suite_file, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        assert main(
+            ["suite", "run", suite_file, "--no-cache-dir", "--out", str(out_dir)]
+        ) == 0
+        assert len(built) == 1
+        saved = json.loads((out_dir / "registry.json").read_text())
+        assert saved == built[0].as_dict()
+        assert len(built[0]) > 1  # the scenario's job records and the suite's
+
+
 class TestCanonCommand:
     def test_canon_stats_reports_orbits(self, capsys):
         assert main(["canon", "stats", "--family", "grid", "--radii", "1"]) == 0

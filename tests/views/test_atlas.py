@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from averaging_reference import local_averaging_reference, partition_views_reference
 from repro import (
     BatchSolver,
     MaxMinLP,
@@ -157,8 +158,8 @@ class TestBatchCanonicalForms:
 
     @pytest.mark.parametrize("problem,R", FAMILIES[:3])
     def test_partition_vectorized_equals_scalar(self, problem, R):
-        fast = partition_views(problem, R, vectorized=True)
-        slow = partition_views(problem, R, vectorized=False)
+        fast = partition_views(problem, R)
+        slow = partition_views_reference(problem, R)
         assert [orbit.key for orbit in fast.orbits] == [
             orbit.key for orbit in slow.orbits
         ]
@@ -194,14 +195,12 @@ class TestVectorizedAveraging:
             R,
             engine=BatchSolver(),
             keep_local_solutions=keep_local_solutions,
-            vectorized=True,
         )
-        slow = local_averaging_solution(
+        slow = local_averaging_reference(
             problem,
             R,
             engine=BatchSolver(),
             keep_local_solutions=keep_local_solutions,
-            vectorized=False,
         )
         assert fast.x == slow.x
         assert fast.beta == slow.beta
@@ -216,18 +215,10 @@ class TestVectorizedAveraging:
     def test_keep_local_solutions_matches_scalar(self):
         problem = grid_instance((4, 4), torus=True)
         fast = local_averaging_solution(
-            problem,
-            2,
-            engine=BatchSolver(),
-            vectorized=True,
-            keep_local_solutions=True,
+            problem, 2, engine=BatchSolver(), keep_local_solutions=True
         )
-        slow = local_averaging_solution(
-            problem,
-            2,
-            engine=BatchSolver(),
-            vectorized=False,
-            keep_local_solutions=True,
+        slow = local_averaging_reference(
+            problem, 2, engine=BatchSolver(), keep_local_solutions=True
         )
         assert fast.local_solutions == slow.local_solutions
 
@@ -244,3 +235,23 @@ class TestVectorizedAveraging:
             solve_local_lp(problem, view, engine=BatchSolver()) for view in views
         ]
         assert batched == singles
+
+
+class TestOneAveragingPipeline:
+    """The batched pipeline is the only averaging and partition path."""
+
+    def test_averaging_rejects_vectorized_keyword(self):
+        with pytest.raises(TypeError):
+            local_averaging_solution(cycle_instance(5), 1, vectorized=False)
+
+    def test_partition_rejects_vectorized_keyword(self):
+        with pytest.raises(TypeError):
+            partition_views(cycle_instance(5), 1, vectorized=True)
+
+    def test_averaging_span_carries_no_vectorized_tag(self):
+        from repro.obs import tracing
+
+        with tracing() as tracer:
+            local_averaging_solution(cycle_instance(5), 1, engine=BatchSolver())
+        (averaging,) = [s for s in tracer.spans() if s.name == "core.averaging"]
+        assert averaging.tags == {"agents": 5, "radius": 1}
