@@ -96,14 +96,18 @@ def measurements():
             # A fresh ResultCache each run keeps the memory tier cold, so
             # every hit is a disk read -- the tier verify="cached" certifies.
             runner = SuiteRunner(
-                cache=ResultCache(directory=directory), verify="off"
+                engine=BatchSolver(
+                    cache=ResultCache(directory=directory), verify="off"
+                )
             )
             start = time.perf_counter()
             list(runner.run(specs))
             off_s = min(off_s, time.perf_counter() - start)
 
             runner = SuiteRunner(
-                cache=ResultCache(directory=directory), verify="cached"
+                engine=BatchSolver(
+                    cache=ResultCache(directory=directory), verify="cached"
+                )
             )
             start = time.perf_counter()
             list(runner.run(specs))

@@ -15,21 +15,28 @@ Available commands::
     sensor       the Section 2 sensor-network application
     isp          the Section 2 ISP application
     all          every experiment above, in order
-    batch        run averaging jobs through the batch engine (parallel + cached)
-    cache        inspect, clear or prune the on-disk result cache
-    canon        view-canonicalization statistics (orbit counts per family)
+    cache        inspect, clear, prune or verify the on-disk result cache
+    canon        view-canonicalization statistics (orbit counts per scenario)
     suite        declarative scenario suites: run, list-families, show
     serve        HTTP solve service (result cache + request coalescing)
     trace        traced suite run -> Chrome trace_event JSON (Perfetto)
     obs          observability utilities: per-stage trace summaries
+
+``suite run``, ``serve`` and ``trace run`` drive one
+:class:`~repro.engine.BatchSolver` each; their engine flags are declared
+once and take the engine's own defaults.  ``suite run`` is also the batch
+front end: a suite file (or the built-in ``paper`` suite) names the
+instances and radii, and the run reports optima, per-radius objectives and
+the engine/cache counters.  The CLI writes no instance files; dump one with
+``repro.io.dump_instance(repro.scenarios.build_instance(spec), path)``.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
-import time
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
@@ -52,7 +59,6 @@ from .generators import (
     random_bounded_degree_instance,
     unit_disk_instance,
 )
-from .io import dump_instance
 from .lp import BATCH_STRATEGIES
 from .lowerbound import (
     build_lower_bound_instance,
@@ -63,8 +69,10 @@ from .lowerbound import (
     theorem1_bound,
 )
 from .scenarios import (
+    ScenarioSpec,
     SuiteRunner,
     SuiteSpec,
+    build_instance,
     builtin_suites,
     describe_families,
     get_suite,
@@ -78,17 +86,6 @@ __all__ = ["main", "EXPERIMENTS"]
 
 def _print(title: str, body: str) -> None:
     print(f"\n{title}\n{'=' * len(title)}\n{body}")
-
-
-def _parse_radii(text: str) -> List[int]:
-    """Parse a ``--radii`` value; exits with a one-line message when invalid."""
-    try:
-        radii = [int(r) for r in text.split(",") if r.strip()]
-    except ValueError:
-        radii = []
-    if not radii or min(radii) < 1:
-        raise SystemExit("--radii must be a comma-separated list of integers >= 1")
-    return radii
 
 
 def _positive_int(text: str) -> int:
@@ -235,89 +232,44 @@ EXPERIMENTS: Dict[str, Callable[[int], None]] = {
 # ----------------------------------------------------------------------
 # Engine subcommands
 # ----------------------------------------------------------------------
-def _batch_instances(family: str, seed: int) -> Dict[str, "object"]:
-    """Instance families the ``batch`` subcommand fans across the engine."""
-    catalogue = {
-        "cycle": lambda: {"cycle n=40": cycle_instance(40)},
-        "grid": lambda: {
-            "grid 6x6": grid_instance((6, 6)),
-            "torus 6x6": grid_instance((6, 6), torus=True),
-        },
-        "disk": lambda: {
-            "unit disk n=36": unit_disk_instance(
-                36, radius=0.24, max_support=6, seed=seed
-            )
-        },
-        "random": lambda: {
-            "random Δ=3": random_bounded_degree_instance(
-                30, max_resource_support=3, max_beneficiary_support=3, seed=seed
-            )
-        },
+#: Engine options a command's flags may set, under BatchSolver's keyword
+#: names; an option a command does not declare keeps the engine's default.
+_ENGINE_OPTIONS = ("mode", "max_workers", "lp_strategy", "lp_chunk_size", "verify")
+
+#: BatchSolver's own keyword defaults, which the engine flags inherit.
+_ENGINE_DEFAULTS = {
+    name: parameter.default
+    for name, parameter in inspect.signature(BatchSolver).parameters.items()
+}
+
+
+def _engine(
+    args: argparse.Namespace,
+    cache: ResultCache,
+    registry: Optional[RunRegistry] = None,
+) -> BatchSolver:
+    """The batch engine a command's engine flags describe."""
+    options = {
+        name: getattr(args, name) for name in _ENGINE_OPTIONS if hasattr(args, name)
     }
-    if family == "all":
-        instances: Dict[str, "object"] = {}
-        for build in catalogue.values():
-            instances.update(build())
-        return instances
-    return catalogue[family]()
+    return BatchSolver(cache=cache, registry=registry, **options)
 
 
-def run_batch(args: argparse.Namespace) -> int:
-    """Run local-averaging jobs for whole instance families through the engine."""
+def _cache_dir(args: argparse.Namespace) -> Optional[Path]:
+    """The disk cache directory ``--cache-dir``/``--no-cache-dir`` select."""
     if args.no_cache_dir:
-        cache = ResultCache()
-    else:
-        directory = Path(args.cache_dir) if args.cache_dir else default_cache_dir()
-        cache = ResultCache(directory=directory)
-    # Job records are kept only when they are saved (``--out``).
-    registry = RunRegistry() if args.out else None
-    engine = BatchSolver(
-        mode=args.mode, max_workers=args.workers, cache=cache, registry=registry
-    )
-    radii = _parse_radii(args.radii)
-    instances = _batch_instances(args.family, args.seed)
+        return None
+    return Path(args.cache_dir) if args.cache_dir else default_cache_dir()
 
-    rows = []
-    artifacts: List[str] = []
-    # The reference optima are the heaviest LPs of the run; submit them as
-    # one batch so a pooled engine solves them concurrently.
-    optima = engine.solve_maxmin_batch(list(instances.values()))
-    for (label, problem), optimal in zip(instances.items(), optima):
-        optimum = optimal.objective
-        for R in radii:
-            start = time.perf_counter()
-            result = local_averaging_solution(problem, R, engine=engine)
-            rows.append(
-                {
-                    "instance": label,
-                    "R": R,
-                    "optimum": optimum,
-                    "objective": result.objective,
-                    "seconds": time.perf_counter() - start,
-                }
-            )
-    _print(f"BATCH: averaging jobs ({args.mode} mode)", render_rows(rows))
 
-    stats_rows = [
-        {**engine.stats.as_dict(), **cache.stats.as_dict()},
-    ]
-    _print("BATCH: engine counters", render_rows(stats_rows))
+def _deadline(text: str) -> float:
+    """argparse ``type`` for ``--deadline`` (exit 2 on an invalid value)."""
+    from .serve.service import deadline_seconds
 
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        for idx, (label, problem) in enumerate(instances.items()):
-            path = out / f"instance-{idx:02d}.json"
-            dump_instance(problem, path)
-            artifacts.append(str(path))
-        results_path = out / "results.json"
-        results_path.write_text(json.dumps(rows, indent=2))
-        artifacts.append(str(results_path))
-        batch_job = registry.new_job("batch", "-")
-        registry.finish_job(batch_job, artifacts=artifacts)
-        registry_path = registry.save(out / "registry.json")
-        print(f"\nrun registry: {registry_path} ({len(registry)} jobs)")
-    return 0
+    try:
+        return deadline_seconds(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def run_cache(args: argparse.Namespace) -> int:
@@ -441,15 +393,10 @@ def run_serve(args: argparse.Namespace) -> int:
     from .serve import ReproServer, SolverService
 
     plan = _load_fault_plan(args.fault_plan)
-    cache_dir = None
-    if not args.no_cache_dir:
-        cache_dir = Path(args.cache_dir) if args.cache_dir else default_cache_dir()
+    cache_dir = _cache_dir(args)
     service = SolverService(
-        mode=args.mode,
-        max_workers=args.workers,
+        runner=SuiteRunner(engine=_engine(args, ResultCache(directory=cache_dir))),
         cache_dir=cache_dir,
-        lp_strategy=args.lp_strategy,
-        lp_chunk_size=args.lp_chunk_size,
         deadline_s=args.deadline,
         max_inflight=args.max_inflight,
         verify=args.verify,
@@ -482,18 +429,17 @@ def run_serve(args: argparse.Namespace) -> int:
 
 
 def run_canon(args: argparse.Namespace) -> int:
-    """View-orbit statistics: how much solve sharing each family admits."""
+    """View-orbit statistics: how much solve sharing each scenario admits."""
     from .canon import partition_views
     from .hypergraph.communication import communication_hypergraph
 
-    radii = _parse_radii(args.radii)
-    instances = _batch_instances(args.family, args.seed)
     rows = []
-    for label, problem in instances.items():
+    for spec in _expand(_load_suite(args.suite)):
+        problem = build_instance(spec)
         hypergraph = communication_hypergraph(problem)
-        for R in radii:
+        for R in spec.radii:
             partition = partition_views(problem, R, hypergraph=hypergraph)
-            rows.append({"instance": label, **partition.summary()})
+            rows.append({"scenario": spec.display_label, **partition.summary()})
     _print(
         "CANON: radius-R view orbits (one local LP solve per orbit)",
         render_rows(rows),
@@ -520,6 +466,14 @@ def _load_suite(name_or_path: str) -> SuiteSpec:
         f"unknown suite {name_or_path!r}: not a built-in suite "
         f"({', '.join(builtin_suites())}) and not a readable file"
     )
+
+
+def _expand(suite: SuiteSpec) -> List[ScenarioSpec]:
+    """The suite's validated scenarios; an invalid spec exits with one line."""
+    try:
+        return SuiteRunner.expand(suite)
+    except ScenarioError as exc:
+        raise SystemExit(f"invalid suite {suite.name!r}: {exc}")
 
 
 def _expansion_rows(suite: SuiteSpec) -> List[Dict[str, object]]:
@@ -564,29 +518,14 @@ def run_suite_cmd(args: argparse.Namespace) -> int:
 
     # Fail fast on invalid specs before building any engine state (the
     # runner validates again, but a typo should die with a one-line error).
-    try:
-        total = len(SuiteRunner.expand(suite))
-    except ScenarioError as exc:
-        raise SystemExit(f"invalid suite {suite.name!r}: {exc}")
-
-    if args.no_cache_dir:
-        cache = ResultCache()
-    else:
-        directory = Path(args.cache_dir) if args.cache_dir else default_cache_dir()
-        cache = ResultCache(directory=directory)
+    total = len(_expand(suite))
     if args.resume and not args.checkpoint:
         raise SystemExit("--resume requires --checkpoint PATH")
 
     # Job records are kept only when they are saved (``--out``).
     registry = RunRegistry() if args.out else None
     runner = SuiteRunner(
-        mode=args.mode,
-        max_workers=args.workers,
-        cache=cache,
-        registry=registry,
-        lp_strategy=args.lp_strategy,
-        lp_chunk_size=args.lp_chunk_size,
-        verify=args.verify,
+        engine=_engine(args, ResultCache(directory=_cache_dir(args)), registry)
     )
 
     done = [0]
@@ -666,19 +605,13 @@ def run_trace_cmd(args: argparse.Namespace) -> int:
     from .obs import format_table, stage_summary, tracing
 
     suite = _load_suite(args.suite)
-    try:
-        total = len(SuiteRunner.expand(suite))
-    except ScenarioError as exc:
-        raise SystemExit(f"invalid suite {suite.name!r}: {exc}")
-    runner = SuiteRunner(
-        mode=args.mode,
-        max_workers=args.workers,
-        cache=ResultCache(),  # in-memory: trace the real solves, not disk hits
-        lp_strategy=args.lp_strategy,
-    )
+    total = len(_expand(suite))
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    # In-memory cache: trace the real solves, not disk hits.
+    runner = SuiteRunner(engine=_engine(args, ResultCache()))
     with tracing() as tracer:
         runner.run_suite(suite)
-    out = Path(args.out)
     out.write_text(json.dumps(tracer.chrome_trace()) + "\n")
     _print(
         f"TRACE: suite {suite.name!r} ({total} scenarios, "
@@ -717,50 +650,85 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, fn in EXPERIMENTS.items():
-        summary = next(iter((fn.__doc__ or "").splitlines()), "")
+    experiments = {
+        name: next(iter((fn.__doc__ or "").splitlines()), "")
+        for name, fn in EXPERIMENTS.items()
+    }
+    experiments["all"] = "run every experiment in order"
+    for name, summary in experiments.items():
         sp = sub.add_parser(name, help=summary)
         sp.add_argument(
             "--seed", type=int, default=0, help="seed for the randomised instances"
         )
-    sp = sub.add_parser("all", help="run every experiment in order")
-    sp.add_argument(
-        "--seed", type=int, default=0, help="seed for the randomised instances"
-    )
 
-    sp = sub.add_parser(
-        "batch",
-        help="run averaging jobs for whole instance families through the engine",
+    # Flags shared by several subcommands, each declared once.  The engine
+    # flags (suite run, serve, trace run) default to BatchSolver's own
+    # defaults; the solve flags (suite run, serve) add the rest of the
+    # engine, its cache and a fault plan.
+    suite_arg = argparse.ArgumentParser(add_help=False)
+    suite_arg.add_argument(
+        "suite", help="built-in suite name (paper, stress) or path to a suite JSON file"
     )
-    sp.add_argument(
-        "--family",
-        choices=["grid", "cycle", "disk", "random", "all"],
-        default="all",
-        help="instance family to run",
-    )
-    sp.add_argument("--radii", default="1,2", help="comma-separated radii (default 1,2)")
-    sp.add_argument(
+    engine_flags = argparse.ArgumentParser(add_help=False)
+    engine_flags.add_argument(
         "--mode",
         choices=list(EXECUTION_MODES),
-        default="serial",
+        default=_ENGINE_DEFAULTS["mode"],
         help="execution mode of the batch engine",
     )
-    sp.add_argument("--workers", type=_positive_int, default=None, help="pool size")
-    sp.add_argument(
+    engine_flags.add_argument(
+        "--max-workers",
+        "--workers",
+        dest="max_workers",
+        type=_positive_int,
+        default=_ENGINE_DEFAULTS["max_workers"],
+        help="worker pool size for thread/process mode",
+    )
+    engine_flags.add_argument(
+        "--lp-strategy",
+        choices=list(BATCH_STRATEGIES),
+        default=_ENGINE_DEFAULTS["lp_strategy"],
+        help="how cache-miss LP batches reach the solver: 'per-lp' "
+        "(default, bit-identical to the historical engine) or "
+        "'stacked' (one block-diagonal HiGHS call per chunk, far fewer "
+        "solver round-trips; each local LP reaches the same optimal "
+        "value, but the solver may return a different optimal vertex, "
+        "so averaged results can differ and are cache-keyed apart)",
+    )
+    solve_flags = argparse.ArgumentParser(add_help=False)
+    solve_flags.add_argument(
+        "--lp-chunk-size",
+        type=_positive_int,
+        default=_ENGINE_DEFAULTS["lp_chunk_size"],
+        help="LPs per batched solver submission (default %(default)s)",
+    )
+    solve_flags.add_argument(
+        "--verify",
+        choices=list(VERIFY_MODES),
+        default=_ENGINE_DEFAULTS["verify"],
+        help="solution certificates: 'cached' re-verifies disk-cache reads "
+        "before trusting them (quarantine + re-solve on damage), 'all' also "
+        "certifies fresh solves; serve also certifies each scenario it "
+        "answers (clients may override per request with ?verify=1/0; "
+        "default %(default)s)",
+    )
+    solve_flags.add_argument(
         "--cache-dir",
         default=None,
         help="on-disk result cache directory "
         "(default: REPRO_CACHE_DIR or ~/.cache/repro-maxminlp)",
     )
-    sp.add_argument(
+    solve_flags.add_argument(
         "--no-cache-dir",
         action="store_true",
         help="keep results in memory only (no disk cache)",
     )
-    sp.add_argument(
-        "--out", default=None, help="directory for run artifacts (registry, results)"
+    solve_flags.add_argument(
+        "--fault-plan",
+        default=None,
+        help="fault-plan JSON file to install while running (deterministic "
+        "chaos testing; see repro.faults)",
     )
-    sp.add_argument("--seed", type=int, default=0, help="seed for randomised instances")
 
     sp = sub.add_parser(
         "cache",
@@ -791,23 +759,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser(
         "canon",
-        help="view-canonicalization statistics (orbit counts per instance family)",
+        help="view-canonicalization statistics (orbit counts per scenario)",
     )
     canon_sub = sp.add_subparsers(dest="canon_command", required=True)
-    sp_stats = canon_sub.add_parser(
-        "stats", help="orbit counts and sharing factors per instance family"
-    )
-    sp_stats.add_argument(
-        "--family",
-        choices=["grid", "cycle", "disk", "random", "all"],
-        default="all",
-        help="instance family to analyse",
-    )
-    sp_stats.add_argument(
-        "--radii", default="1,2", help="comma-separated view radii (default 1,2)"
-    )
-    sp_stats.add_argument(
-        "--seed", type=int, default=0, help="seed for randomised instances"
+    canon_sub.add_parser(
+        "stats",
+        parents=[suite_arg],
+        help="orbit counts and sharing factors per scenario and radius of a suite",
     )
 
     sp = sub.add_parser(
@@ -816,10 +774,9 @@ def _build_parser() -> argparse.ArgumentParser:
     suite_sub = sp.add_subparsers(dest="suite_command", required=True)
 
     sp_run = suite_sub.add_parser(
-        "run", help="execute a suite through one shared batch engine"
-    )
-    sp_run.add_argument(
-        "suite", help="built-in suite name (paper, stress) or path to a suite JSON file"
+        "run",
+        parents=[suite_arg, engine_flags, solve_flags],
+        help="execute a suite through one shared batch engine",
     )
     sp_run.add_argument(
         "--dry-run",
@@ -827,57 +784,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="expand and validate only; print the scenario table, solve nothing",
     )
     sp_run.add_argument(
-        "--mode",
-        choices=list(EXECUTION_MODES),
-        default="serial",
-        help="execution mode of the batch engine",
-    )
-    sp_run.add_argument(
-        "--max-workers",
-        "--workers",
-        dest="workers",
-        type=_positive_int,
-        default=None,
-        help="worker pool size for thread/process mode",
-    )
-    sp_run.add_argument(
-        "--lp-strategy",
-        choices=list(BATCH_STRATEGIES),
-        default="per-lp",
-        help="how cache-miss LP batches reach the solver: 'per-lp' "
-        "(default, bit-identical to the historical engine) or "
-        "'stacked' (one block-diagonal HiGHS call per chunk, far fewer "
-        "solver round-trips; each local LP reaches the same optimal "
-        "value, but the solver may return a different optimal vertex, "
-        "so averaged results can differ and are cache-keyed apart)",
-    )
-    sp_run.add_argument(
-        "--lp-chunk-size",
-        type=_positive_int,
-        default=64,
-        help="LPs per batched solver submission (default 64)",
-    )
-    sp_run.add_argument(
-        "--cache-dir",
-        default=None,
-        help="on-disk result cache directory "
-        "(default: REPRO_CACHE_DIR or ~/.cache/repro-maxminlp)",
-    )
-    sp_run.add_argument(
-        "--no-cache-dir",
-        action="store_true",
-        help="keep results in memory only (no disk cache)",
-    )
-    sp_run.add_argument(
         "--out",
         default=None,
         help="directory for run artifacts (results.json, report.md, registry.json)",
-    )
-    sp_run.add_argument(
-        "--fault-plan",
-        default=None,
-        help="fault-plan JSON file to install for the run (deterministic "
-        "chaos testing; see repro.faults)",
     )
     sp_run.add_argument(
         "--checkpoint",
@@ -891,21 +800,17 @@ def _build_parser() -> argparse.ArgumentParser:
         help="restore completed scenarios from the --checkpoint journal and "
         "solve only what is missing (zero re-solves, identical report)",
     )
-    sp_run.add_argument(
-        "--verify",
-        choices=list(VERIFY_MODES),
-        default="off",
-        help="solution certificates: 'cached' re-verifies disk-cache reads "
-        "before trusting them (quarantine + re-solve on damage), 'all' also "
-        "certifies fresh solves (default off)",
-    )
 
     suite_sub.add_parser(
         "list-families", help="list registered instance families and their parameters"
     )
+    suite_sub.add_parser(
+        "show", parents=[suite_arg], help="show a suite's metadata and full expansion"
+    )
 
     sp = sub.add_parser(
         "serve",
+        parents=[engine_flags, solve_flags],
         help="serve scenario solves over HTTP (result cache + request coalescing)",
     )
     sp.add_argument("--host", default="127.0.0.1", help="bind address")
@@ -916,51 +821,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="bind port (0 picks an ephemeral port, printed on stdout)",
     )
     sp.add_argument(
-        "--mode",
-        choices=list(EXECUTION_MODES),
-        default="serial",
-        help="execution mode of the underlying batch engine",
-    )
-    sp.add_argument(
-        "--max-workers",
-        "--workers",
-        dest="workers",
-        type=_positive_int,
-        default=None,
-        help="worker pool size for thread/process mode",
-    )
-    sp.add_argument(
-        "--lp-strategy",
-        choices=list(BATCH_STRATEGIES),
-        default="per-lp",
-        help="how cache-miss LP batches reach the solver (results solved "
-        "under different strategies are cache-keyed apart)",
-    )
-    sp.add_argument(
-        "--lp-chunk-size",
-        type=_positive_int,
-        default=64,
-        help="LPs per batched solver submission (default 64)",
-    )
-    sp.add_argument(
-        "--cache-dir",
-        default=None,
-        help="on-disk result cache directory "
-        "(default: REPRO_CACHE_DIR or ~/.cache/repro-maxminlp)",
-    )
-    sp.add_argument(
-        "--no-cache-dir",
-        action="store_true",
-        help="keep results in memory only (no disk cache)",
-    )
-    sp.add_argument(
         "--verbose",
         action="store_true",
         help="log one stderr line per HTTP request",
     )
     sp.add_argument(
         "--deadline",
-        type=float,
+        type=_deadline,
         default=None,
         help="default per-request deadline in seconds (504 on expiry; "
         "clients may override with ?deadline_s=)",
@@ -972,27 +839,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="shed requests beyond this many concurrent solves "
         "(503 + Retry-After; default unlimited)",
     )
-    sp.add_argument(
-        "--fault-plan",
-        default=None,
-        help="fault-plan JSON file to install while serving (deterministic "
-        "chaos testing; see repro.faults)",
-    )
-    sp.add_argument(
-        "--verify",
-        choices=list(VERIFY_MODES),
-        default="off",
-        help="verify results before serving them: engine-level solution "
-        "certificates plus per-request scenario certification (clients "
-        "may override per request with ?verify=1/0; default off)",
-    )
-
-    sp_show = suite_sub.add_parser(
-        "show", help="show a suite's metadata and full expansion"
-    )
-    sp_show.add_argument(
-        "suite", help="built-in suite name (paper, stress) or path to a suite JSON file"
-    )
 
     sp = sub.add_parser(
         "trace",
@@ -1000,33 +846,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     trace_sub = sp.add_subparsers(dest="trace_command", required=True)
     sp_trace_run = trace_sub.add_parser(
-        "run", help="traced suite run; writes Perfetto-loadable JSON"
-    )
-    sp_trace_run.add_argument(
-        "suite", help="built-in suite name (paper, stress) or path to a suite JSON file"
+        "run",
+        parents=[suite_arg, engine_flags],
+        help="traced suite run; writes Perfetto-loadable JSON",
     )
     sp_trace_run.add_argument(
         "--out", default="trace.json", help="output path (default trace.json)"
-    )
-    sp_trace_run.add_argument(
-        "--mode",
-        choices=list(EXECUTION_MODES),
-        default="serial",
-        help="execution mode of the batch engine",
-    )
-    sp_trace_run.add_argument(
-        "--max-workers",
-        "--workers",
-        dest="workers",
-        type=_positive_int,
-        default=None,
-        help="worker pool size for thread/process mode",
-    )
-    sp_trace_run.add_argument(
-        "--lp-strategy",
-        choices=list(BATCH_STRATEGIES),
-        default="per-lp",
-        help="how cache-miss LP batches reach the solver",
     )
 
     sp = sub.add_parser(
@@ -1047,8 +872,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
 
-    if args.command == "batch":
-        return run_batch(args)
     if args.command == "cache":
         return run_cache(args)
     if args.command == "canon":

@@ -48,7 +48,6 @@ from ..core.safe import safe_approximation_guarantee, safe_values_array
 from ..core.solution import approximation_ratio
 from ..engine.cache import ResultCache
 from ..engine.executor import BatchSolver
-from ..engine.jobs import RunRegistry
 from ..hypergraph.communication import communication_hypergraph
 from ..obs.trace import span
 from .registry import build_instance, validate_spec
@@ -271,26 +270,14 @@ class SuiteRunner:
     Parameters
     ----------
     engine:
-        The batch engine all solves are routed through.  When omitted, a
-        fresh engine is built from the remaining parameters.
-    mode / max_workers / cache / registry:
-        Forwarded to :class:`~repro.engine.BatchSolver` when ``engine`` is
-        not supplied; ``cache`` defaults to a purely in-memory
+        The batch engine all solves are routed through; its options
+        (execution mode, LP strategy, verification, ...) are
+        :class:`~repro.engine.BatchSolver`'s own.
+    cache:
+        Shorthand for ``engine=BatchSolver(cache=cache)`` when ``engine`` is
+        omitted; defaults to a purely in-memory
         :class:`~repro.engine.ResultCache` (pass one with a ``directory``
         for warm re-runs across processes).
-    lp_strategy / lp_chunk_size:
-        Forwarded to :class:`~repro.engine.BatchSolver` when ``engine`` is
-        not supplied: how each batch of cache-miss LPs reaches the solver
-        (see :mod:`repro.lp.batch`).  The default ``"per-lp"`` keeps the
-        historical one-call-per-LP numbers bit for bit; ``"stacked"``
-        solves whole chunks block-diagonally in one HiGHS call per chunk
-        -- same optima and statuses, far fewer solver round-trips, at the
-        cost of degenerate LPs possibly picking different equally-optimal
-        vertices than the per-LP path would.
-    verify:
-        Solution-certificate policy forwarded to
-        :class:`~repro.engine.BatchSolver` when ``engine`` is not supplied
-        (``"off"``/``"cached"``/``"all"``, see :mod:`repro.lp.verify`).
     """
 
     #: Always False (the orbit planner is gone); provenance records read it.
@@ -300,23 +287,11 @@ class SuiteRunner:
         self,
         *,
         engine: Optional[BatchSolver] = None,
-        mode: str = "serial",
-        max_workers: Optional[int] = None,
         cache: Optional[ResultCache] = None,
-        registry: Optional[RunRegistry] = None,
-        lp_strategy: str = "per-lp",
-        lp_chunk_size: int = 64,
-        verify: str = "off",
     ) -> None:
         if engine is None:
             engine = BatchSolver(
-                mode=mode,
-                max_workers=max_workers,
-                cache=cache if cache is not None else ResultCache(),
-                registry=registry,
-                lp_strategy=lp_strategy,
-                lp_chunk_size=lp_chunk_size,
-                verify=verify,
+                cache=cache if cache is not None else ResultCache()
             )
         self.engine = engine
 

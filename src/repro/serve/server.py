@@ -66,6 +66,7 @@ from .service import (
     ScenarioSolveError,
     ServeRequestError,
     SolverService,
+    deadline_seconds,
 )
 
 __all__ = ["DEFAULT_PORT", "MAX_BODY_BYTES", "ReproServer"]
@@ -212,22 +213,15 @@ class _Handler(BaseHTTPRequestHandler):
             )
 
     def _parse_deadline(self, query: Dict[str, str]) -> Optional[float]:
-        """``?deadline_s=`` as a positive float; absent means the default."""
+        """``?deadline_s=`` through :func:`deadline_seconds`; absent means
+        the default."""
         raw = query.get("deadline_s")
         if raw is None:
             return None
         try:
-            value = float(raw)
-        except ValueError:
-            raise ServeRequestError(
-                f"invalid deadline_s value {raw!r}; expected a positive "
-                "number of seconds"
-            ) from None
-        if value <= 0:
-            raise ServeRequestError(
-                f"deadline_s must be positive, got {value!r}"
-            )
-        return value
+            return deadline_seconds(raw)
+        except ValueError as exc:
+            raise ServeRequestError(f"invalid deadline_s: {exc}") from None
 
     @staticmethod
     def _parse_verify(query: Dict[str, str]) -> Optional[bool]:

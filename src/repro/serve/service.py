@@ -50,7 +50,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from .. import __version__
 from ..engine.cache import ResultCache
-from ..engine.executor import VERIFY_MODES
+from ..engine.executor import VERIFY_MODES, BatchSolver
 from ..engine.fingerprint import fingerprint_data
 from ..engine.scheduler import (
     SOURCE_FAILED,
@@ -73,6 +73,7 @@ __all__ = [
     "ScenarioSolveError",
     "ServeRequestError",
     "SolverService",
+    "deadline_seconds",
     "scenario_request_key",
 ]
 
@@ -125,6 +126,26 @@ def _is_current(family: FamilyInfo) -> bool:
         return get_family(family.name) is family
     except ScenarioError:
         return False
+
+
+def deadline_seconds(value: Union[str, float]) -> float:
+    """``value`` as a deadline in seconds, or :class:`ValueError`.
+
+    A deadline must be a finite number in ``(0, threading.TIMEOUT_MAX]``:
+    ``Event.wait`` returns at once on ``nan`` and overflows past
+    ``TIMEOUT_MAX``.  The service's default and per-call deadlines,
+    ``?deadline_s=`` and ``repro serve --deadline`` all check through here.
+    """
+    try:
+        seconds = float(value)
+    except (TypeError, ValueError):
+        seconds = float("nan")
+    if not 0 < seconds <= threading.TIMEOUT_MAX:  # also rejects nan
+        raise ValueError(
+            f"a deadline must be a number of seconds in "
+            f"(0, {threading.TIMEOUT_MAX:g}], got {value!r}"
+        )
+    return seconds
 
 
 class ServeRequestError(ValueError):
@@ -196,11 +217,10 @@ class SolverService:
     ----------
     runner:
         A ready :class:`~repro.scenarios.runner.SuiteRunner` to solve cache
-        misses with.  When omitted, one is built from the remaining
-        parameters.
-    mode / max_workers / lp_strategy / lp_chunk_size:
-        Forwarded to the runner's :class:`~repro.engine.BatchSolver` when
-        ``runner`` is not supplied.
+        misses with; its :class:`~repro.engine.BatchSolver` carries the
+        engine options (execution mode, LP strategy, ...).  When omitted,
+        the service builds ``BatchSolver(cache=..., verify=verify)``: a
+        serial engine with the engine's defaults over ``cache_dir``.
     cache_dir:
         Optional directory for the disk tiers.  The engine's LP-level cache
         uses it directly -- the same layout ``suite run --cache-dir`` warms,
@@ -212,7 +232,8 @@ class SolverService:
     deadline_s:
         Default per-request deadline in seconds (``repro serve
         --deadline``); a request may override it with ``?deadline_s=``.
-        ``None`` disables deadlines.
+        ``None`` disables deadlines; any other value must pass
+        :func:`deadline_seconds`.
     max_inflight:
         Load-shedding bound: when this many requests are already being
         handled, further ones are refused admission (the HTTP layer turns
@@ -231,27 +252,23 @@ class SolverService:
         (:class:`ScenarioSolveError`) — counted under
         ``serve.verify.{passed,failed,requeued}``.
 
-    The service holds a process-wide HiGHS call counter open for its whole
-    lifetime (for :meth:`metrics`); call :meth:`close` when done, or use the
-    service as a context manager.
+    The service holds nothing open: :meth:`close` and the context-manager
+    protocol only scope its lifetime.  :meth:`metrics` reads the
+    process-wide HiGHS call counter against its value at construction.
     """
 
     def __init__(
         self,
         *,
         runner: Optional[SuiteRunner] = None,
-        mode: str = "serial",
-        max_workers: Optional[int] = None,
         cache_dir: Optional[Union[str, Path]] = None,
-        lp_strategy: str = "per-lp",
-        lp_chunk_size: int = 64,
         max_memory_entries: int = 4096,
         deadline_s: Optional[float] = None,
         max_inflight: Optional[int] = None,
         verify: str = "off",
     ) -> None:
-        if deadline_s is not None and deadline_s <= 0:
-            raise ValueError("deadline_s must be positive")
+        if deadline_s is not None:
+            deadline_s = deadline_seconds(deadline_s)
         if max_inflight is not None and max_inflight < 1:
             raise ValueError("max_inflight must be at least 1")
         if verify not in VERIFY_MODES:
@@ -264,12 +281,7 @@ class SolverService:
                 directory=Path(cache_dir) if cache_dir is not None else None
             )
             runner = SuiteRunner(
-                mode=mode,
-                max_workers=max_workers,
-                cache=engine_cache,
-                lp_strategy=lp_strategy,
-                lp_chunk_size=lp_chunk_size,
-                verify=verify,
+                engine=BatchSolver(cache=engine_cache, verify=verify)
             )
         self.runner = runner
         self.lp_strategy = runner.engine.lp_strategy
@@ -557,7 +569,9 @@ class SolverService:
         call *waits*: past the deadline it raises :class:`DeadlineExceeded`
         while the solve finishes on a helper thread — publishing its
         coalesced flight and caching its result — so a timeout never kills
-        another waiter's request.  A failed solve raises
+        another waiter's request.  A deadline outside
+        :func:`deadline_seconds`'s range is a :class:`ValueError`.  A failed
+        solve raises
         :class:`ScenarioSolveError` carrying the scenario id.
         """
         return self._solve(
@@ -578,7 +592,9 @@ class SolverService:
         verify: Optional[bool],
     ) -> Dict[str, Any]:
         """:meth:`solve_scenario` with the request key already computed."""
-        deadline = deadline_s if deadline_s is not None else self.deadline_s
+        deadline = (
+            self.deadline_s if deadline_s is None else deadline_seconds(deadline_s)
+        )
         do_verify = self._resolve_verify(verify)
         if deadline is None:
             return self._solve_scenario_inline(

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import cache_rows
-from repro.engine import ResultCache
+from repro.engine import BatchSolver, ResultCache
 from repro.scenarios.runner import SuiteRunner
 from repro.scenarios.spec import ScenarioSpec
 
@@ -147,7 +147,9 @@ class TestForkSafety:
         cache = ResultCache(directory=tmp_path)
         cache.put(KEY, 1)  # the parent's connection is open before the fork
         runner = SuiteRunner(
-            mode="process", max_workers=2, lp_chunk_size=1, cache=cache
+            engine=BatchSolver(
+                mode="process", max_workers=2, lp_chunk_size=1, cache=cache
+            )
         )
         cold = runner.run_suite([self.SPEC]).results[0].as_dict()
         stats = runner.engine.stats

@@ -211,9 +211,11 @@ class TestRetryMasking:
         clean = next(iter(SuiteRunner(cache=ResultCache()).run([spec]))).as_dict()
         plan = FaultPlan.load("benchmarks/fault_plan_ci.json")
         runner = SuiteRunner(
-            mode=mode,
-            max_workers=2,
-            cache=ResultCache(directory=tmp_path / mode),
+            engine=BatchSolver(
+                mode=mode,
+                max_workers=2,
+                cache=ResultCache(directory=tmp_path / mode),
+            )
         )
         with install_plan(plan):
             chaos = next(iter(runner.run([spec]))).as_dict()

@@ -307,7 +307,11 @@ class TestExecutionModes:
     @pytest.mark.parametrize("mode", ["thread", "process"])
     def test_pooled_suite_matches_serial(self, mode):
         serial = SuiteRunner().run_suite([self.SPEC]).results[0].as_dict()
-        runner = SuiteRunner(mode=mode, max_workers=2, lp_chunk_size=1)
+        runner = SuiteRunner(
+            engine=BatchSolver(
+                mode=mode, max_workers=2, lp_chunk_size=1, cache=ResultCache()
+            )
+        )
         pooled = runner.run_suite([self.SPEC]).results[0].as_dict()
         stats = runner.engine.stats
         assert stats.executed > 1 and stats.pool_fallbacks == 0

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine import ResultCache
+from repro.engine import BatchSolver, ResultCache
 from repro.obs.trace import Tracer, set_global_tracer, tracing
 from repro.scenarios.runner import SuiteRunner
 from repro.scenarios.spec import ScenarioSpec
@@ -18,7 +18,9 @@ SPEC = ScenarioSpec(family="cycle", params={"n": 8}, seed=1, radii=(1,))
 
 
 def _run_traced(mode: str) -> Tracer:
-    runner = SuiteRunner(mode=mode, max_workers=2, cache=ResultCache())
+    runner = SuiteRunner(
+        engine=BatchSolver(mode=mode, max_workers=2, cache=ResultCache())
+    )
     with tracing() as tracer:
         report = runner.run_suite([SPEC])
     assert len(report.results) == 1
@@ -84,7 +86,9 @@ def test_job_records_carry_stage_timings():
     from repro.engine import RunRegistry
 
     registry = RunRegistry()
-    runner = SuiteRunner(cache=ResultCache(), registry=registry)
+    runner = SuiteRunner(
+        engine=BatchSolver(cache=ResultCache(), registry=registry)
+    )
     with tracing():
         runner.run_suite([SPEC])
     timed = [job for job in registry.jobs if "stage_timings" in job.meta]

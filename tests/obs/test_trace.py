@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from repro.engine import BatchSolver, ResultCache
 from repro.obs.metrics import get_registry
 from repro.obs.trace import (
     _NULL_SPAN,
@@ -262,7 +263,9 @@ class TestHighsSpans:
         calls = get_registry().counter("lp.highs.calls", "HiGHS invocations")
         before = calls.value
         with tracing() as tracer:
-            SuiteRunner(lp_strategy=strategy).run_suite(self.SPECS)
+            SuiteRunner(
+                engine=BatchSolver(cache=ResultCache(), lp_strategy=strategy)
+            ).run_suite(self.SPECS)
         made = calls.value - before
         assert made > 0
         assert sum(s.name == "lp.highs" for s in tracer.spans()) == made

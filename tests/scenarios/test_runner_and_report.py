@@ -34,7 +34,11 @@ def tiny_suite() -> SuiteSpec:
 class TestSuiteRunner:
     def test_lp_strategy_forwarded_and_values_agree(self):
         base = SuiteRunner().run_suite(tiny_suite())
-        stacked_runner = SuiteRunner(lp_strategy="stacked", lp_chunk_size=16)
+        stacked_runner = SuiteRunner(
+            engine=BatchSolver(
+                cache=ResultCache(), lp_strategy="stacked", lp_chunk_size=16
+            )
+        )
         assert stacked_runner.engine.lp_strategy == "stacked"
         assert stacked_runner.engine.lp_chunk_size == 16
         stacked = stacked_runner.run_suite(tiny_suite())
@@ -135,6 +139,38 @@ class TestSuiteRunner:
         assert runner.engine.stats.executed == 0
 
 
+class TestEngineOptionsLiveOnTheEngine:
+    """``SuiteRunner`` takes an engine (or a cache); the engine's options
+    are :class:`BatchSolver`'s alone."""
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("mode", "thread"),
+            ("max_workers", 2),
+            ("registry", None),
+            ("lp_strategy", "stacked"),
+            ("lp_chunk_size", 16),
+            ("verify", "all"),
+        ],
+    )
+    def test_forwarded_engine_options_removed(self, option, value):
+        with pytest.raises(TypeError, match=option):
+            SuiteRunner(**{option: value})
+
+    def test_cache_shorthand_builds_the_default_engine(self):
+        cache = ResultCache()
+        engine = SuiteRunner(cache=cache).engine
+        assert engine.cache is cache
+        assert (engine.mode, engine.max_workers) == ("serial", None)
+        assert (engine.lp_strategy, engine.lp_chunk_size) == ("per-lp", 64)
+        assert engine.verify == "off" and engine.registry is None
+
+    def test_no_argument_builds_an_in_memory_cache(self):
+        engine = SuiteRunner().engine
+        assert engine.cache is not None and engine.cache.directory is None
+
+
 class TestWarmCache:
     def test_paper_suite_warm_rerun_solves_zero_lps(self, tmp_path):
         """Acceptance: a second run against a warm disk cache does no LP work."""
@@ -197,7 +233,9 @@ class TestReport:
         assert "| family" in md
 
     def test_write_artifacts_round_trips(self, tmp_path):
-        runner = SuiteRunner(registry=RunRegistry())
+        runner = SuiteRunner(
+            engine=BatchSolver(cache=ResultCache(), registry=RunRegistry())
+        )
         report = runner.run_suite(tiny_suite())
         paths = write_artifacts(report, tmp_path / "out")
         assert paths["json"].is_file() and paths["markdown"].is_file()

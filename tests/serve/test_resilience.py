@@ -143,6 +143,53 @@ class TestDeadlines:
             assert envelope["result"] == expected
 
 
+class TestDeadlineRange:
+    """A deadline must be finite and in ``(0, threading.TIMEOUT_MAX]``:
+    ``nan`` would expire at once and ``inf`` or ``1e300`` overflow the
+    wait."""
+
+    BAD = ["nan", "inf", "-inf", "1e300", "0", "-1", "soon"]
+
+    @pytest.mark.parametrize("value", BAD)
+    def test_http_query_is_a_400(self, value):
+        with ReproServer(SolverService(), port=0) as server:
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                _post(
+                    server.url + f"/solve?deadline_s={value}",
+                    SPEC.to_json().encode(),
+                )
+            assert excinfo.value.code == 400
+            error = _error_body(excinfo)["error"]
+            assert error["type"] == "bad_request"
+            assert "deadline_s" in error["message"]
+
+    @pytest.mark.parametrize("value", BAD)
+    def test_service_rejects_it(self, value):
+        with pytest.raises(ValueError, match="deadline"):
+            SolverService(deadline_s=float(value) if value != "soon" else value)
+
+    @pytest.mark.parametrize("value", BAD)
+    def test_per_call_deadline_is_checked(self, value):
+        with SolverService() as service:
+            with pytest.raises(ValueError, match="deadline"):
+                service.solve_scenario(SPEC, deadline_s=value)
+
+    def test_the_largest_wait_is_accepted(self):
+        service = SolverService(deadline_s=threading.TIMEOUT_MAX)
+        assert service.deadline_s == threading.TIMEOUT_MAX
+        envelope = service.solve_scenario(SPEC)
+        assert envelope["scenario_id"] == SPEC.scenario_id
+
+    def test_http_query_at_the_limit_solves(self):
+        with ReproServer(SolverService(), port=0) as server:
+            status, raw = _post(
+                server.url + f"/solve?deadline_s={threading.TIMEOUT_MAX!r}",
+                SPEC.to_json().encode(),
+            )
+        assert status == 200
+        assert json.loads(raw)["scenario_id"] == SPEC.scenario_id
+
+
 class TestLoadShedding:
     def test_full_server_sheds_with_503_and_retry_after(self):
         service = SolverService(max_inflight=1)

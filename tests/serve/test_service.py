@@ -203,6 +203,41 @@ class TestSolving:
         assert grown < 16 * 1024, f"{hits} cache hits kept {grown} bytes"
 
 
+class TestEngineOptionsLiveOnTheEngine:
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("mode", "thread"),
+            ("max_workers", 2),
+            ("lp_strategy", "stacked"),
+            ("lp_chunk_size", 16),
+        ],
+    )
+    def test_forwarded_engine_options_removed(self, option, value):
+        with pytest.raises(TypeError, match=option):
+            SolverService(**{option: value})
+
+    @pytest.mark.parametrize("verify", ["off", "cached"])
+    def test_cache_dir_builds_the_default_engine(self, tmp_path, verify):
+        with SolverService(cache_dir=tmp_path, verify=verify) as service:
+            engine = service.runner.engine
+            assert (engine.mode, engine.max_workers) == ("serial", None)
+            assert (engine.lp_strategy, engine.lp_chunk_size) == ("per-lp", 64)
+            assert engine.verify == verify and service.verify == verify
+            assert engine.cache.directory == tmp_path
+            assert engine.cache.max_memory_entries == 4096
+            assert service.scenario_cache.directory == tmp_path / "serve"
+            assert service.scenario_cache.max_memory_entries == 4096
+
+    def test_a_given_runner_keeps_its_engine(self):
+        from repro.engine import BatchSolver, ResultCache
+
+        engine = BatchSolver(cache=ResultCache(), lp_strategy="stacked")
+        with SolverService(runner=SuiteRunner(engine=engine)) as service:
+            assert service.runner.engine is engine
+            assert service.lp_strategy == "stacked"
+
+
 class TestObservability:
     def test_healthz_reports_version(self, service):
         payload = service.healthz()

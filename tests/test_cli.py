@@ -81,10 +81,112 @@ def test_bench_subcommand_removed(capsys):
     assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
+def test_batch_subcommand_removed(capsys):
+    # ``suite run`` is the batch front end: every instance the old
+    # ``batch`` catalogue had is in the built-in ``paper`` suite.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["batch", "--family", "cycle"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'batch'" in capsys.readouterr().err
+
+
+def _option_strings(*path):
+    """Every option string (and positional dest) of one subcommand."""
+    import argparse
+
+    from repro.cli import _build_parser
+
+    parser = _build_parser()
+    for name in path:
+        (subparsers,) = [
+            action for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        parser = subparsers.choices[name]
+    options = set()
+    for action in parser._actions:
+        if not isinstance(action, argparse._HelpAction):
+            options.update(action.option_strings or [action.dest])
+    return options
+
+
+ENGINE_FLAGS = {"--mode", "--max-workers", "--workers", "--lp-strategy"}
+SOLVE_FLAGS = {
+    "--lp-chunk-size", "--verify", "--cache-dir", "--no-cache-dir", "--fault-plan"
+}
+
+
+@pytest.mark.parametrize(
+    "path, expected",
+    [
+        pytest.param(
+            ("trace", "run"), {"suite", "--out", *ENGINE_FLAGS}, id="trace-run"
+        ),
+        pytest.param(
+            ("suite", "run"),
+            {"suite", "--dry-run", "--out", "--checkpoint", "--resume",
+             *ENGINE_FLAGS, *SOLVE_FLAGS},
+            id="suite-run",
+        ),
+        pytest.param(
+            ("serve",),
+            {"--host", "--port", "--verbose", "--deadline", "--max-inflight",
+             *ENGINE_FLAGS, *SOLVE_FLAGS},
+            id="serve",
+        ),
+        pytest.param(("canon", "stats"), {"suite"}, id="canon-stats"),
+    ],
+)
+def test_shared_flags_add_no_option(path, expected):
+    # The shared flags are declared once and inherited; no subcommand
+    # gains an option through them.
+    assert _option_strings(*path) == expected
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["suite", "run", "paper"], ["serve"], ["trace", "run", "paper"]],
+    ids=["suite-run", "serve", "trace-run"],
+)
+def test_engine_flags_default_to_the_engines_defaults(command):
+    # Unset flags build the engine BatchSolver() would build.
+    from repro.cli import _build_parser, _engine
+    from repro.engine import BatchSolver, ResultCache
+
+    engine = _engine(_build_parser().parse_args(command), ResultCache())
+    default = BatchSolver()
+    for name in ("mode", "max_workers", "lp_strategy", "lp_chunk_size", "verify"):
+        assert getattr(engine, name) == getattr(default, name), name
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "1e300", "soon"])
+def test_serve_rejects_out_of_range_deadlines(value, capsys):
+    from repro.cli import _build_parser
+
+    with pytest.raises(SystemExit) as excinfo:
+        _build_parser().parse_args(["serve", "--deadline", value])
+    assert excinfo.value.code == 2
+    assert "--deadline" in capsys.readouterr().err
+
+
+def test_serve_accepts_a_positive_deadline():
+    import threading
+
+    from repro.cli import _build_parser
+
+    parse = _build_parser().parse_args
+    assert parse(["serve", "--deadline", "0.5"]).deadline == 0.5
+    limit = repr(threading.TIMEOUT_MAX)
+    assert parse(["serve", "--deadline", limit]).deadline == threading.TIMEOUT_MAX
+
+
 @pytest.mark.parametrize(
     "argv",
     [
-        pytest.param(["batch", "--workers"], id="batch-workers"),
+        # The old ``batch --family`` workloads now run as suite files.
+        pytest.param(
+            ["suite", "run", "cycle40.json", "--workers"], id="batch-workers"
+        ),
         pytest.param(["suite", "run", "paper", "--workers"], id="suite-workers"),
         pytest.param(["serve", "--workers"], id="serve-workers"),
         pytest.param(["trace", "run", "paper", "--workers"], id="trace-workers"),
@@ -108,37 +210,53 @@ def test_non_positive_counts_rejected(argv, capsys):
     assert "must be an integer >= 1, got '0'" in err
 
 
+def _batch_suite(directory):
+    """The old ``batch --family cycle --radii 1`` workload as a suite file.
+
+    Return the suite and the path of its JSON file in ``directory``.
+    """
+    from repro.scenarios import ScenarioGrid, SuiteSpec
+
+    suite = SuiteSpec(
+        name="batch",
+        grids=(ScenarioGrid("cycle", params={"n": 40}, radii=(1,)),),
+    )
+    path = directory / "suite.json"
+    path.write_text(suite.to_json())
+    return suite, path
+
+
 class TestBatchCommand:
+    """What ``repro batch`` did, reached through ``suite run`` on a suite file."""
+
     def test_batch_runs_and_reports_engine_counters(self, capsys, tmp_path):
-        assert (
-            main(
-                [
-                    "batch",
-                    "--family",
-                    "cycle",
-                    "--radii",
-                    "1",
-                    "--cache-dir",
-                    str(tmp_path / "cache"),
-                    "--out",
-                    str(tmp_path / "run"),
-                ]
-            )
-            == 0
-        )
+        from repro.io import dump_instance, load_instance
+        from repro.scenarios import build_instance
+
+        suite, suite_file = _batch_suite(tmp_path)
+        run_dir = tmp_path / "run"
+        assert main([
+            "suite", "run", str(suite_file),
+            "--cache-dir", str(tmp_path / "cache"),
+            "--out", str(run_dir),
+        ]) == 0
         out = capsys.readouterr().out
-        assert "BATCH: averaging jobs" in out
-        assert "BATCH: engine counters" in out
-        assert (tmp_path / "run" / "registry.json").is_file()
-        assert (tmp_path / "run" / "results.json").is_file()
-        assert (tmp_path / "run" / "instance-00.json").is_file()
+        assert "SUITE batch" in out
+        assert "Engine/cache counters" in out
+        assert (run_dir / "registry.json").is_file()
+        assert (run_dir / "results.json").is_file()
+        # Instance dumps come from the library, not from a CLI command.
+        (spec,) = suite.expand()
+        dump_instance(build_instance(spec), run_dir / "instance-00.json")
+        assert len(load_instance(run_dir / "instance-00.json").agents) == 40
 
     def test_batch_warm_rerun_hits_the_disk_cache(self, capsys, tmp_path):
-        args = ["batch", "--family", "cycle", "--radii", "1", "--cache-dir", str(tmp_path)]
+        _, suite_file = _batch_suite(tmp_path)
+        args = ["suite", "run", str(suite_file), "--cache-dir", str(tmp_path / "c")]
         assert main(args) == 0
         capsys.readouterr()
         assert main(args) == 0
-        counters_block = capsys.readouterr().out.split("engine counters")[1]
+        counters_block = capsys.readouterr().out.split("Engine/cache counters")[1]
         rows = [
             line
             for line in counters_block.splitlines()
@@ -147,25 +265,12 @@ class TestBatchCommand:
         executed = int(rows[0].split("|")[2])
         assert executed == 0
 
-    def test_batch_rejects_bad_radii(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["batch", "--family", "cycle", "--radii", "0"])
-
-    def test_batch_thread_mode_runs(self, capsys):
-        args = ["batch", "--family", "cycle", "--radii", "1", "--mode", "thread",
+    def test_batch_thread_mode_runs(self, capsys, tmp_path):
+        _, suite_file = _batch_suite(tmp_path)
+        args = ["suite", "run", str(suite_file), "--mode", "thread",
                 "--workers", "2", "--no-cache-dir"]
         assert main(args) == 0
-        assert "BATCH" in capsys.readouterr().out
-
-    def test_batch_honours_repro_cache_dir_env(self, capsys, monkeypatch, tmp_path):
-        """Without --cache-dir, batch writes where `repro cache` will look."""
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        assert main(["batch", "--family", "cycle", "--radii", "1"]) == 0
-        capsys.readouterr()
-        assert main(["cache", "stats"]) == 0
-        out = capsys.readouterr().out
-        assert str(tmp_path) in out
-        assert cache_rows.rows(tmp_path)
+        assert "SUITE batch" in capsys.readouterr().out
 
 
 class TestSuiteCommand:
@@ -202,6 +307,17 @@ class TestSuiteCommand:
         with pytest.raises(SystemExit, match="invalid suite file"):
             main(["suite", "run", str(bad), "--dry-run"])
 
+    @pytest.mark.parametrize(
+        "radii", ["[0]", "[-1]", "[\"nope\"]"], ids=["zero", "negative", "string"]
+    )
+    def test_run_rejects_bad_radii(self, radii, tmp_path):
+        bad = tmp_path / "bad-radii.json"
+        bad.write_text(
+            '{"name": "x", "grids": [{"family": "cycle", "radii": %s}]}' % radii
+        )
+        with pytest.raises(SystemExit, match="invalid suite file"):
+            main(["suite", "run", str(bad)])
+
     def test_run_suite_with_unknown_family_rejected_cleanly(self, tmp_path):
         bad = tmp_path / "bad-family.json"
         bad.write_text(
@@ -228,6 +344,7 @@ class TestSuiteCommand:
         out = capsys.readouterr().out
         assert "[1/1]" in out
         assert "SUITE custom" in out
+        assert "Engine/cache counters" in out
         assert (out_dir / "report.md").is_file()
         assert (out_dir / "registry.json").is_file()
         data = json.loads((out_dir / "results.json").read_text())
@@ -253,6 +370,26 @@ class TestSuiteCommand:
                if "|" in line and any(ch.isdigit() for ch in line)][0]
         executed = int(row.split("|")[2])
         assert executed == 0
+
+    def test_run_honours_repro_cache_dir_env(self, capsys, monkeypatch, tmp_path):
+        """Without --cache-dir, suite run writes where `repro cache` looks."""
+        from repro.scenarios import ScenarioGrid, SuiteSpec
+
+        suite_file = tmp_path / "suite.json"
+        suite_file.write_text(
+            SuiteSpec(
+                name="env",
+                grids=(ScenarioGrid("cycle", params={"n": 8}, radii=(1,)),),
+            ).to_json()
+        )
+        cache_dir = tmp_path / "cache"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_dir))
+        assert main(["suite", "run", str(suite_file)]) == 0
+        capsys.readouterr()
+        assert main(["cache", "stats"]) == 0
+        out = capsys.readouterr().out
+        assert str(cache_dir) in out
+        assert cache_rows.rows(cache_dir)
 
 
 class TestRunRegistryOnlyWhenSaved:
@@ -295,10 +432,9 @@ class TestRunRegistryOnlyWhenSaved:
         assert main(["suite", "run", suite_file, "--no-cache-dir"]) == 0
         assert built == []
 
-    def test_batch_without_out_builds_none(self, built, capsys):
-        assert main(
-            ["batch", "--family", "cycle", "--radii", "1", "--no-cache-dir"]
-        ) == 0
+    def test_batch_without_out_builds_none(self, built, tmp_path, capsys):
+        _, suite_file = _batch_suite(tmp_path)
+        assert main(["suite", "run", str(suite_file), "--no-cache-dir"]) == 0
         assert built == []
 
     def test_suite_run_with_out_saves_one(self, built, suite_file, tmp_path, capsys):
@@ -312,22 +448,69 @@ class TestRunRegistryOnlyWhenSaved:
         assert len(built[0]) > 1  # the scenario's job records and the suite's
 
 
+class TestTraceCommand:
+    def test_out_parent_directories_are_created(self, capsys, tmp_path):
+        from repro.scenarios import ScenarioGrid, SuiteSpec
+
+        suite_file = tmp_path / "suite.json"
+        suite_file.write_text(
+            SuiteSpec(
+                name="trace",
+                grids=(ScenarioGrid("cycle", params={"n": 6}, radii=(1,)),),
+            ).to_json()
+        )
+        out = tmp_path / "missing" / "dir" / "t.json"
+        assert main(["trace", "run", str(suite_file), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["traceEvents"]
+        assert str(out) in capsys.readouterr().out
+
+
 class TestCanonCommand:
     def test_canon_stats_reports_orbits(self, capsys):
-        assert main(["canon", "stats", "--family", "grid", "--radii", "1"]) == 0
+        from repro.scenarios import get_suite
+
+        assert main(["canon", "stats", "paper"]) == 0
         out = capsys.readouterr().out
         assert "CANON: radius-R view orbits" in out
         assert "sharing" in out
+        # One row per scenario and radius of the suite.
+        scenarios = get_suite("paper").expand()
+        rows = [line for line in out.splitlines() if "]" in line and "|" in line]
+        assert len(rows) == sum(len(spec.radii) for spec in scenarios)
         # The 6x6 torus is vertex-transitive: one orbit for all 36 agents.
-        torus_row = [line for line in out.splitlines() if "torus 6x6" in line][0]
+        torus_row = [line for line in rows if "torus[shape=6x6]" in line][0]
         cells = [cell.strip() for cell in torus_row.split("|")]
-        assert cells[2:4] == ["36", "1"]  # agents=36, orbits=1
+        assert cells[1:4] == ["1", "36", "1"]  # R=1, agents=36, orbits=1
 
-    def test_canon_stats_rejects_bad_radii(self):
-        with pytest.raises(SystemExit):
-            main(["canon", "stats", "--radii", "0"])
-        with pytest.raises(SystemExit):
-            main(["canon", "stats", "--radii", "nope"])
+    def test_canon_stats_runs_on_a_suite_file(self, capsys, tmp_path):
+        from repro.scenarios import ScenarioGrid, SuiteSpec
+
+        suite_file = tmp_path / "suite.json"
+        suite_file.write_text(
+            SuiteSpec(
+                name="canon",
+                grids=(ScenarioGrid("cycle", params={"n": 12}, radii=(1, 2)),),
+            ).to_json()
+        )
+        assert main(["canon", "stats", str(suite_file)]) == 0
+        rows = [
+            [cell.strip() for cell in line.split("|")]
+            for line in capsys.readouterr().out.splitlines()
+            if line.strip().startswith("cycle[n=12]")
+        ]
+        assert [row[1:4] for row in rows] == [["1", "12", "1"], ["2", "12", "1"]]
+
+    def test_canon_stats_rejects_unknown_suite(self, tmp_path, capsys):
+        with pytest.raises(SystemExit, match="unknown suite"):
+            main(["canon", "stats", "no-such-suite"])
+        bad = tmp_path / "bad-family.json"
+        bad.write_text('{"name": "x", "grids": [{"family": "no-such-family"}]}')
+        with pytest.raises(SystemExit, match="unknown instance family"):
+            main(["canon", "stats", str(bad)])
+        # The per-family flags are gone: parsing alone exits 2.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["canon", "stats", "paper", "--family", "grid"])
+        assert excinfo.value.code == 2
 
     def test_canon_requires_subcommand(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -397,10 +580,15 @@ class TestSuiteShareOrbits:
         assert "SUITE orbit-smoke" in capsys.readouterr().out
 
 
+def _fill_cache(cache_dir):
+    """Solve a cycle n=40 R=1 suite into ``cache_dir``."""
+    _, suite_file = _batch_suite(cache_dir)
+    assert main(["suite", "run", str(suite_file), "--cache-dir", str(cache_dir)]) == 0
+
+
 class TestCacheCommand:
     def test_cache_prune_drops_oldest_entries(self, capsys, tmp_path):
-        main(["batch", "--family", "cycle", "--radii", "1",
-              "--cache-dir", str(tmp_path)])
+        _fill_cache(tmp_path)
         capsys.readouterr()
         rows = cache_rows.rows(tmp_path)
         entries = sorted(rows)
@@ -427,7 +615,7 @@ class TestCacheCommand:
             main(["cache", "prune", "--cache-dir", str(tmp_path)])
 
     def test_cache_stats_and_clear(self, capsys, tmp_path):
-        main(["batch", "--family", "cycle", "--radii", "1", "--cache-dir", str(tmp_path)])
+        _fill_cache(tmp_path)
         capsys.readouterr()
         assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out

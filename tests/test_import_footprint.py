@@ -40,12 +40,14 @@ def test_imports_and_a_certified_suite_run_load_neither_package():
         import sys
 
         import repro, repro.cli, repro.serve
+        from repro.engine import BatchSolver, ResultCache
         from repro.scenarios.certify import certify_scenario_result
         from repro.scenarios.runner import SuiteRunner
         from repro.scenarios.spec import ScenarioSpec
 
         spec = ScenarioSpec(family="cycle", params={"n": 8}, seed=0, radii=(1,))
-        (result,) = SuiteRunner(verify="all").run([spec])
+        engine = BatchSolver(cache=ResultCache(), verify="all")
+        (result,) = SuiteRunner(engine=engine).run([spec])
         certify_scenario_result(spec, result.as_dict())
         loaded = sorted(
             name for name in sys.modules
