@@ -20,7 +20,7 @@ Available commands::
     suite        declarative scenario suites: run, list-families, show
     serve        HTTP solve service (result cache + request coalescing)
     trace        traced suite run -> Chrome trace_event JSON (Perfetto)
-    obs          observability utilities: per-stage trace summaries
+    obs          observability utilities: per-stage trace summaries and diffs
 
 ``suite run``, ``serve`` and ``trace run`` drive one
 :class:`~repro.engine.BatchSolver` each; their engine flags are declared
@@ -38,7 +38,7 @@ import inspect
 import json
 import sys
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from . import __version__
 from .analysis import growth_sweep, radius_sweep, render_rows, safe_ratio_sweep
@@ -622,17 +622,37 @@ def run_trace_cmd(args: argparse.Namespace) -> int:
     return 0
 
 
-def run_obs_cmd(args: argparse.Namespace) -> int:
-    """Summarize a Chrome-trace JSON dump as a per-stage table."""
-    from .obs import format_table, load_trace_events, summarize_events
+def _trace_events(trace: str) -> Tuple[Path, List[Dict[str, Any]]]:
+    """The complete events of a trace file; exits on a missing or bad one."""
+    from .obs import load_trace_events
 
-    path = Path(args.trace)
+    path = Path(trace)
     if not path.is_file():
         raise SystemExit(f"trace file not found: {path}")
     try:
-        events = load_trace_events(path)
+        return path, load_trace_events(path)
     except ValueError as exc:
         raise SystemExit(f"invalid trace file {path}: {exc}")
+
+
+def run_obs_cmd(args: argparse.Namespace) -> int:
+    """``obs summary``: a Chrome-trace dump as a per-stage table; ``obs
+    diff``: the per-stage deltas from one dump to another."""
+    from .obs import DIFF_COLUMNS, diff_summaries, format_table, summarize_events
+
+    if args.obs_command == "diff":
+        path_a, events_a = _trace_events(args.trace_a)
+        path_b, events_b = _trace_events(args.trace_b)
+        rows = diff_summaries(summarize_events(events_a), summarize_events(events_b))
+        _print(
+            f"OBS DIFF: {path_a} ({len(events_a)} spans) -> "
+            f"{path_b} ({len(events_b)} spans), deltas B - A",
+            format_table(rows, DIFF_COLUMNS),
+        )
+        total = sum(row["d_self_s"] for row in rows)
+        print(f"\nsum of self-time deltas: {total:+.6f}s")
+        return 0
+    path, events = _trace_events(args.trace)
     _print(
         f"OBS: {path} ({len(events)} spans)",
         format_table(summarize_events(events)),
@@ -855,7 +875,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     sp = sub.add_parser(
-        "obs", help="observability utilities (trace summaries)"
+        "obs", help="observability utilities (trace summaries and diffs)"
     )
     obs_sub = sp.add_subparsers(dest="obs_command", required=True)
     sp_obs_summary = obs_sub.add_parser(
@@ -864,6 +884,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sp_obs_summary.add_argument(
         "trace", help="Chrome trace_event JSON file written by 'repro trace run'"
     )
+    sp_obs_diff = obs_sub.add_parser(
+        "diff", help="per-stage count and time deltas between two trace.json dumps"
+    )
+    sp_obs_diff.add_argument("trace_a", help="the baseline trace (A)")
+    sp_obs_diff.add_argument("trace_b", help="the trace compared with it (B)")
     return parser
 
 

@@ -4,7 +4,7 @@ Stdlib-only observability substrate: hierarchical spans from the HTTP
 front end down to individual HiGHS calls (:mod:`repro.obs.trace`), a
 registry of counters/gauges/latency histograms with Prometheus export
 (:mod:`repro.obs.metrics`), shared stats-dataclass helpers
-(:mod:`repro.obs.statsutil`), and offline trace summaries
+(:mod:`repro.obs.statsutil`), and offline trace summaries and diffs
 (:mod:`repro.obs.summary`).
 """
 
@@ -17,7 +17,13 @@ from .metrics import (
     render_prometheus,
 )
 from .statsutil import merge_stats, stats_as_dict
-from .summary import format_table, load_trace_events, summarize_events
+from .summary import (
+    DIFF_COLUMNS,
+    diff_summaries,
+    format_table,
+    load_trace_events,
+    summarize_events,
+)
 from .trace import (
     Span,
     Tracer,
@@ -32,6 +38,7 @@ from .trace import (
 
 __all__ = [
     "Counter",
+    "DIFF_COLUMNS",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
@@ -39,6 +46,7 @@ __all__ = [
     "Tracer",
     "activate",
     "capture_context",
+    "diff_summaries",
     "format_table",
     "get_registry",
     "get_tracer",

@@ -1,7 +1,8 @@
 """Offline trace inspection: trace.json -> per-stage breakdown table.
 
-Backs the ``repro obs summary <trace.json>`` CLI so Chrome-trace dumps
-are inspectable without a browser.  Nesting is reconstructed from the
+Backs the ``repro obs summary <trace.json>`` and ``repro obs diff
+<a.json> <b.json>`` CLIs so Chrome-trace dumps are inspectable (and
+comparable) without a browser.  Nesting is reconstructed from the
 ``span_id``/``parent_id`` entries :meth:`Tracer.chrome_trace` embeds in
 each event's ``args`` (falling back to flat totals for foreign traces
 that lack them).
@@ -12,7 +13,27 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Mapping, Sequence
 
-__all__ = ["load_trace_events", "summarize_events", "format_table"]
+__all__ = [
+    "DIFF_COLUMNS",
+    "diff_summaries",
+    "format_table",
+    "load_trace_events",
+    "summarize_events",
+]
+
+SUMMARY_COLUMNS = ("stage", "count", "total_s", "self_s", "p50_ms", "p99_ms")
+#: The columns of a :func:`diff_summaries` table: each stage's count and
+#: total time in trace A and trace B, and the B - A deltas.
+DIFF_COLUMNS = (
+    "stage",
+    "count_a",
+    "count_b",
+    "d_count",
+    "total_a_s",
+    "total_b_s",
+    "d_total_s",
+    "d_self_s",
+)
 
 
 def load_trace_events(path: str) -> List[Dict[str, Any]]:
@@ -78,16 +99,51 @@ def summarize_events(events: Sequence[Mapping[str, Any]]) -> List[Dict[str, Any]
     return rows
 
 
-def format_table(rows: Sequence[Mapping[str, Any]]) -> str:
-    """Render summary rows as an aligned text table."""
+def diff_summaries(
+    before: Sequence[Mapping[str, Any]], after: Sequence[Mapping[str, Any]]
+) -> List[Dict[str, Any]]:
+    """Per-stage deltas from ``before`` to ``after`` summary rows.
+
+    A stage found in one summary only counts as zero in the other.  Rows
+    are sorted by the size of their self-time delta, largest first, so the
+    stages the time moved between lead; the self-time deltas sum to the
+    change in the root spans' total.
+    """
+    old = {row["stage"]: row for row in before}
+    new = {row["stage"]: row for row in after}
+    empty = {"count": 0, "total_s": 0.0, "self_s": 0.0}
+    rows: List[Dict[str, Any]] = []
+    for stage in set(old) | set(new):
+        a, b = old.get(stage, empty), new.get(stage, empty)
+        rows.append(
+            {
+                "stage": stage,
+                "count_a": a["count"],
+                "count_b": b["count"],
+                "d_count": b["count"] - a["count"],
+                "total_a_s": a["total_s"],
+                "total_b_s": b["total_s"],
+                "d_total_s": round(b["total_s"] - a["total_s"], 6),
+                "d_self_s": round(b["self_s"] - a["self_s"], 6),
+            }
+        )
+    rows.sort(key=lambda row: (-abs(row["d_self_s"]), row["stage"]))
+    return rows
+
+
+def format_table(
+    rows: Sequence[Mapping[str, Any]],
+    columns: Sequence[str] = SUMMARY_COLUMNS,
+) -> str:
+    """Render rows as an aligned text table of ``columns``; a table with a
+    ``self_s`` column ends with the sum of its self times."""
     if not rows:
         return "(no spans)"
-    headers = ["stage", "count", "total_s", "self_s", "p50_ms", "p99_ms"]
-    table = [headers] + [
-        [str(row[header]) for header in headers] for row in rows
+    table = [list(columns)] + [
+        [str(row[column]) for column in columns] for row in rows
     ]
     widths = [
-        max(len(line[col]) for line in table) for col in range(len(headers))
+        max(len(line[col]) for line in table) for col in range(len(columns))
     ]
     lines = []
     for idx, line in enumerate(table):
@@ -98,6 +154,7 @@ def format_table(rows: Sequence[Mapping[str, Any]]) -> str:
         lines.append("  ".join(cells))
         if idx == 0:
             lines.append("  ".join("-" * width for width in widths))
-    total = sum(float(row["self_s"]) for row in rows)
-    lines.append(f"\nsum of self times: {total:.6f}s")
+    if "self_s" in columns:
+        total = sum(float(row["self_s"]) for row in rows)
+        lines.append(f"\nsum of self times: {total:.6f}s")
     return "\n".join(lines)

@@ -274,8 +274,8 @@ class SuiteRunner:
         (execution mode, LP strategy, verification, ...) are
         :class:`~repro.engine.BatchSolver`'s own.
     cache:
-        Shorthand for ``engine=BatchSolver(cache=cache)`` when ``engine`` is
-        omitted; defaults to a purely in-memory
+        Shorthand for ``engine=BatchSolver(cache=cache)``; giving both is a
+        :class:`TypeError`.  Defaults to a purely in-memory
         :class:`~repro.engine.ResultCache` (pass one with a ``directory``
         for warm re-runs across processes).
     """
@@ -289,6 +289,11 @@ class SuiteRunner:
         engine: Optional[BatchSolver] = None,
         cache: Optional[ResultCache] = None,
     ) -> None:
+        if engine is not None and cache is not None:
+            raise TypeError(
+                "SuiteRunner() takes engine= or cache=, not both: "
+                "pass BatchSolver(cache=...) as the engine"
+            )
         if engine is None:
             engine = BatchSolver(
                 cache=cache if cache is not None else ResultCache()

@@ -46,6 +46,18 @@ connection is done parks for the next one (up to a small cap) instead of
 exiting, so a steady stream of requests does not start an OS thread per
 request; a connection that finds no parked thread starts a new one, so
 ``max_inflight`` stays the only concurrency limit.
+
+Request heads are parsed here, not by the stdlib's ``email``-based header
+parser: the request line gets the stdlib's own checks and replies (400,
+505, a leading ``//`` collapsed to ``/``), and each header line is split
+at its first colon into a case-insensitive mapping under the stdlib's
+limits (a line over 65536 bytes or a head over 100 lines is a 431).  A
+field line with no colon, or an obsolete folded continuation line, is a
+400 (RFC 9112 section 5).  Replies are HTTP/1.0, so every connection
+closes after one reply and there is no keep-alive or ``Expect:
+100-continue`` handling.  A reply with a body goes out in one write, head
+and body together; the protocol-error replies are the stdlib's
+``send_error`` pages.
 """
 
 from __future__ import annotations
@@ -54,8 +66,9 @@ import json
 import queue
 import threading
 import warnings
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, HTTPServer
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from .. import __version__
@@ -86,6 +99,29 @@ MAX_BODY_BYTES = 8 * 1024 * 1024
 _MAX_PARKED_HANDLERS = 8
 
 
+#: The stdlib's limits on a request head, those ``http.client`` applies:
+#: bytes per line, and lines after the request line counting the blank
+#: one that ends the head.
+_MAX_LINE = 65536
+_MAX_HEAD_LINES = 100
+
+
+class _Fields:
+    """A request's header fields, looked up case-insensitively."""
+
+    __slots__ = ("_values",)
+
+    def __init__(self) -> None:
+        self._values: Dict[str, List[str]] = {}
+
+    def add(self, name: str, value: str) -> None:
+        self._values.setdefault(name.lower(), []).append(value)
+
+    def get_all(self, name: str) -> List[str]:
+        """Every value of field ``name``, in arrival order."""
+        return list(self._values.get(name.lower(), ()))
+
+
 class _Handler(BaseHTTPRequestHandler):
     """Route requests into the server's :class:`SolverService`."""
 
@@ -101,6 +137,101 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, format: str, *args: Any) -> None:
         if getattr(self.server, "verbose", False):
             super().log_message(format, *args)
+
+    # ------------------------------------------------------------------
+    # Request head
+    # ------------------------------------------------------------------
+    def parse_request(self) -> bool:
+        """Parse ``raw_requestline`` and the header lines that follow it.
+
+        Sets ``command``, ``path``, ``request_version`` and ``headers``
+        and returns True, or sends the error reply and returns False.  The
+        request line gets the stdlib's checks, statuses and messages.
+        """
+        self.command = None  # set in case of an error on the first line
+        self.request_version = version = self.default_request_version
+        self.close_connection = True
+        requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        self.requestline = requestline
+        words = requestline.split()
+        if not words:
+            return False
+        if len(words) >= 3:  # enough to determine the protocol version
+            version = words[-1]
+            try:
+                if not version.startswith("HTTP/"):
+                    raise ValueError
+                base_version_number = version.split("/", 1)[1]
+                major, minor = base_version_number.split(".")
+                if not (major.isdigit() and minor.isdigit()):
+                    raise ValueError("non digit in http version")
+                if len(major) > 10 or len(minor) > 10:
+                    raise ValueError("unreasonable length http version")
+                version_number = int(major), int(minor)
+            except (ValueError, IndexError):
+                self.send_error(
+                    HTTPStatus.BAD_REQUEST, "Bad request version (%r)" % version
+                )
+                return False
+            if version_number >= (2, 0):
+                self.send_error(
+                    HTTPStatus.HTTP_VERSION_NOT_SUPPORTED,
+                    "Invalid HTTP version (%s)" % base_version_number,
+                )
+                return False
+            self.request_version = version
+        if not 2 <= len(words) <= 3:
+            self.send_error(
+                HTTPStatus.BAD_REQUEST, "Bad request syntax (%r)" % requestline
+            )
+            return False
+        command, path = words[:2]
+        if len(words) == 2 and command != "GET":
+            self.send_error(
+                HTTPStatus.BAD_REQUEST, "Bad HTTP/0.9 request type (%r)" % command
+            )
+            return False
+        self.command = command
+        # A leading "//" would read as a scheme-less absolute URI.
+        self.path = "/" + path.lstrip("/") if path.startswith("//") else path
+
+        fields = _Fields()
+        lines = 0
+        while True:
+            line = self.rfile.readline(_MAX_LINE + 1)
+            if len(line) > _MAX_LINE:
+                self.send_error(
+                    HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
+                    "Line too long",
+                    f"got more than {_MAX_LINE} bytes when reading header line",
+                )
+                return False
+            lines += 1
+            if lines > _MAX_HEAD_LINES:
+                self.send_error(
+                    HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
+                    "Too many headers",
+                    f"got more than {_MAX_HEAD_LINES} headers",
+                )
+                return False
+            if line in (b"\r\n", b"\n", b""):
+                break
+            name, colon, value = line.partition(b":")
+            if not colon or line[0] in b" \t":
+                self.send_error(
+                    HTTPStatus.BAD_REQUEST,
+                    "Bad header line",
+                    "a header field line needs a colon and may not be "
+                    "folded (RFC 9112 section 5)",
+                )
+                return False
+            fields.add(
+                name.decode("iso-8859-1"), value.strip().decode("iso-8859-1")
+            )
+        # Under HTTP/1.0 every connection closes after one reply and no
+        # 100-continue is sent, so Connection and Expect change nothing.
+        self.headers = fields
+        return True
 
     # ------------------------------------------------------------------
     # Response helpers
@@ -126,13 +257,29 @@ class _Handler(BaseHTTPRequestHandler):
         *,
         headers: Optional[Dict[str, str]] = None,
     ) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        head = self._head(
+            status,
+            [
+                ("Content-Type", content_type),
+                ("Content-Length", str(len(body))),
+                *(headers or {}).items(),
+            ],
+        )
+        self.wfile.write(head + body)
+
+    def _head(self, status: int, headers: Sequence[Tuple[str, str]]) -> bytes:
+        """Log the reply and return its head: the status line, ``Server``,
+        ``Date``, then ``headers``; no head at all for HTTP/0.9."""
+        self.log_request(status)
+        if self.request_version == "HTTP/0.9":
+            return b""
+        lines = [
+            f"{self.protocol_version} {status} {self.responses[status][0]}",
+            f"Server: {self.version_string()}",
+            f"Date: {self.date_time_string()}",
+            *(f"{name}: {value}" for name, value in headers),
+        ]
+        return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
 
     def _split_path(self) -> Tuple[str, Dict[str, str]]:
         """Path and flattened (last-value-wins) query of the request."""
@@ -151,9 +298,16 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _read_body(self) -> bytes:
         try:
-            length = int(self.headers.get("Content-Length") or 0)
+            lengths = {
+                int(value or 0) for value in self.headers.get_all("Content-Length")
+            }
         except ValueError:
             raise ServeRequestError("invalid Content-Length header") from None
+        if len(lengths) > 1:
+            # Two framings of one message: a proxy in front may have used
+            # the other one (request smuggling).  Equal copies read as one.
+            raise ServeRequestError("conflicting Content-Length headers")
+        length = lengths.pop() if lengths else 0
         if length <= 0:
             raise ServeRequestError(
                 "request body required: POST a spec JSON document "
@@ -298,10 +452,15 @@ class _Handler(BaseHTTPRequestHandler):
                     verify=self._parse_verify(query),
                 )
                 streaming = True
-                self.send_response(200)
-                self.send_header("Content-Type", "application/x-ndjson")
-                self.send_header("Connection", "close")
-                self.end_headers()
+                self.wfile.write(
+                    self._head(
+                        200,
+                        [
+                            ("Content-Type", "application/x-ndjson"),
+                            ("Connection", "close"),
+                        ],
+                    )
+                )
                 with span("http.request", method="POST", path=path):
                     for record in stream:
                         self.wfile.write(

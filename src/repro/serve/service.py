@@ -102,7 +102,9 @@ class _LRU:
         self.max_entries = max_entries
 
     def __len__(self) -> int:
-        return len(self._entries)
+        # Under the lock: ``put`` holds one entry over the cap until it evicts.
+        with self._lock:
+            return len(self._entries)
 
     def get(self, key: Any) -> Any:
         """The value under ``key`` (now the most recent), or ``None``."""

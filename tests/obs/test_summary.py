@@ -6,7 +6,14 @@ import json
 
 import pytest
 
-from repro.obs.summary import format_table, load_trace_events, summarize_events
+from repro.cli import main
+from repro.obs.summary import (
+    DIFF_COLUMNS,
+    diff_summaries,
+    format_table,
+    load_trace_events,
+    summarize_events,
+)
 from repro.obs.trace import span, tracing
 
 
@@ -87,3 +94,99 @@ class TestFormat:
 
     def test_empty_rows_render_placeholder(self):
         assert format_table([]) == "(no spans)"
+
+
+def _event(name, dur, span_id, parent_id=None):
+    args = {"span_id": span_id}
+    if parent_id is not None:
+        args["parent_id"] = parent_id
+    return {"ph": "X", "name": name, "ts": 0, "dur": dur, "args": args}
+
+
+#: A cold run: two HiGHS solves under the batch.  A warm run: the cache
+#: answers, so no HiGHS span, and a cache read appears instead.
+COLD = [
+    _event("suite.run", 1000, 1),
+    _event("engine.batch", 800, 2, 1),
+    _event("lp.highs", 300, 3, 2),
+    _event("lp.highs", 400, 4, 2),
+]
+WARM = [
+    _event("suite.run", 300, 1),
+    _event("engine.batch", 100, 2, 1),
+    _event("engine.cache.get", 50, 3, 2),
+]
+
+
+class TestDiff:
+    def test_deltas_per_stage(self):
+        rows = diff_summaries(summarize_events(COLD), summarize_events(WARM))
+        assert rows == [
+            {
+                "stage": "lp.highs",
+                "count_a": 2,
+                "count_b": 0,
+                "d_count": -2,
+                "total_a_s": 0.0007,
+                "total_b_s": 0.0,
+                "d_total_s": -0.0007,
+                "d_self_s": -0.0007,
+            },
+            {
+                "stage": "engine.batch",
+                "count_a": 1,
+                "count_b": 1,
+                "d_count": 0,
+                "total_a_s": 0.0008,
+                "total_b_s": 0.0001,
+                "d_total_s": -0.0007,
+                "d_self_s": -0.00005,
+            },
+            {
+                "stage": "engine.cache.get",
+                "count_a": 0,
+                "count_b": 1,
+                "d_count": 1,
+                "total_a_s": 0.0,
+                "total_b_s": 0.00005,
+                "d_total_s": 0.00005,
+                "d_self_s": 0.00005,
+            },
+            {
+                "stage": "suite.run",
+                "count_a": 1,
+                "count_b": 1,
+                "d_count": 0,
+                "total_a_s": 0.001,
+                "total_b_s": 0.0003,
+                "d_total_s": -0.0007,
+                "d_self_s": 0.0,
+            },
+        ]
+        # The self-time deltas add up to the root's total delta.
+        assert sum(row["d_self_s"] for row in rows) == pytest.approx(-0.0007)
+
+    def test_a_trace_against_itself_has_no_delta(self):
+        rows = diff_summaries(summarize_events(COLD), summarize_events(COLD))
+        assert {row["d_count"] for row in rows} == {0}
+        assert {row["d_total_s"] for row in rows} == {0.0}
+        assert {row["d_self_s"] for row in rows} == {0.0}
+
+    def test_cli_prints_the_diff_table(self, tmp_path, capsys):
+        cold, warm = tmp_path / "cold.json", tmp_path / "warm.json"
+        cold.write_text(json.dumps({"traceEvents": COLD}))
+        warm.write_text(json.dumps(WARM))
+        assert main(["obs", "diff", str(cold), str(warm)]) == 0
+        out = capsys.readouterr().out
+        header = out.splitlines()[3].split()
+        assert header == list(DIFF_COLUMNS)
+        assert "(4 spans)" in out and "(3 spans)" in out
+        assert "lp.highs" in out and "engine.cache.get" in out
+        assert "sum of self-time deltas: -0.000700s" in out
+        assert "sum of self times" not in out
+
+    def test_cli_exits_on_a_missing_trace(self, tmp_path):
+        cold = tmp_path / "cold.json"
+        cold.write_text(json.dumps(COLD))
+        with pytest.raises(SystemExit, match="trace file not found"):
+            main(["obs", "diff", str(cold), str(tmp_path / "missing.json")])

@@ -166,6 +166,11 @@ class TestEngineOptionsLiveOnTheEngine:
         assert (engine.lp_strategy, engine.lp_chunk_size) == ("per-lp", 64)
         assert engine.verify == "off" and engine.registry is None
 
+    def test_engine_and_cache_together_are_rejected(self):
+        """The cache would be dropped: the given engine keeps its own."""
+        with pytest.raises(TypeError, match=r"engine=.*cache="):
+            SuiteRunner(engine=BatchSolver(), cache=ResultCache())
+
     def test_no_argument_builds_an_in_memory_cache(self):
         engine = SuiteRunner().engine
         assert engine.cache is not None and engine.cache.directory is None

@@ -3,7 +3,8 @@
 A connection goes to a parked handler thread when one is idle and starts a
 new thread only when none is; a thread parks again after its connection,
 up to a small cap, and ``stop()`` leaves no parked thread behind.  The
-reply bytes are pinned below, ``Date`` aside.
+reply bytes are pinned below, ``Date`` aside, together with the replies to
+malformed request heads.
 
 The client here reads every reply to EOF, as the server closes each
 connection (HTTP/1.0), so the sequence of accepts and parks is
@@ -12,11 +13,13 @@ deterministic and the thread counts are exact.
 
 from __future__ import annotations
 
+import html
 import json
 import socket
 import sys
 import threading
 import time
+from http.server import BaseHTTPRequestHandler
 from typing import List
 
 import pytest
@@ -38,15 +41,23 @@ UNBUILDABLE = ScenarioSpec(
 
 
 def _exchange(port: int, request: bytes) -> bytes:
-    """Send one raw request and read the reply until the server closes."""
+    """Send one raw request and read the reply until the server closes.
+
+    A reset after the reply counts as the close: the server may close with
+    part of an oversized request unread.
+    """
+    chunks = []
     with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
-        sock.sendall(request)
-        chunks = []
-        while True:
-            chunk = sock.recv(65536)
-            if not chunk:
-                return b"".join(chunks)
-            chunks.append(chunk)
+        try:
+            sock.sendall(request)
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                chunks.append(chunk)
+        except ConnectionResetError:
+            pass
+    return b"".join(chunks)
 
 
 def _post(path: str, body: bytes) -> bytes:
@@ -391,4 +402,147 @@ def test_solve_reply_keeps_its_bytes():
             f"Content-Length: {len(expected)}",
         ],
         expected,
+    )
+
+
+def _page(code: int, message: str, explain: str):
+    """Headers after ``Date`` and the HTML body of a stdlib ``send_error``."""
+    body = (
+        BaseHTTPRequestHandler.error_message_format
+        % {
+            "code": code,
+            "message": html.escape(message, quote=False),
+            "explain": html.escape(explain, quote=False),
+        }
+    ).encode("utf-8")
+    headers = [
+        "Connection: close",
+        "Content-Type: text/html;charset=utf-8",
+        f"Content-Length: {len(body)}",
+    ]
+    return headers, body
+
+
+#: Stands for the ``/healthz`` JSON, whose ``uptime_seconds`` is timed.
+HEALTHZ = b"<healthz>"
+BAD_SYNTAX = "Bad request syntax or unsupported method"
+GET_HEALTHZ = b"GET /healthz HTTP/1.0\r\n"
+
+#: name -> (request, status line or None for a reply without a head, the
+#: headers after ``Date``, body).  The stdlib's ``send_error`` writes these
+#: replies; a request line it cannot read as HTTP/1.x leaves the request at
+#: HTTP/0.9, whose replies have no head.
+PROTOCOL_REPLIES = {
+    "414-request-line-too-long": (
+        b"GET /" + b"a" * 65536 + b" HTTP/1.0\r\n\r\n",
+        "HTTP/1.0 414 Request-URI Too Long",
+        *_page(414, "Request-URI Too Long", "URI is too long"),
+    ),
+    "431-header-line-too-long": (
+        GET_HEALTHZ + b"X-Long: " + b"a" * 65536 + b"\r\n\r\n",
+        "HTTP/1.0 431 Line too long",
+        *_page(
+            431,
+            "Line too long",
+            "got more than 65536 bytes when reading header line",
+        ),
+    ),
+    "431-101-header-lines": (
+        GET_HEALTHZ
+        + b"".join(b"X-%d: 1\r\n" % i for i in range(101))
+        + b"\r\n",
+        "HTTP/1.0 431 Too many headers",
+        *_page(431, "Too many headers", "got more than 100 headers"),
+    ),
+    "400-version-x.y": (
+        b"GET /healthz HTTP/x.y\r\n\r\n",
+        None,
+        None,
+        _page(400, "Bad request version ('HTTP/x.y')", BAD_SYNTAX)[1],
+    ),
+    "505-version-2.0": (
+        b"GET /healthz HTTP/2.0\r\n\r\n",
+        None,
+        None,
+        _page(505, "Invalid HTTP version (2.0)", "Cannot fulfill request")[1],
+    ),
+    "400-four-words": (
+        b"GET /healthz extra HTTP/1.0\r\n\r\n",
+        "HTTP/1.0 400 Bad request syntax ('GET /healthz extra HTTP/1.0')",
+        *_page(
+            400, "Bad request syntax ('GET /healthz extra HTTP/1.0')", BAD_SYNTAX
+        ),
+    ),
+    "400-post-without-version": (
+        b"POST /solve\r\n\r\n",
+        None,
+        None,
+        _page(400, "Bad HTTP/0.9 request type ('POST')", BAD_SYNTAX)[1],
+    ),
+    "http-0.9-get": (b"GET /healthz\r\n\r\n", None, None, HEALTHZ),
+    "blank-request-line": (b"\r\n", None, None, b""),
+    "double-slash": (
+        b"GET //healthz HTTP/1.0\r\n\r\n",
+        "HTTP/1.0 200 OK",
+        ["Content-Type: application/json"],  # and its Content-Length
+        HEALTHZ,
+    ),
+}
+
+#: Intended changes: the stdlib's email-based parser ended the head at a
+#: field line without a colon, and joined a folded line onto the field
+#: before it; both requests then got their 200.  RFC 9112 section 5 lets
+#: a server reject either with a 400, which it now does.
+MALFORMED_FIELD_LINES = {
+    "no-colon": GET_HEALTHZ + b"NoColon\r\n\r\n",
+    "obs-fold": GET_HEALTHZ + b"X-A: 1\r\n  folded\r\n\r\n",
+}
+
+
+def _expected_healthz(reply_body: bytes) -> bytes:
+    uptime = json.loads(reply_body)["uptime_seconds"]  # the one timed field
+    return _json_body(
+        {"status": "ok", "version": __version__, "uptime_seconds": uptime}
+    )
+
+
+@pytest.fixture(scope="module")
+def healthz_server():
+    with ReproServer(SolverService(), port=0) as server:
+        yield server
+
+
+@pytest.mark.parametrize("name", sorted(PROTOCOL_REPLIES))
+def test_protocol_error_replies_keep_their_bytes(name, healthz_server):
+    request, status_line, headers, body = PROTOCOL_REPLIES[name]
+    reply = _exchange(healthz_server.port, request)
+    if status_line is None:
+        if body is HEALTHZ:
+            body = _expected_healthz(reply)
+        assert reply == body
+        return
+    got_status, got_headers, got_body = _split(reply)
+    if body is HEALTHZ:
+        body = _expected_healthz(got_body)
+        headers = [*headers, f"Content-Length: {len(body)}"]
+    assert (got_status, got_headers, got_body) == (
+        status_line,
+        [SERVER_HEADER, *headers],
+        body,
+    )
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_FIELD_LINES))
+def test_malformed_field_lines_are_a_400(name, healthz_server):
+    reply = _exchange(healthz_server.port, MALFORMED_FIELD_LINES[name])
+    headers, body = _page(
+        400,
+        "Bad header line",
+        "a header field line needs a colon and may not be folded "
+        "(RFC 9112 section 5)",
+    )
+    assert _split(reply) == (
+        "HTTP/1.0 400 Bad header line",
+        [SERVER_HEADER, *headers],
+        body,
     )

@@ -10,6 +10,7 @@ payload that was quarantined and re-solved.
 
 from __future__ import annotations
 
+import http.client
 import json
 import socket
 import sys
@@ -386,6 +387,14 @@ class TestHttpWarmPath:
                 "invalid Content-Length header",
             ),
             (
+                # Two framings of one body: the first no longer wins.
+                b"POST /solve HTTP/1.0\r\nContent-Length: %d\r\n"
+                b"Content-Length: %d\r\n\r\n" % (len(BODY), len(BODY) + 1)
+                + BODY
+                + b" ",
+                "conflicting Content-Length headers",
+            ),
+            (
                 _post("/solve", b"{}", length=str(9 * 1024 * 1024)),
                 "request body of 9437184 bytes exceeds the 8388608-byte limit",
             ),
@@ -426,6 +435,34 @@ class TestHttpWarmPath:
                     + "\n"
                 ).encode()
         assert len(service._bodies) == 0
+
+    def test_identical_content_lengths_read_as_one(self):
+        """RFC 9112 section 6.3: equal copies frame the body alike."""
+        request = (
+            b"POST /solve HTTP/1.0\r\n"
+            + b"Content-Length: %d\r\n" % len(BODY) * 2
+            + b"\r\n"
+            + BODY
+        )
+        with ReproServer(SolverService(), port=0) as server:
+            status, body = _status_and_body(_exchange(server.port, request))
+        assert status == 200
+        assert json.loads(body)["scenario_id"] == SPEC.scenario_id
+
+    def test_warm_solve_does_not_run_the_email_header_parser(self, monkeypatch):
+        def parse_headers(*args, **kwargs):
+            raise AssertionError("the request head went through parse_headers")
+
+        service = SolverService()
+        with ReproServer(service, port=0) as server:
+            warm = _exchange(server.port, _post("/solve", BODY))
+            assert _status_and_body(warm)[0] == 200
+            monkeypatch.setattr(http.client, "parse_headers", parse_headers)
+            status, body = _status_and_body(
+                _exchange(server.port, _post("/solve", BODY))
+            )
+        assert status == 200
+        assert json.loads(body)["source"] == "cache"
 
     def test_concurrent_first_requests_all_get_the_answer(self):
         service = SolverService()
